@@ -54,6 +54,15 @@ def array_to_table(arr: np.ndarray) -> int:
 @lru_cache(maxsize=64)
 def _var_zero_mask(i: int, k: int) -> int:
     """Bitmask over table indices v (k-bit) selecting those with bit i == 0."""
+    if k >= 3:
+        # repeat a byte pattern: linear in 2**k, where the division below is
+        # quadratic in it
+        if i < 3:
+            pattern = (b"\x55", b"\x33", b"\x0f")[i]
+        else:
+            half = 1 << (i - 3)
+            pattern = b"\xff" * half + b"\x00" * half
+        return int.from_bytes(pattern * ((1 << (k - 3)) // len(pattern)), "little")
     block = bitmask(1 << i)
     period = 1 << (i + 1)
     size = 1 << k

@@ -7,9 +7,16 @@ involutive assignment of rotation classes (with a rotation alignment per
 swapped pair, and an optional half-period flip on fixed classes when p is
 even).  Each combined assignment pins the rule on the 44 windows that occur
 in such sequences; scanning the combinations and discarding value
-collisions leaves a few thousand partial tables, and the remaining 20
-window values are completed by unit propagation over the exact
-11-variable involution identity rather than a blind 2^20 scan.
+collisions leaves a few thousand partial tables.
+
+Most of these already contradict the involution identity
+f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1} on one of the 278 eleven-bit
+words z whose six windows are all pinned.  One array pass over the
+survivors' pinned tables evaluates the identity on those words and drops
+every survivor where f(v) is pinned to the wrong bit (4,296 -> 34 at s=2,
+4,564 -> 130 at s=3).  On the rest, the 20 free window values are completed
+by unit propagation over the exact 11-variable identity rather than a blind
+2^20 scan.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ def _divisors(p: int) -> list[int]:
     return [d for d in range(1, p + 1) if p % d == 0]
 
 
-def _mobius(n: int) -> int:
+def _mobius_mu(n: int) -> int:
     out = 1
     d = 2
     while d * d <= n:
@@ -59,7 +66,7 @@ def count_primitive_sequences(p: int) -> int:
     """Number of binary sequences of primitive period exactly p."""
     if p < 1:
         raise LiftforgeError("period must be >= 1")
-    return sum(_mobius(d) * (1 << (p // d)) for d in _divisors(p))
+    return sum(_mobius_mu(d) * (1 << (p // d)) for d in _divisors(p))
 
 
 def _double_factorial_odd(i: int) -> int:
@@ -171,24 +178,38 @@ def _class_map_options(p: int, fix_all_zero: bool) -> tuple[tuple[tuple[int, int
     return tuple(options)
 
 
+@lru_cache(maxsize=512)
+def _triple_masks(p: int, src: int, dst: int, c: int, s: int) -> tuple[int, int]:
+    """(defined, ones) masks over the windows pinned by mapping class src to
+    class dst with rotation c."""
+    classes = primitive_necklace_classes(p)
+    pat = classes[src].representative
+    tgt = classes[dst].representative
+    def_mask = 0
+    ones = 0
+    for a in range(p):
+        w = 0
+        for u in range(K6):
+            w |= _pat_bit(pat, p, a + u) << u
+        val = _pat_bit(tgt, p, a + s - 1 - c)
+        if (def_mask >> w) & 1:
+            if ((ones >> w) & 1) != val:
+                raise LiftforgeError("internal: self-conflicting class map")
+        def_mask |= 1 << w
+        ones |= val << w
+    return def_mask, ones
+
+
 def _forced_masks(p: int, option, s: int) -> tuple[int, int]:
     """(defined, ones) masks over the 64 windows pinned by one class map."""
-    classes = primitive_necklace_classes(p)
     def_mask = 0
     ones = 0
     for src, dst, c in option:
-        pat = classes[src].representative
-        tgt = classes[dst].representative
-        for a in range(p):
-            w = 0
-            for u in range(K6):
-                w |= _pat_bit(pat, p, a + u) << u
-            val = _pat_bit(tgt, p, a + s - 1 - c)
-            if (def_mask >> w) & 1:
-                if ((ones >> w) & 1) != val:
-                    raise LiftforgeError("internal: self-conflicting class map")
-            def_mask |= 1 << w
-            ones |= val << w
+        d, o = _triple_masks(p, src, dst, c, s)
+        if (def_mask & d) & (ones ^ o):
+            raise LiftforgeError("internal: self-conflicting class map")
+        def_mask |= d
+        ones |= o
     return def_mask, ones
 
 
@@ -235,10 +256,10 @@ def enumerate_periodic_assignments(s: int, include_complemented: bool = False) -
     for p in range(1, MAX_P + 1):
         opts = _class_map_options(p, fix_all_zero=(p == 1 and not include_complemented))
         per_p.append([(o, *_forced_masks(p, o, s)) for o in opts])
-    # vectorize the innermost (largest) level
+    # the innermost (largest) level is one array operation per prefix
     p5 = per_p[4]
-    d5 = p5[0][1]
-    o5 = np.array([o for _, _, o in p5], dtype=object)
+    d5 = np.array([d for _, d, _ in p5], dtype=np.uint64)
+    v5 = np.array([v for _, _, v in p5], dtype=np.uint64)
     scanned = 0
     survivors = []
     collisions = {"prefix": 0, "p5": 0}
@@ -256,12 +277,12 @@ def enumerate_periodic_assignments(s: int, include_complemented: bool = False) -
                         scanned += len(p5)
                         collisions["prefix"] += len(p5)
                         continue
-                    ov = pre_d & d5
                     scanned += len(p5)
-                    for o5_, d5_, v5_ in p5:
-                        if (pre_v ^ v5_) & ov:
-                            collisions["p5"] += 1
-                            continue
+                    clash = (v5 ^ np.uint64(pre_v)) & (d5 & np.uint64(pre_d))
+                    keep = np.flatnonzero(clash == 0).tolist()
+                    collisions["p5"] += len(p5) - len(keep)
+                    for i in keep:
+                        o5_, d5_, v5_ = p5[i]
                         survivors.append(
                             PeriodicAssignment(
                                 s, (o1, o2, o3, o4, o5_), pre_d | d5_, pre_v | v5_
@@ -285,6 +306,50 @@ def _constraints(s: int):
             occ[w].append(z)
     tbit = 2 * s - 2
     return windows, [tuple(o) for o in occ], tbit
+
+
+_FILTER_ROWS = 64  # survivors per array pass; bounds the (rows, words, 6) temporaries
+
+
+def _bit_rows(masks: list[int]) -> np.ndarray:
+    """64-bit masks as a (len(masks), 64) uint8 array of their bits."""
+    buf = b"".join(m.to_bytes(8, "little") for m in masks)
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little").reshape(len(masks), WORDS)
+
+
+@lru_cache(maxsize=4)
+def _pinned_word_planes(s: int):
+    """The 11-bit words z whose six windows are all short-period words (the
+    windows every scan survivor pins): their window indices, one row per
+    word, and their target bits z_{2s-1}."""
+    z = np.arange(1 << 11, dtype=np.intp)
+    windows = (z[:, None] >> np.arange(6)) & (WORDS - 1)
+    pinned = _bit_rows([short_period_words()])[0]
+    keep = pinned[windows].all(axis=1)
+    return windows[keep], ((z[keep] >> (2 * s - 2)) & 1).astype(np.uint8)
+
+
+def _refuted_by_pinned_words(assignments, s: int) -> np.ndarray:
+    """Boolean mask of the assignments that contradict the involution
+    identity on a word whose six windows are all pinned.
+
+    For such a word z the pinned values give v = f(z_1..z_6)..f(z_6..z_11);
+    if f(v) is pinned too and differs from z_{2s-1}, no completion exists.
+    """
+    windows, target = _pinned_word_planes(s)
+    out = np.zeros(len(assignments), dtype=bool)
+    for lo in range(0, len(assignments), _FILTER_ROWS):
+        chunk = assignments[lo : lo + _FILTER_ROWS]
+        ones = _bit_rows([a.ones_mask for a in chunk])
+        defined = _bit_rows([a.def_mask for a in chunk])
+        z_defined = defined[:, windows].all(axis=2)
+        # packing the six window bits of each word gives v directly
+        v = np.packbits(ones[:, windows], axis=2, bitorder="little")[:, :, 0].astype(np.intp)
+        fv = np.take_along_axis(ones, v, axis=1)
+        v_defined = np.take_along_axis(defined, v, axis=1)
+        conflict = z_defined & (v_defined == 1) & (fv != target)
+        out[lo : lo + len(chunk)] = conflict.any(axis=1)
+    return out
 
 
 def _extend_assignment(def_mask: int, ones_mask: int, s: int) -> list[int]:
@@ -394,10 +459,15 @@ class Involution6:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """One offset's search.  It keeps the scan's counts, not its survivors:
+    those are intermediate and would make up nearly all of its size."""
+
     s: int
-    scan: AssignmentScan
     involutions: tuple[Involution6, ...]
     completions: int  # involutive completions before the tight-diameter filter
+    scanned: int  # class-map combinations scanned
+    scan_survivors: int  # combinations left by the scan's collision test
+    searched: int  # scan survivors left by the pinned-word filter and extended
 
     @property
     def class_ids(self) -> frozenset:
@@ -406,18 +476,23 @@ class SearchResult:
 
 def complete_search(s: int, include_complemented: bool = False, jobs: int = 1) -> SearchResult:
     """Extend every surviving assignment over the 20 free windows and keep
-    the tight diameter-6 rules; each result is re-verified independently."""
+    the tight diameter-6 rules; each result is re-verified independently.
+
+    Survivors refuted on a fully pinned word are dropped before the
+    extension, whose pinning stage would hit the same conflict."""
     scan = enumerate_periodic_assignments(s, include_complemented)
+    refuted = _refuted_by_pinned_words(scan.survivors, s)
+    todo = [a for a, r in zip(scan.survivors, refuted.tolist()) if not r]
     tables: list[int] = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = [(a.def_mask, a.ones_mask, s) for a in scan.survivors]
+        payload = [(a.def_mask, a.ones_mask, s) for a in todo]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sols in pool.map(_extend_worker, payload, chunksize=64):
+            for sols in pool.map(_extend_worker, payload):
                 tables.extend(sols)
     else:
-        for a in scan.survivors:
+        for a in todo:
             tables.extend(_extend_assignment(a.def_mask, a.ones_mask, s))
     assert len(set(tables)) == len(tables)
     out = []
@@ -431,7 +506,7 @@ def complete_search(s: int, include_complemented: bool = False, jobs: int = 1) -
         if rule.k != K6:
             continue  # involutive but of smaller diameter
         out.append(Involution6(rule, s, canonicalize(rule)))
-    return SearchResult(s, scan, tuple(out), len(tables))
+    return SearchResult(s, tuple(out), len(tables), scan.scanned, len(scan.survivors), len(todo))
 
 
 def _extend_worker(args) -> list[int]:

@@ -7,6 +7,7 @@ from liftforge.corefn import (
     Anf,
     InvalidRuleError,
     _lex_key,
+    _var_zero_mask,
     anf_masks_to_table,
     essential_vars,
     rule_from_table,
@@ -162,3 +163,12 @@ def test_essential_vars():
     r = lf.rule_from_anf_text("x1 ^ x3")
     assert r.k == 3
     assert essential_vars(r.table, 3) == 0b101
+
+
+def test_var_zero_mask_matches_division_formula():
+    for k in range(1, 15):
+        size = 1 << k
+        for i in range(k):
+            period = 1 << (i + 1)
+            want = ((1 << (1 << i)) - 1) * (((1 << size) - 1) // ((1 << period) - 1))
+            assert _var_zero_mask(i, k) == want, (i, k)

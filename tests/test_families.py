@@ -85,6 +85,12 @@ def test_all_valid_params_k_le_8_proper_and_ordered():
         assert verify_order_claim(r, 1 << p.r_exp, p.j)
 
 
+def test_symmetric_k11_order_power_4():
+    p = symmetric_params(11, 5, {1, 11})
+    assert 1 << p.r_exp == 4
+    assert verify_order_claim(build_symmetric(p), 4, p.j)
+
+
 def test_symmetric_second_iterate_identity():
     # under the window convention centered at j, the double iterate is
     # G^2(x)_i = x_i + (x_{i+2*Xi}+1) * prod_{l in S} x_{i-j+l} x_{i+Xi-j+l}

@@ -47,6 +47,7 @@ def test_compile_known_rules():
         "1★01": "x2 ^ x1*(x3^1)*x4",
         "0★10": "x2 ^ (x1^1)*x3*(x4^1)",
         "10★10": "x3 ^ x1*(x2^1)*x4*(x5^1)",
+        "11★01": "x3 ^ x1*x2*(x4^1)*x5",
     }
     for text, anf in cases.items():
         assert compile_landscape(parse_landscape(text)).same_function(lf.rule_from_anf_text(anf))
@@ -119,6 +120,14 @@ def test_enumeration_counts_small():
     assert (enumerate_conserved(4).count, enumerate_conserved(4).class_count) == (4, 1)
     res6 = enumerate_conserved(6)
     assert (res6.count, res6.class_count) == (72, 18)
+    for k, want in ((5, (14, 4)), (7, (288, 73)), (8, (1160, 290))):
+        res = enumerate_conserved(k)
+        assert (res.count, res.class_count) == want
+
+
+def test_diameter4_landscapes_form_one_class():
+    ids = {lf.canonicalize(compile_landscape(parse_landscape(t))) for t in ("0★10", "1★01", "01★0", "10★1")}
+    assert len(ids) == 1
 
 
 def test_enumeration_count_matches_orbit_partition():

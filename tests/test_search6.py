@@ -8,6 +8,8 @@ from liftforge.landscape import compile_landscape, parse_landscape
 from liftforge.search6 import (
     NecklaceClass,
     _class_map_options,
+    _extend_assignment,
+    _refuted_by_pinned_words,
     count_period_mappings,
     count_primitive_sequences,
     enumerate_periodic_assignments,
@@ -160,3 +162,26 @@ def test_complemented_branch_universe():
     # sequences: 8 functions in 4 classes on top of the 152 in 40
     assert full.function_count == 160
     assert full.class_count == 44
+
+
+def test_pinned_word_filter_leaves_few_survivors(search6_pooled):
+    for s, searched in ((2, 34), (3, 130)):
+        res = search6_pooled.by_offset[s]
+        assert res.searched == searched < res.scan_survivors
+
+
+def test_pinned_word_filter_drops_only_unextendable_survivors():
+    rng = random.Random(2411)
+    for s in (2, 3):
+        survivors = enumerate_periodic_assignments(s).survivors
+        refuted = _refuted_by_pinned_words(survivors, s)
+        dropped = [a for a, r in zip(survivors, refuted) if r]
+        for a in rng.sample(dropped, 100):
+            assert _extend_assignment(a.def_mask, a.ones_mask, s) == []
+
+
+def test_search_result_counts(search6_pooled):
+    res2 = search6_pooled.by_offset[2]
+    res3 = search6_pooled.by_offset[3]
+    assert (res2.scanned, res2.scan_survivors, res2.completions) == (787_456, 4296, 27)
+    assert (res3.scanned, res3.scan_survivors, res3.completions) == (787_456, 4564, 71)
