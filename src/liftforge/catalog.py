@@ -17,16 +17,20 @@ from .corefn import (
     EquivClassId,
     LiftforgeError,
     Rule,
+    _end_vars,
+    _mobius,
+    _rev_index,
+    _windows,
+    array_to_table,
     canonicalize,
     degree,
     is_balanced,
     orbit,
-    table_to_array,
 )
 from .diffunif import ddt_max
-from .exprlang import LiftExpr, eval_expr, parse_expr, print_expr
+from .exprlang import LiftExpr, eval_expr, parse_expr
 from .landscape import compile_landscape, enumerate_conserved
-from .lifting import DEFAULT_ARITY_CAP, compose, decide_proper, is_lifting
+from .lifting import DEFAULT_ARITY_CAP, decide_proper
 
 CATALOG_RESOURCE = "appendix_a.tsv"
 CATALOG_SHA256 = "bd0be47ea0d5d69c6ef0b6c5bc139cb653b3bd9f0643b9d23811546a657387bb"
@@ -60,7 +64,7 @@ def load_catalog() -> list[CatalogEntry]:
     """Parse and structurally validate the bundled 120-entry table."""
     raw = _catalog_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    if CATALOG_SHA256 != "PLACEHOLDER" and digest != CATALOG_SHA256:
+    if digest != CATALOG_SHA256:
         raise CatalogError(f"catalog checksum mismatch: {digest}")
     rows = []
     for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
@@ -212,52 +216,17 @@ def default_generators() -> list[Rule]:
     return gens
 
 
-_REV_IDX: dict[int, np.ndarray] = {}
-_ARANGE: dict[int, np.ndarray] = {}
-
-
-def _rev_index(k: int) -> np.ndarray:
-    got = _REV_IDX.get(k)
-    if got is None:
-        idx = np.arange(1 << k, dtype=np.uint32)
-        rev = np.zeros_like(idx)
-        for b in range(k):
-            rev |= ((idx >> np.uint32(b)) & 1) << np.uint32(k - 1 - b)
-        got = _REV_IDX[k] = rev
-    return got
-
-
-def _arange(k: int) -> np.ndarray:
-    got = _ARANGE.get(k)
-    if got is None:
-        got = _ARANGE[k] = np.arange(1 << k, dtype=np.uint32)
-    return got
-
-
-def _compose_arr(ga: np.ndarray, kg: int, fa32: np.ndarray, kf: int) -> tuple[int, np.ndarray]:
-    """Array-native compose-and-trim; ``fa32`` is the right table as uint32.
-
-    Returns (diameter, uint8 table array).
-    """
-    from .corefn import essential_vars
-
-    K = kg + kf - 1
-    idx = _arange(K)
-    acc = fa32[idx & np.uint32((1 << kf) - 1)].copy()
-    mf = np.uint32((1 << kf) - 1)
-    for j in range(1, kg):
-        acc |= fa32[(idx >> np.uint32(j)) & mf] << np.uint32(j)
-    out = ga[acc]
-    packed = int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
-    ess = essential_vars(packed, K)
-    if ess == 0:
-        raise LiftforgeError("constant composite")
-    i0 = (ess & -ess).bit_length() - 1
-    j0 = ess.bit_length() - 1
+def _trim(arr: np.ndarray, k: int) -> Optional[tuple[int, np.ndarray]]:
+    """A raw k-variable table array trimmed to its tight window as
+    (diameter, table array), or None if it is constant."""
+    ends = _end_vars(array_to_table(arr), k)
+    if ends is None:
+        return None
+    i0, j0 = ends
     k2 = j0 - i0 + 1
-    if k2 == K:
-        return K, out
-    return k2, np.ascontiguousarray(out[0 : (1 << k2) << i0 : 1 << i0])
+    if k2 == k:
+        return k, arr
+    return k2, np.ascontiguousarray(arr[0 : (1 << k2) << i0 : 1 << i0])
 
 
 def _orbit_arrays(arr: np.ndarray, k: int) -> list[np.ndarray]:
@@ -296,6 +265,14 @@ def closure_search(
     covers every class reachable from the underlying function pairs.  If
     the composition budget runs out the result is a correct lower bound and
     ``exhausted`` is set.
+
+    Each composite is the gather ``left[windows]`` over the right operand's
+    window array (``corefn._windows``), which depends only on the right
+    orbit member and the left diameter.  The windows of every generator
+    orbit member are kept per left diameter for the whole run; those of the
+    class x currently being extended are built once per left diameter and
+    dropped when the search moves on to the next class, so the cache never
+    holds more than one non-generator class.
     """
     if max_diameter < 6:
         raise LiftforgeError("intermediate diameter cap must be >= 6")
@@ -303,7 +280,6 @@ def closure_search(
 
     ks: list[int] = []  # diameter per discovered class
     reps: list[np.ndarray] = []  # canonical representative tables (uint8)
-    orbs: list[list[np.ndarray]] = []  # orbit member tables as uint32
     known: set[tuple[int, bytes]] = set()
     found: set[EquivClassId] = set()
 
@@ -317,47 +293,50 @@ def closure_search(
         rep = np.frombuffer(canon, dtype=np.uint8)
         ks.append(k)
         reps.append(rep)
-        orbs.append([m.astype(np.uint32) for m in _orbit_arrays(rep, k)])
         if k <= 6:
-            rule = Rule(k, int.from_bytes(np.packbits(rep, bitorder="little").tobytes(), "little"), 0)
+            rule = Rule(k, array_to_table(rep), 0)
             if degree(rule) >= 2:
                 found.add(EquivClassId(k, rule.table))
 
     for g in gens:
         add(g.k, g.table_array())
     n_gen = len(ks)
-
-    def appends():
-        # (left, right) class pairs putting a generator class g on either
-        # side of class x; a pair of generators is met once, from its later
-        # member.  Read lazily, so classes added meanwhile are seen.
-        x = 0
-        while x < len(ks):
-            for g in range(min(n_gen, x + 1)):
-                yield g, x
-                if g != x:
-                    yield x, g
-            x += 1
+    gen_orbits = [_orbit_arrays(reps[g], ks[g]) for g in range(n_gen)]
+    gen_windows: dict[tuple[int, int], list[np.ndarray]] = {}  # (class, left diameter)
 
     compositions = 0
     exhausted = False
-    for li, ri in appends():
-        ka, ga = ks[li], reps[li]
-        kb = ks[ri]
-        for right in orbs[ri]:
-            if compositions >= budget:
-                exhausted = True
+    x = 0
+    while x < len(ks) and not exhausted:
+        # put each generator class g on either side of class x; a pair of
+        # generators is met once, from its later member.  len(ks) is read
+        # afresh, so classes added meanwhile are extended in turn.
+        x_orbit = _orbit_arrays(reps[x], ks[x]) if x >= n_gen else None
+        x_windows: dict[int, list[np.ndarray]] = {}  # per left diameter
+        for g in range(min(n_gen, x + 1)):
+            for li, ri in ((g, x), (x, g)) if g != x else ((g, x),):
+                ka, kb = ks[li], ks[ri]
+                if ri < n_gen:
+                    members, cache, key = gen_orbits[ri], gen_windows, (ri, ka)
+                else:
+                    members, cache, key = x_orbit, x_windows, ka
+                n = min(len(members), budget - compositions)  # one composition per member
+                compositions += n
+                if n and ka + kb - 1 <= arity_cap:
+                    windows = cache.get(key)
+                    if windows is None:
+                        windows = cache[key] = [_windows(m, kb, ka) for m in members]
+                    left = reps[li]
+                    for w in windows[:n]:
+                        trimmed = _trim(left[w], ka + kb - 1)
+                        if trimmed is not None:
+                            add(*trimmed)
+                if n < len(members):
+                    exhausted = True
+                    break
+            if exhausted:
                 break
-            compositions += 1
-            if ka + kb - 1 > arity_cap:
-                continue
-            try:
-                k2, arr2 = _compose_arr(ga, ka, right, kb)
-            except LiftforgeError:
-                continue
-            add(k2, arr2)
-        if exhausted:
-            break
+        x += 1
     return ClosureResult(max_diameter, frozenset(found), len(ks), compositions, exhausted)
 
 
@@ -385,28 +364,10 @@ class ProbeReport:
 
 
 def _fast_degree_of_composite(ga: np.ndarray, fa: np.ndarray, kg: int, kf: int) -> int:
-    """Degree of g o f via a raw-window table and an in-place transform."""
-    K = kg + kf - 1
-    idx = np.arange(1 << K, dtype=np.uint32)
-    acc = np.zeros(idx.size, dtype=np.uint32)
-    mf = np.uint32((1 << kf) - 1)
-    for j in range(kg):
-        acc |= fa[(idx >> np.uint32(j)) & mf].astype(np.uint32) << np.uint32(j)
-    h = ga[acc]
-    for i in range(K):
-        step = 1 << i
-        view = h.reshape(-1, step << 1)
-        view[:, step:] ^= view[:, :step]
-    nz = np.nonzero(h)[0]
-    if nz.size == 0:
-        return 0
-    # max popcount over monomial masks
-    pop = np.zeros(nz.size, dtype=np.uint8)
-    v = nz.astype(np.uint32)
-    while v.any():
-        pop += (v & 1).astype(np.uint8)
-        v >>= 1
-    return int(pop.max())
+    """Degree of g o f: the largest monomial of the composite's raw table."""
+    coeff = _mobius(ga[_windows(fa, kf, kg)], kg + kf - 1)
+    monomials = np.flatnonzero(coeff)
+    return int(np.bitwise_count(monomials).max()) if monomials.size else 0
 
 
 def degree2_probe(entries: Optional[list[CatalogEntry]] = None) -> ProbeReport:

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog as catalog_mod
 from . import corefn, diffunif, exprlang, families, landscape, lifting, search6
@@ -211,6 +210,12 @@ def cmd_closure(args) -> int:
         "exhausted": res.exhausted,
     }
     _emit(args, doc, [f"{k}\t{v}" for k, v in doc.items()])
+    if res.exhausted:
+        print(
+            f"note: budget of {args.budget} compositions ran out before the fixpoint; "
+            "the classes are a lower bound",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -233,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("verify", help="decide whether an expression is a proper lifting")
     q.add_argument("expr")
-    q.add_argument("--exact", action="store_true", default=True, help="pair-graph decision (default)")
-    q.add_argument("--scan", dest="exact", action="store_false", help="finite-scan heuristic instead")
-    q.set_defaults(fn=cmd_verify)
+    q.add_argument("--scan", dest="exact", action="store_false", help="finite-scan heuristic instead of the pair graph")
+    q.set_defaults(fn=cmd_verify, exact=True)
 
     q = sub.add_parser("compose", help="compose expressions left to right")
     q.add_argument("exprs", nargs="+")
@@ -248,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("landscapes", help="enumerate conserved landscapes of a diameter")
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--classes", action="store_true", help="(kept for symmetry; classes always shown)")
     q.add_argument("--list", action="store_true", help="print one landscape per line")
     q.set_defaults(fn=cmd_landscapes)
 
@@ -281,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         "of diameter <= --diameter, until nothing new appears or the budget runs out; report the "
         "diameter-<=6, degree->=2 classes found.",
     )
-    q.add_argument("--diameter", type=int, default=8, help="intermediate diameter cap")
-    q.add_argument("--budget", type=int, default=400_000, help="composition budget")
+    q.add_argument("--diameter", type=int, default=7, help="intermediate diameter cap")
+    q.add_argument("--budget", type=int, default=600_000, help="composition budget")
     q.set_defaults(fn=cmd_closure)
 
     return p

@@ -6,6 +6,17 @@ of variable x_{i+1} (x1 is the least significant bit).  Rules are kept
 normalized: the window is trimmed so that f depends on both x1 and xk,
 and the number of positions the window slid during trimming is recorded
 in ``shift``.
+
+Composition runs on one kernel.  ``_windows(fa, kf, m)`` gives, for every
+input word x of m + kf - 1 bits, the m outputs of f at offsets 0..m-1
+packed into one integer; the composite g o f is then the gather
+``ga[_windows(fa, kf, g.k)]``.  The window array is built by doubling:
+splitting x into (a: q high bits, b: kf - 1 middle bits, c: p low bits),
+A_{p+q}[a, b, c] = A_p[b, c] | A_q[a, b] << p, one numpy broadcast per
+level and no index arrays.  Large tables are built in blocks of at most
+2**22 entries.  Normalization then trims only the end variables:
+``_end_vars`` scans up from x1 and down from xk and stops at the first
+variable each side depends on.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -71,14 +83,80 @@ def _var_zero_mask(i: int, k: int) -> int:
     return block * reps
 
 
+def _depends_on(table: int, k: int, i: int) -> bool:
+    return bool(((table >> (1 << i)) ^ table) & _var_zero_mask(i, k))
+
+
+def _end_vars(table: int, k: int) -> Optional[tuple[int, int]]:
+    """Lowest and highest 0-based variable the table depends on, or None
+    for a constant table; each scan stops at the first such variable."""
+    for i0 in range(k):
+        if _depends_on(table, k, i0):
+            break
+    else:
+        return None
+    j0 = k - 1
+    while not _depends_on(table, k, j0):
+        j0 -= 1
+    return i0, j0
+
+
 def essential_vars(table: int, k: int) -> int:
     """Bitmask of 0-based variable indices the table actually depends on."""
-    ess = 0
-    for i in range(k):
-        m = _var_zero_mask(i, k)
-        if ((table >> (1 << i)) ^ table) & m:
-            ess |= 1 << i
-    return ess
+    return sum(1 << i for i in range(k) if _depends_on(table, k, i))
+
+
+# ---------------------------------------------------------------------------
+# the composition kernel
+
+_BLOCK_BITS = 22  # window arrays wider than 2**22 entries are built in blocks
+
+
+def _window_blocks(fa: np.ndarray, kf: int, m: int) -> Iterator[np.ndarray]:
+    """The window array of f (see the module docstring) in consecutive
+    blocks of at most 2**22 entries, or of one row of the last level.
+
+    Entries are the smallest unsigned dtype that holds m bits.
+    """
+    dtype = np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
+    mid = 1 << (kf - 1)
+    levels = {1: np.asarray(fa).astype(dtype, copy=False)}
+
+    def level(n: int) -> np.ndarray:
+        got = levels.get(n)
+        if got is None:
+            p, q = (n + 1) // 2, n // 2
+            lo = level(p).reshape(1, mid, 1 << p)
+            hi = (level(q) << p).reshape(-1, mid, 1)
+            got = levels[n] = (lo | hi).reshape(-1)
+        return got
+
+    if m == 1:
+        yield levels[1]
+        return
+    # the last level, in blocks of whole rows (a, b), each row 2**p wide
+    p, q = (m + 1) // 2, m // 2
+    lo = level(p).reshape(mid, 1 << p)
+    hi = (level(q) << p)[:, None]
+    rows = max(1, (1 << _BLOCK_BITS) >> p)
+    for r0 in range(0, hi.shape[0], rows):
+        if rows >= mid:
+            yield (lo[None] | hi[r0 : r0 + rows].reshape(-1, mid, 1)).reshape(-1)
+        else:
+            b0 = r0 & (mid - 1)
+            yield (lo[b0 : b0 + rows] | hi[r0 : r0 + rows]).reshape(-1)
+
+
+def _windows(fa: np.ndarray, kf: int, m: int) -> np.ndarray:
+    """The window array of f over m + kf - 1 input bits, in one piece."""
+    blocks = list(_window_blocks(fa, kf, m))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _compose_table(ga: np.ndarray, kg: int, fa: np.ndarray, kf: int) -> int:
+    """Packed, untrimmed table of g o f over kg + kf - 1 variables."""
+    packed = (np.packbits(ga[w], bitorder="little").tobytes() for w in _window_blocks(fa, kf, kg))
+    return int.from_bytes(b"".join(packed), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +209,10 @@ def _normalize(k: int, table: int, shift: int = 0) -> Rule:
     """Trim a raw k-variable table to its tight window and record the slide."""
     if k < 1:
         raise InvalidRuleError("rule must have at least one variable")
-    ess = essential_vars(table, k)
-    if ess == 0:
+    ends = _end_vars(table, k)
+    if ends is None:
         raise InvalidRuleError("constant rule: diameter undefined")
-    i0 = (ess & -ess).bit_length() - 1
-    j0 = ess.bit_length() - 1
+    i0, j0 = ends
     k2 = j0 - i0 + 1
     if k2 == k:
         return Rule(k, table, shift)
@@ -194,14 +271,20 @@ def is_identity(r: Rule) -> bool:
 # the elementary equivalence group: variable reversal and complementation
 
 
-def reverse(r: Rule) -> Rule:
-    """f'(x1..xk) = f(xk..x1)."""
-    k = r.k
+@lru_cache(maxsize=8)
+def _rev_index(k: int) -> np.ndarray:
+    """Table index permutation: v with its k bits reversed."""
     idx = np.arange(1 << k, dtype=np.uint32)
     rev = np.zeros_like(idx)
     for b in range(k):
         rev |= ((idx >> b) & 1) << (k - 1 - b)
-    return Rule(k, array_to_table(r.table_array()[rev]), 0)
+    rev.flags.writeable = False
+    return rev
+
+
+def reverse(r: Rule) -> Rule:
+    """f'(x1..xk) = f(xk..x1)."""
+    return Rule(r.k, array_to_table(r.table_array()[_rev_index(r.k)]), 0)
 
 
 def complement(r: Rule) -> Rule:

@@ -100,10 +100,6 @@ def compile_landscape(l: Landscape) -> Rule:
     return _normalize(k, array_to_table(table))
 
 
-# the operation name used throughout the interface docs
-compile = compile_landscape
-
-
 def _masks(l: Landscape) -> tuple[int, int]:
     """(defined, ones) bitmasks over 0-based string positions."""
     D = O = 0

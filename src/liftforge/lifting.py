@@ -9,7 +9,7 @@ the cyclic right shift of the sequence is therefore a left bit-rotation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -20,6 +20,7 @@ from .corefn import (
     InvalidRuleError,
     LiftforgeError,
     Rule,
+    _compose_table,
     _normalize,
     bitmask,
     is_identity,
@@ -127,18 +128,7 @@ def compose(g: Rule, f: Rule, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
     K = g.k + f.k - 1
     if K > arity_cap:
         raise ArityCapError(f"composition needs {K} variables, cap is {arity_cap}")
-    fa = f.table_array()
-    ga = g.table_array()
-    mf = np.uint32(bitmask(f.k))
-    chunk_bits = min(K, 22)
-    pieces = []
-    for base in range(0, 1 << K, 1 << chunk_bits):
-        idx = np.arange(base, base + (1 << chunk_bits), dtype=np.uint32)
-        acc = np.zeros(idx.size, dtype=np.uint32)
-        for j in range(g.k):
-            acc |= fa[(idx >> np.uint32(j)) & mf].astype(np.uint32) << np.uint32(j)
-        pieces.append(np.packbits(ga[acc], bitorder="little"))
-    raw = int.from_bytes(b"".join(p.tobytes() for p in pieces), "little")
+    raw = _compose_table(g.table_array(), g.k, f.table_array(), f.k)
     return _normalize(K, raw, g.shift + f.shift)
 
 

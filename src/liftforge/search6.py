@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -33,9 +32,11 @@ from .corefn import (
     InvalidRuleError,
     LiftforgeError,
     Rule,
+    _windows,
     canonicalize,
     reverse,
     rule_from_table,
+    table_to_array,
 )
 
 K6 = 6
@@ -438,14 +439,9 @@ def involution_rule_check(rule: Rule, s: int) -> bool:
 
 
 def _involution_table_check(table: int, s: int) -> bool:
-    from .corefn import table_to_array
-
     tab = table_to_array(table, K6)
+    out = tab[_windows(tab, K6, K6)]  # f o f
     z = np.arange(1 << 11, dtype=np.uint32)
-    acc = np.zeros(z.size, dtype=np.uint32)
-    for j in range(6):
-        acc |= tab[(z >> np.uint32(j)) & np.uint32(WORDS - 1)].astype(np.uint32) << np.uint32(j)
-    out = tab[acc]
     want = ((z >> np.uint32(2 * s - 2)) & 1).astype(np.uint8)
     return bool(np.array_equal(out, want))
 

@@ -147,6 +147,27 @@ def test_closure_rejects_small_cap():
 
 
 @pytest.mark.long
+def test_closure_d7_reproduces_the_catalog(catalog_entries):
+    res = closure_search(7, budget=600_000)
+    assert not res.exhausted
+    assert res.discovered_classes == 2777
+    catalog = {lf.canonicalize(e.rule()) for e in catalog_entries}
+    assert catalog <= res.found_classes
+    # the 5 degree>=2 generator classes of diameter 4/5 and one composite-only class
+    assert {c.text() for c in res.found_classes - catalog} == {
+        "4:D2F0",
+        "5:D2F0F0F0",
+        "5:D30EFF00",
+        "5:EF10FF00",
+        "5:F0B4F0F0",
+        "5:FD02FF00",
+    }
+    # composites of proper rules are proper: a check of the pair graph
+    assert all(lf.decide_proper(c.rule()).proper for c in res.found_classes)
+    assert lf.decide_proper(lf.rule_from_text("5:D30EFF00"), method="finite-scan").proper
+
+
+@pytest.mark.long
 def test_degree2_probe_finds_nothing():
     probe = degree2_probe()
     assert probe.pool_size == 490

@@ -1,8 +1,12 @@
 import dataclasses
 import json
 
+import pytest
+
+import liftforge as lf
 from liftforge import cli
 from liftforge.catalog import ClosureResult
+from liftforge.exprlang import eval_expr, parse_expr
 
 
 def test_closure_json_reports_every_result_field(capsys):
@@ -22,6 +26,20 @@ def test_closure_text_output(capsys):
     lines = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
     assert {f.name for f in dataclasses.fields(ClosureResult)} <= set(lines)
     assert lines["max_diameter"] == "6"
+
+
+def test_closure_defaults_reach_the_d7_fixpoint():
+    args = cli.build_parser().parse_args(["closure"])
+    assert args.diameter == 7
+    assert args.budget >= 502_792  # compositions the D=7 closure spends to its fixpoint
+
+
+def test_closure_exhausted_notes_lower_bound(capsys):
+    rc = cli.main(["--format", "json", "closure", "--diameter", "6", "--budget", "2000"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["exhausted"] is True
+    assert "lower bound" in captured.err
 
 
 def test_search6_requires_long(capsys):
@@ -44,3 +62,65 @@ def test_search6_text_summary(capsys):
     captured = capsys.readouterr()
     assert "functions=152 classes=40" in captured.err
     assert len(captured.out.splitlines()) == 152
+
+
+# a highlighted catalog row: (0★10)∘(0★110)
+ROW = "6:F0F093F0C3F093F0"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_compose_formats(capsys, fmt):
+    rc = cli.main(["--format", fmt, "compose", "0★10", "0★110"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = json.loads(out)
+    else:
+        sep = "\t" if fmt == "text" else ","
+        doc = dict(line.split(sep, 1) for line in out.splitlines())
+    assert set(doc) == {"rule", "k", "shift", "anf"}
+    assert doc["rule"] == ROW == eval_expr(parse_expr("(0★10)∘(0★110)")).text()
+    assert str(doc["k"]) == "6" and str(doc["shift"]) == "0"
+    assert lf.rule_from_anf_text(doc["anf"]).same_function(lf.rule_from_text(ROW))
+
+
+def test_compose_patt_twice_is_a_shift(capsys):
+    assert cli.main(["--format", "json", "compose", "0★10", "0★10"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"rule": "1:2", "k": 1, "shift": -2, "anf": "x1"}
+
+
+def test_expand_stride3(capsys):
+    assert cli.main(["--format", "json", "expand", "--stride", "3", "0★10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    patt = eval_expr(parse_expr("0★10"))
+    assert doc["k"] == 3 * (patt.k - 1) + 1 == 10
+    assert doc["rule"] == lf.expand(patt, 3).text()
+
+
+def test_verify_proper(capsys):
+    assert cli.main(["verify", "0★10"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["proper"]
+
+
+def test_verify_improper_prints_collision(capsys):
+    assert cli.main(["verify", "1★1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["not-proper", "collision at n=3: 000 and 111"]
+
+
+def test_verify_scan(capsys):
+    assert cli.main(["--format", "json", "verify", "--scan", "0★10"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"decision": "proper", "method": "finite-scan"}
+    assert cli.main(["--format", "json", "verify", "--scan", "1★1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["decision"], doc["method"]) == ("not-proper", "finite-scan")
+    assert cli.main(["--format", "json", "verify", "0★10"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "pair-graph"
+
+
+def test_arity_cap_is_a_usage_error(capsys):
+    rc = cli.main(["--arity-cap", "8", "compose", "0★110", "0★110", "0★110"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "cap is 8" in captured.err

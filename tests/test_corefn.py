@@ -1,17 +1,24 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liftforge as lf
+from liftforge import corefn
 from liftforge.corefn import (
     Anf,
     InvalidRuleError,
+    _compose_table,
+    _end_vars,
     _lex_key,
     _var_zero_mask,
+    _window_blocks,
+    _windows,
     anf_masks_to_table,
     essential_vars,
     rule_from_table,
     table_to_anf_masks,
+    table_to_array,
 )
 
 
@@ -172,3 +179,83 @@ def test_var_zero_mask_matches_division_formula():
             period = 1 << (i + 1)
             want = ((1 << (1 << i)) - 1) * (((1 << size) - 1) // ((1 << period) - 1))
             assert _var_zero_mask(i, k) == want, (i, k)
+
+
+# ---------------------------------------------------------------------------
+# the composition kernel against the pointwise definition of g o f
+
+
+def _pointwise(g: int, kg: int, f: int, kf: int, x: int) -> int:
+    """g(f(x_1..x_kf), ..., f(x_kg..x_K)) read bit by bit from the tables."""
+    mf = (1 << kf) - 1
+    v = sum(((f >> ((x >> j) & mf)) & 1) << j for j in range(kg))
+    return (g >> v) & 1
+
+
+def _random_table(rng, k: int) -> int:
+    return int.from_bytes(rng.bytes(max(1, (1 << k) // 8)), "little") & ((1 << (1 << k)) - 1)
+
+
+@pytest.mark.parametrize("kg", [1, 2, 3, 7, 8, 9, 16, 17])
+def test_kernel_matches_pointwise_composition(kg):
+    rng = np.random.default_rng(kg)
+    for kf in (1, 2, 3, 5):
+        K = kg + kf - 1
+        g, f = _random_table(rng, kg), _random_table(rng, kf)
+        ga, fa = table_to_array(g, kg), table_to_array(f, kf)
+        w = _windows(fa, kf, kg)
+        assert w.dtype == (np.uint8 if kg <= 8 else np.uint16 if kg <= 16 else np.uint32)
+        assert w.shape == (1 << K,)
+        raw = _compose_table(ga, kg, fa, kf)
+        assert np.array_equal(table_to_array(raw, K), ga[w])
+        xs = range(1 << K) if K <= 12 else rng.integers(0, 1 << K, 3000).tolist()
+        assert all(((raw >> x) & 1) == _pointwise(g, kg, f, kf, x) for x in xs), (kg, kf)
+
+
+def test_kernel_blocks_above_2_pow_22_entries():
+    rng = np.random.default_rng(23)
+    kg = kf = 12
+    K = kg + kf - 1
+    g, f = _random_table(rng, kg), _random_table(rng, kf)
+    ga, fa = table_to_array(g, kg), table_to_array(f, kf)
+    blocks = list(_window_blocks(fa, kf, kg))
+    assert len(blocks) > 1 and max(b.size for b in blocks) <= 1 << 22
+    assert sum(b.size for b in blocks) == 1 << K
+    out = table_to_array(_compose_table(ga, kg, fa, kf), K)
+    for x in rng.integers(0, 1 << K, 3000).tolist():
+        assert out[x] == _pointwise(g, kg, f, kf, x)
+
+
+@pytest.mark.parametrize("block_bits", [3, 6])
+def test_kernel_blocks_of_any_size(monkeypatch, block_bits):
+    # small blocks take both block shapes: whole (b, c) planes and part of one
+    monkeypatch.setattr(corefn, "_BLOCK_BITS", block_bits)
+    rng = np.random.default_rng(block_bits)
+    for kg, kf in ((2, 9), (5, 4), (9, 2), (6, 6)):
+        g, f = _random_table(rng, kg), _random_table(rng, kf)
+        raw = _compose_table(table_to_array(g, kg), kg, table_to_array(f, kf), kf)
+        assert all(((raw >> x) & 1) == _pointwise(g, kg, f, kf, x) for x in range(1 << (kg + kf - 1)))
+
+
+def test_end_vars_match_essential_vars():
+    rng = np.random.default_rng(5)
+    for k in range(1, 11):
+        for _ in range(20):
+            # a random table on variables i0..j0 only, embedded in k variables
+            i0, j0 = sorted(rng.integers(0, k, 2).tolist())
+            inner = table_to_array(_random_table(rng, j0 - i0 + 1), j0 - i0 + 1)
+            idx = (np.arange(1 << k) >> i0) & ((1 << (j0 - i0 + 1)) - 1)
+            t = int.from_bytes(np.packbits(inner[idx], bitorder="little").tobytes(), "little")
+            ess = essential_vars(t, k)
+            want = None if ess == 0 else ((ess & -ess).bit_length() - 1, ess.bit_length() - 1)
+            assert _end_vars(t, k) == want
+        assert _end_vars(0, k) is None
+        assert _end_vars((1 << (1 << k)) - 1, k) is None
+
+
+def test_constant_composite_rejected():
+    # x1*x2 after x1*(x2^1): f(x1,x2) and f(x2,x3) are never both 1
+    g = lf.rule_from_anf_text("x1*x2")
+    f = lf.rule_from_anf_text("x1*(x2^1)")
+    with pytest.raises(lf.LiftforgeError):
+        lf.compose(g, f)
