@@ -284,16 +284,14 @@ def _conserved_counts_for_star(k: int, q: int, collect: bool):
     return count, survivors
 
 
-def _decode(k: int, q: int, D: int, O: int) -> Landscape:
-    chars = []
-    for p in range(k):
-        if p == q:
-            chars.append(STAR)
-        elif (D >> p) & 1:
-            chars.append("1" if (O >> p) & 1 else "0")
-        else:
-            chars.append(DASH)
-    return Landscape("".join(chars), q + 1)
+def _decode_block(k: int, q: int, block: np.ndarray) -> list[str]:
+    """Symbols of packed (D, O) survivors with 0-based star q, in block order."""
+    pos = np.arange(k)
+    defined = (block[:, :1] >> pos) & 1
+    ones = (block[:, 1:] >> pos) & 1
+    codes = np.where(defined == 1, ord("0") + ones, ord(DASH)).astype(np.uint32)
+    codes[:, q] = ord(STAR)
+    return codes.view(f"<U{k}").ravel().tolist()
 
 
 def _fixed_point_count(k: int, transform: str) -> int:
@@ -368,12 +366,9 @@ def enumerate_conserved(k: int, include_list: bool = True, jobs: int = 1) -> Enu
     classes = (count + f_rev + f_rc) // 4
     landscapes = None
     if include_list:
-        out = []
-        for q in stars:
-            for block in per_star[q]:
-                for D, O in block:
-                    out.append(_decode(k, q, int(D), int(O)))
-        landscapes = tuple(out)
+        landscapes = tuple(
+            Landscape(symbols, q + 1) for q in stars for block in per_star[q] for symbols in _decode_block(k, q, block)
+        )
     return EnumerationResult(k, count, classes, landscapes)
 
 

@@ -206,6 +206,29 @@ def divisor_check(r: Rule, n: int, m: int, n_cap: int = DEFAULT_N_CAP) -> bool:
 # also equivalent to a collision on some circular length (the diagonal
 # subgraph is a de Bruijn graph, hence strongly connected, so any such path
 # closes into a cycle through a non-diagonal node).
+#
+# The nodes on bi-infinite paths are the greatest set in which every node has
+# a successor and a predecessor; it does not depend on the order in which
+# nodes without one are removed.  With H = W/2 the successor of (u, v) under
+# (a, b) is (aH + u//2, bH + v//2), so the successors of all nodes under (a, b)
+# are the block alive[aH:(a+1)H, bH:(b+1)H] with every row and column doubled,
+# read through a (H, 2, H, 2) view of the node array.  The predecessor under
+# (c, d) is (2(u mod H) + c, 2(v mod H) + d): the slice alive[c::2, d::2]
+# repeated twice along each axis, read through a (2, H, 2, H) view.  Each node
+# keeps its live out-edges and in-edges as 4-bit sets (bit 2a+b, bit 2c+d).
+# Dense sweeps recompute both sets from the alive array while they remove many
+# nodes; once a sweep removes less than 1/_PEEL_SHARE of them, a frontier peel
+# takes over: it clears the edge bits that the removed nodes leave behind in
+# their neighbours only, and removes the neighbours whose set became empty.
+
+_PEEL_SHARE = 8
+_PEEL_CHUNK = 1 << 16
+# Bytes per node at the peak of the pair graph: the alive array, the next
+# alive array and the two edge-set arrays, one byte each, plus the removed
+# nodes' indices when the peel starts (8 bytes for each of at most 1/8 of the
+# nodes).
+_PAIR_GRAPH_BYTES_PER_NODE = 5
+_PAIR_GRAPH_MAX_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -240,42 +263,114 @@ class PropernessVerdict:
         return json.dumps(doc, sort_keys=True)
 
 
+def _edge_labels(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks whose XOR has bit 2a+b set iff o[a, u] == o[b, v].
+
+    o[a, u] is the rule output on window u joined with bit a (appended for
+    successors, prepended for predecessors); the first mask is indexed by u,
+    the second by v.
+    """
+    o0, o1 = o[0], o[1]
+    return o0 * 3 | o1 * 12, (o0 * 5 | o1 * 10) ^ 15
+
+
+def _alive_edges(g: np.ndarray) -> np.ndarray:
+    """(H, H) 4-bit sets with bit 2a+b = g[a, i, b, j], from a boolean view."""
+    g = g.view(np.uint8)
+    return g[0, :, 0] | g[0, :, 1] << 1 | g[1, :, 0] << 2 | g[1, :, 1] << 3
+
+
 def _pair_graph_alive(r: Rule) -> np.ndarray:
     """Boolean (W, W) array of pair-graph nodes lying on bi-infinite paths."""
     k = r.k
     W = 1 << (k - 1)
+    H = W >> 1
     tab = r.table_array()
-    u = np.arange(W, dtype=np.uint32)
-    out0 = tab[u]  # appended bit 0: window = u
-    out1 = tab[u | (1 << (k - 1))]
-    succ0 = (u >> 1).astype(np.intp)
-    succ1 = ((u >> 1) | (1 << (k - 2))).astype(np.intp)
-    # predecessor windows of u: (u << 1) | c, c in {0, 1}
-    pw0 = ((u << 1) & (W - 1)).astype(np.intp)
-    pw1 = (((u << 1) | 1) & (W - 1)).astype(np.intp)
-    pout0 = tab[(u << 1) & bitmask(k)]
-    pout1 = tab[((u << 1) | 1) & bitmask(k)]
+    succ_first, succ_second = _edge_labels(tab.reshape(2, W))  # window u, then bit a
+    pred_first, pred_second = _edge_labels(tab.reshape(W, 2).T)  # bit c, then window u
+    succ_first = succ_first.reshape(H, 2)[:, :, None, None]
+    succ_second = succ_second.reshape(H, 2)[None, None]
+    pred_first = pred_first.reshape(2, H)[:, :, None, None]
+    pred_second = pred_second.reshape(2, H)[None, None]
 
     alive = np.ones((W, W), dtype=bool)
-    outs = (out0, out1)
-    succs = (succ0, succ1)
-    pouts = (pout0, pout1)
-    pws = (pw0, pw1)
+    nxt = np.empty_like(alive)
+    succ = np.empty((W, W), dtype=np.uint8)  # live out-edges (a, b), bit 2a+b
+    pred = np.empty((W, W), dtype=np.uint8)  # live in-edges (c, d), bit 2c+d
+    succ4 = succ.reshape(H, 2, H, 2)  # [i, r, j, s] is node (2i + r, 2j + s)
+    pred4 = pred.reshape(2, H, 2, H)  # [r, i, s, j] is node (rH + i, sH + j)
+    n_alive = W * W
     while True:
-        fwd = np.zeros((W, W), dtype=bool)
-        for a in range(2):
-            for b in range(2):
-                valid = outs[a][:, None] == outs[b][None, :]
-                fwd |= valid & alive[np.ix_(succs[a], succs[b])]
-        bwd = np.zeros((W, W), dtype=bool)
-        for c in range(2):
-            for d in range(2):
-                valid = pouts[c][:, None] == pouts[d][None, :]
-                bwd |= valid & alive[np.ix_(pws[c], pws[d])]
-        nxt = alive & fwd & bwd
-        if nxt.sum() == alive.sum():
+        # [a, i, b, j] is the successor (aH + i, bH + j) of the nodes (2i + r, 2j + s)
+        blocks = alive.reshape(2, H, 2, H)
+        np.bitwise_xor(succ_first, succ_second, out=succ4)
+        succ4 &= _alive_edges(blocks)[:, None, :, None]
+        # [c, i, d, j] is the predecessor (2i + c, 2j + d) of the nodes (rH + i, sH + j)
+        slices = alive.reshape(H, 2, H, 2).transpose(1, 0, 3, 2)
+        np.bitwise_xor(pred_first, pred_second, out=pred4)
+        pred4 &= _alive_edges(slices)[None, :, None, :]
+        np.logical_and(succ, pred, out=nxt)
+        nxt &= alive
+        n_next = np.count_nonzero(nxt)
+        removed = n_alive - n_next
+        if removed == 0:
             return nxt
-        alive = nxt
+        if removed * _PEEL_SHARE < n_alive:
+            break
+        alive, nxt = nxt, alive
+        n_alive = n_next
+    # the edge sets still count the nodes this sweep removed
+    np.not_equal(alive, nxt, out=alive)
+    dead = np.flatnonzero(alive)
+    del alive
+    _peel(nxt.reshape(-1), succ.reshape(-1), pred.reshape(-1), dead, k)
+    return nxt
+
+
+def _peel(alive: np.ndarray, succ: np.ndarray, pred: np.ndarray, dead: np.ndarray, k: int) -> None:
+    """Remove, in place, every node left without a live successor or
+    predecessor once the nodes ``dead`` (flat indices, already cleared in
+    ``alive``) are gone.  ``succ`` and ``pred`` hold the flat edge sets,
+    which still count ``dead``."""
+    W = 1 << (k - 1)
+    H = W >> 1
+    succ_offsets = np.array([0, H, H * W, H * W + H])  # aH * W + bH for (a, b) = 00, 01, 10, 11
+    pred_offsets = np.array([0, 1, W, W + 1])  # c * W + d for (c, d) = 00, 01, 10, 11
+    pending = [dead]
+    while pending:
+        dead = pending.pop()
+        if dead.size > _PEEL_CHUNK:  # bounds the neighbour index arrays
+            pending.append(dead[_PEEL_CHUNK:])
+            dead = dead[:_PEEL_CHUNK]
+        u, v = dead >> (k - 1), dead & (W - 1)
+        # all four successors (aH + u//2, bH + v//2) lose in-edge 2(u mod 2) + v mod 2
+        to_succ = (((u >> 1) * W + (v >> 1))[:, None] + succ_offsets).reshape(-1)
+        keep_bits = (15 ^ (1 << (2 * (u & 1) + (v & 1)))).astype(np.uint8)
+        np.bitwise_and.at(pred, to_succ, np.repeat(keep_bits, 4))
+        # all four predecessors (2(u mod H) + c, 2(v mod H) + d) lose out-edge 2(u//H) + v//H
+        to_pred = ((2 * W * (u & (H - 1)) + 2 * (v & (H - 1)))[:, None] + pred_offsets).reshape(-1)
+        keep_bits = (15 ^ (1 << (2 * (u >> (k - 2)) + (v >> (k - 2))))).astype(np.uint8)
+        np.bitwise_and.at(succ, to_pred, np.repeat(keep_bits, 4))
+        cand = np.concatenate([to_succ[pred[to_succ] == 0], to_pred[succ[to_pred] == 0]])
+        cand = np.sort(cand[alive[cand]])
+        if cand.size:
+            dead = cand[np.r_[True, cand[1:] != cand[:-1]]]
+            alive[dead] = False
+            pending.append(dead)
+
+
+def _first_off_diagonal(alive: np.ndarray) -> tuple[int, int]:
+    """The first alive non-diagonal node in row-major order (there must be one).
+
+    The diagonal is always alive, so it is cleared for the search and
+    restored after; no index array is built.
+    """
+    W = alive.shape[0]
+    flat = alive.reshape(-1)
+    flat[:: W + 1] = False
+    u0, v0 = divmod(int(np.argmax(flat)), W)
+    flat[:: W + 1] = True
+    return u0, v0
 
 
 def _walk_witness(r: Rule, alive: np.ndarray) -> Witness:
@@ -301,8 +396,7 @@ def _walk_witness(r: Rule, alive: np.ndarray) -> Witness:
                 if tab[w1 & bitmask(k)] == tab[w2 & bitmask(k)]:
                     yield (w1 & (W - 1), w2 & (W - 1), (w1 >> (k - 1)) & 1, (w2 >> (k - 1)) & 1)
 
-    nd = np.argwhere(alive & ~np.eye(W, dtype=bool))
-    u0, v0 = int(nd[0][0]), int(nd[0][1])
+    u0, v0 = _first_off_diagonal(alive)
 
     # forward: walk within alive until a diagonal node or a repetition
     fwd_nodes = [(u0, v0)]
@@ -404,14 +498,17 @@ def decide_proper(
         return PropernessVerdict("proper", "finite-scan", None)
     if method != "pair-graph":
         raise LiftforgeError(f"unknown method {method!r}")
-    if r.k > 16:
-        raise CapExceededError("pair graph supported for diameter <= 16")
+    W = 1 << (r.k - 1)
+    need = _PAIR_GRAPH_BYTES_PER_NODE * W * W
+    if need > _PAIR_GRAPH_MAX_BYTES:
+        raise CapExceededError(
+            f"pair graph of diameter {r.k} needs about {need >> 20} MiB, cap is {_PAIR_GRAPH_MAX_BYTES >> 20} MiB"
+        )
     if r.k == 1:
         # single-variable rules: x1 is proper, x1+1 is proper (both bijective)
         return PropernessVerdict("proper", "pair-graph", None)
     alive = _pair_graph_alive(r)
-    nondiag = alive & ~np.eye(alive.shape[0], dtype=bool)
-    if not nondiag.any():
+    if np.count_nonzero(alive) == W:  # only the diagonal, the de Bruijn graph
         return PropernessVerdict("proper", "pair-graph", None)
     w = _walk_witness(r, alive)
     return PropernessVerdict("not-proper", "pair-graph", w)

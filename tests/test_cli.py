@@ -124,3 +124,27 @@ def test_arity_cap_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "cap is 8" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_landscapes_counts(capsys, fmt):
+    assert cli.main(["--format", fmt, "landscapes", "--k", "8"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == {"k": 8, "count": 1160, "classes": 290}
+    else:
+        assert out.splitlines() == ["count=1160 classes=290"]
+
+
+def test_landscapes_list(capsys):
+    assert cli.main(["landscapes", "--k", "8", "--list"]) == 0
+    *listed, summary = capsys.readouterr().out.splitlines()
+    assert summary == "count=1160 classes=290"
+    assert len(listed) == len(set(listed)) == 1160
+    assert all(lf.is_conserved(lf.parse_landscape(s)) and len(s) == 8 for s in listed)
+
+
+def test_landscapes_k13_requires_long(capsys):
+    assert cli.main(["landscapes", "--k", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--long" in captured.err

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 
@@ -123,6 +125,33 @@ def test_enumeration_counts_small():
     for k, want in ((5, (14, 4)), (7, (288, 73)), (8, (1160, 290))):
         res = enumerate_conserved(k)
         assert (res.count, res.class_count) == want
+
+
+def test_enumeration_listing_matches_every_candidate():
+    # every string with 0/1 ends, one interior star and 0/1/- elsewhere,
+    # filtered by the pairing criterion
+    for k in (4, 5, 6, 7, 8):
+        want = set()
+        for q in range(1, k - 1):
+            for fill in itertools.product("01-", repeat=k - 3):
+                for a, b in itertools.product("01", repeat=2):
+                    mid = "".join(fill)
+                    text = a + mid[: q - 1] + "★" + mid[q - 1 :] + b
+                    if is_conserved(parse_landscape(text)):
+                        want.add(text)
+        listing = enumerate_conserved(k).landscapes
+        assert {l.symbols for l in listing} == want and len(listing) == len(want)
+        assert all(l == parse_landscape(l.symbols) for l in listing)
+        stars = [l.s for l in listing]
+        assert stars == sorted(stars)
+
+
+def test_enumeration_listing_order_k9():
+    # the listing order of the per-landscape decoder, star by star in
+    # candidate-index order
+    listing = enumerate_conserved(9).landscapes
+    digest = hashlib.sha256("\n".join(l.symbols for l in listing).encode()).hexdigest()
+    assert digest == "93e7bdd3c86d86b33354af63b60af7ac71b46090bbf51a96c88235b314b4bead"
 
 
 def test_diameter4_landscapes_form_one_class():

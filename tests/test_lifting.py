@@ -1,11 +1,14 @@
+import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import liftforge as lf
-from liftforge.corefn import ArityCapError, InvalidRuleError
+from liftforge import cli, lifting
+from liftforge.corefn import ArityCapError, InvalidRuleError, bitmask
 from liftforge.landscape import compile_landscape, parse_landscape
 from liftforge.lifting import (
     CapExceededError,
@@ -298,3 +301,160 @@ def test_equivalence_preserves_lifting_status():
             status = lf.is_lifting(r, n)
             for m in lf.orbit(r):
                 assert lf.is_lifting(m, n) == status
+
+
+# ---------------------------------------------------------------------------
+# the pair graph against the dense sweep it replaced
+
+
+def _dense_alive(r):
+    """Reference: dense W x W sweeps with index gathers until nothing changes."""
+    k = r.k
+    W = 1 << (k - 1)
+    tab = r.table_array()
+    u = np.arange(W, dtype=np.uint32)
+    outs = (tab[u], tab[u | (1 << (k - 1))])
+    succs = ((u >> 1).astype(np.intp), ((u >> 1) | (1 << (k - 2))).astype(np.intp))
+    pouts = (tab[(u << 1) & bitmask(k)], tab[((u << 1) | 1) & bitmask(k)])
+    pws = (((u << 1) & (W - 1)).astype(np.intp), (((u << 1) | 1) & (W - 1)).astype(np.intp))
+    alive = np.ones((W, W), dtype=bool)
+    while True:
+        fwd = np.zeros((W, W), dtype=bool)
+        bwd = np.zeros((W, W), dtype=bool)
+        for a in range(2):
+            for b in range(2):
+                fwd |= (outs[a][:, None] == outs[b][None, :]) & alive[np.ix_(succs[a], succs[b])]
+                bwd |= (pouts[a][:, None] == pouts[b][None, :]) & alive[np.ix_(pws[a], pws[b])]
+        nxt = alive & fwd & bwd
+        if nxt.sum() == alive.sum():
+            return nxt
+        alive = nxt
+
+
+def _balanced_rule(k, rng):
+    table = np.zeros(1 << k, dtype=np.uint8)
+    table[rng.permutation(1 << k)[: 1 << (k - 1)]] = 1
+    return lf.rule_from_table(k, table)
+
+
+def _random_rules(seed, ks, per_k):
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in ks:
+        for i in range(per_k):
+            if i % 2:
+                r = _balanced_rule(k, rng)
+            else:
+                r = lf.rule_from_table(k, rng.integers(0, 2, 1 << k, dtype=np.uint8))
+            if r.k > 1:
+                out.append(r)
+    return out
+
+
+def _assert_matches_reference(rules):
+    """Same alive array as the dense sweep, and the verdict that array gives:
+    proper iff only the diagonal is alive, else a replaying witness walked from
+    the first alive non-diagonal node in row-major order."""
+    not_proper = 0
+    for r in rules:
+        ref = _dense_alive(r)
+        got = lifting._pair_graph_alive(r)
+        assert got.dtype == bool and np.array_equal(got, ref), r.text()
+        v = lf.decide_proper(r)
+        off = ref & ~np.eye(ref.shape[0], dtype=bool)
+        assert v.proper == (not off.any()), r.text()
+        if not v.proper:
+            not_proper += 1
+            assert lifting._first_off_diagonal(got) == tuple(int(i) for i in np.argwhere(off)[0])
+            assert v.witness == lifting._walk_witness(r, ref)
+            assert replay_witness(r, v.witness)
+    return not_proper
+
+
+def test_pair_graph_matches_dense_sweep_on_random_rules():
+    rules = _random_rules(20240811, range(2, 11), 12)
+    assert _assert_matches_reference(rules) > len(rules) // 2
+
+
+def test_pair_graph_matches_dense_sweep_on_catalog(catalog_entries):
+    rules = [e.rule() for e in catalog_entries]
+    assert len(rules) == 120
+    assert _assert_matches_reference(rules) == 0
+
+
+def test_pair_graph_matches_dense_sweep_on_conserved_k9_sample():
+    listing = lf.enumerate_conserved(9).landscapes
+    sample = random.Random(9).sample(listing, 40)
+    assert _assert_matches_reference([compile_landscape(l) for l in sample]) == 0
+
+
+@pytest.mark.long
+def test_pair_graph_matches_dense_sweep_on_conserved_k9():
+    listing = lf.enumerate_conserved(9).landscapes
+    assert len(listing) == 4376
+    assert _assert_matches_reference([compile_landscape(l) for l in listing]) == 0
+
+
+@pytest.mark.long
+def test_pair_graph_matches_dense_sweep_at_k12():
+    rules = [_rule("100000★00001"), _balanced_rule(12, np.random.default_rng(2024))]
+    assert _assert_matches_reference(rules) == 1
+
+
+@pytest.mark.parametrize("share, chunk", [(1, 5), (1 << 40, 1 << 16)])
+def test_pair_graph_sweep_and_peel_branches(monkeypatch, share, chunk):
+    # share 1 hands over to the peel after the first sweep that removes
+    # anything, in chunks of 5 nodes; a huge share never hands over
+    peeled = []
+    peel = lifting._peel
+
+    def spy(alive, succ, pred, dead, k):
+        peeled.append(dead.size)
+        return peel(alive, succ, pred, dead, k)
+
+    monkeypatch.setattr(lifting, "_PEEL_SHARE", share)
+    monkeypatch.setattr(lifting, "_PEEL_CHUNK", chunk)
+    monkeypatch.setattr(lifting, "_peel", spy)
+    rules = _random_rules(7, (3, 5, 6, 7), 6) + [_rule("1★01"), _rule("0★110")]
+    _assert_matches_reference(rules)
+    assert bool(peeled) == (share == 1)
+    assert all(n > 0 for n in peeled)
+
+
+def test_decide_proper_k12_landscape():
+    v = lf.decide_proper(_rule("100000★00001"))
+    assert v.proper and v.method == "pair-graph" and v.witness is None
+
+
+def test_decide_proper_k12_balanced_rule():
+    r = _balanced_rule(12, np.random.default_rng(2024))
+    assert r.k == 12
+    v = lf.decide_proper(r)
+    assert not v.proper and replay_witness(r, v.witness)
+    # the verdict the dense-sweep implementation gave for this rule
+    digest = "8b32020fd1e55d0c95c61c6ce5507cfd5e408365bc0d459cb020c1ad57e507dd"
+    assert hashlib.sha256(v.to_json().encode()).hexdigest() == digest
+
+
+K16 = "1000000★00000001"
+
+
+def test_pair_graph_cap_raises_before_allocating():
+    r = _rule(K16)
+    assert r.k == 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="diameter 16"):
+            lf.decide_proper(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert lf.decide_proper(r, method="finite-scan", scan_limit=16).proper
+
+
+def test_verify_above_the_pair_graph_cap_is_a_usage_error(capsys):
+    assert cli.main(["verify", K16]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "cap is" in captured.err
