@@ -166,11 +166,15 @@ def cmd_families(args) -> int:
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return int(a), int(b)
-    v = int(spec)
-    return v, v
+    lo_s, sep, hi_s = spec.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise diffunif.LengthRangeError(f"bad length range {spec!r}; expected N or N..M") from None
+    if lo > hi:
+        raise diffunif.LengthRangeError(f"empty length range {spec!r}")
+    return lo, hi
 
 
 def cmd_du(args) -> int:
@@ -179,6 +183,10 @@ def cmd_du(args) -> int:
     rep = diffunif.du_profile(r, lo, hi, n_cap=min(args.n_cap, 14))
     if args.format == "json":
         print(json.dumps(rep.to_json(), sort_keys=True))
+    elif args.format == "csv":
+        print("n,raw,scaled")
+        for e in rep.entries:
+            print(f"{e.n},{e.raw},{e.scaled_str()}")
     else:
         vals = [e.scaled_str() for e in rep.entries] if args.scaled else [str(e.raw) for e in rep.entries]
         print(" ".join(vals))

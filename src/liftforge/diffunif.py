@@ -5,6 +5,17 @@ The DDT row multiset is invariant under rotating the input difference, so
 the maximum over all nonzero differences is taken over necklace
 representatives only; the restriction is cross-checked against the full
 scan on small lengths by the test-suite.
+
+The states pair up: d(x) = F(x xor a) xor F(x) equals d(x xor a), so every
+DDT count is even, and the states whose bit t is 0, where t is the lowest
+set bit of a, see each pair once.  A nonzero necklace representative is the
+least rotation of its necklace, hence odd, so the necklace scan counts over
+the even states only; the full scan groups the differences by their lowest
+set bit.  Rows go in blocks of at most ``_ROW_BLOCK`` counts: the keys
+(row << n) | d of one block feed one ``bincount``, and one flat ``argmax``
+finds the first row holding the block's maximum and the first b in it.
+The witness is the smallest difference a whose row reaches the overall
+maximum, with the smallest b in that row.
 """
 
 from __future__ import annotations
@@ -16,10 +27,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corefn import Rule, bitmask
+from .corefn import LiftforgeError, Rule, bitmask
 from .lifting import CapExceededError, induce
 
 DEFAULT_DU_CAP = 14
+
+
+class LengthRangeError(LiftforgeError):
+    """A range of circular lengths that is malformed or holds no length."""
 
 
 @lru_cache(maxsize=32)
@@ -81,27 +96,51 @@ class DuReport:
         }
 
 
+_ROW_BLOCK = 1 << 15  # DDT counts per bincount: rows of a block times 2^n
+
+
+@lru_cache(maxsize=32)
+def _difference_groups(n: int, restrict: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The nonzero differences in ascending order, grouped by their lowest
+    set bit t, each group paired with the states whose bit t is 0."""
+    if restrict:
+        diffs = np.array(necklace_representatives(n)[1:], dtype=np.intp)
+    else:
+        diffs = np.arange(1, 1 << n, dtype=np.intp)
+    low = diffs & -diffs
+    x = np.arange(1 << n, dtype=np.intp)
+    groups = []
+    for t in range(n):
+        a = diffs[low == 1 << t]
+        if len(a):
+            groups.append((x[x & (1 << t) == 0], a))
+    return tuple(groups)
+
+
 def ddt_max(
     r: Rule, n: int, n_cap: int = DEFAULT_DU_CAP, restrict_necklaces: bool = True
 ) -> tuple[int, tuple[int, int]]:
     """Maximum DDT entry over nonzero input differences, with a witness."""
     if not r.k <= n <= n_cap:
         raise CapExceededError(f"need k <= n <= {n_cap}, got n={n}")
-    F = induce(r, n).as_array()
-    x = np.arange(1 << n, dtype=np.uint32)
-    best = -1
-    wit = (0, 0)
-    diffs = necklace_representatives(n) if restrict_necklaces else range(1, 1 << n)
-    for a in diffs:
-        if a == 0:
-            continue
-        d = F[x ^ np.uint32(a)] ^ F[x]
-        counts = np.bincount(d, minlength=1 << n)
-        m = int(counts.max())
-        if m > best:
-            best = m
-            wit = (int(a), int(counts.argmax()))
-    return best, wit
+    # intp throughout: uint32 indices and bincount inputs are cast on every call
+    F = induce(r, n).as_array().astype(np.intp)
+    rows = max(1, _ROW_BLOCK >> n)
+    offsets = np.arange(rows, dtype=np.intp)[:, None] << n
+    best = (-1, 0, 0)  # (half count, -a, b)
+    for xs, diffs in _difference_groups(n, restrict_necklaces):
+        base = F[xs] | offsets
+        for i in range(0, len(diffs), rows):
+            a = diffs[i : i + rows]
+            keys = F[xs ^ a[:, None]]
+            keys ^= base[: len(a)]
+            counts = np.bincount(keys.ravel(), minlength=len(a) << n)
+            j = int(counts.argmax())
+            cand = (int(counts[j]), -int(a[j >> n]), j & bitmask(n))
+            if cand[:2] > best[:2]:
+                best = cand
+    half, neg_a, b = best
+    return 2 * half, (-neg_a, b)
 
 
 def scale(n: int, raw: int) -> Fraction:
@@ -109,8 +148,12 @@ def scale(n: int, raw: int) -> Fraction:
 
 
 def du_profile(r: Rule, n_from: int, n_to: int, n_cap: int = DEFAULT_DU_CAP) -> DuReport:
+    """DU entries for n_from..n_to, starting at the rule's diameter."""
+    lo = max(n_from, r.k)
+    if lo > n_to:
+        raise LengthRangeError(f"no length in {n_from}..{n_to} at or above the diameter {r.k}")
     entries = []
-    for n in range(max(n_from, r.k), n_to + 1):
+    for n in range(lo, n_to + 1):
         raw, wit = ddt_max(r, n, n_cap)
         entries.append(DuEntry(n, raw, scale(n, raw), wit))
     return DuReport(r.text(), tuple(entries))

@@ -182,11 +182,6 @@ def iterate_order(r: Rule, max_power: int, arity_cap: int = DEFAULT_ARITY_CAP) -
     return None
 
 
-def net_rotation(r: Rule) -> int:
-    """Rotation applied by a pure-shift rule; only meaningful when identity-like."""
-    return r.shift
-
-
 def divisor_check(r: Rule, n: int, m: int, n_cap: int = DEFAULT_N_CAP) -> bool:
     """Whether 'lifting at n implies lifting at m' held for this rule (m | n)."""
     if n % m != 0 or m < r.k:

@@ -148,3 +148,71 @@ def test_landscapes_k13_requires_long(capsys):
     assert cli.main(["landscapes", "--k", "13"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--long" in captured.err
+
+
+# (0★110)∘(0★10), diameter 5; its DU row is pinned in test_diffunif
+DU_EXPR = "(0★110)∘(0★10)"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_du_formats(capsys, fmt, scaled):
+    argv = ["--format", fmt, "du", DU_EXPR, "--n", "5..8"] + (["--scaled"] if scaled else [])
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    raw, scaled_vals = ["8", "18", "36", "68"], ["128", "144", "144", "136"]
+    if fmt == "json":
+        doc = json.loads(out)
+        assert [(e["n"], str(e["raw"]), e["scaled"]) for e in doc["entries"]] == list(
+            zip(range(5, 9), raw, scaled_vals)
+        )
+    elif fmt == "csv":
+        assert out.splitlines() == ["n,raw,scaled"] + [
+            f"{n},{r},{s}" for n, r, s in zip(range(5, 9), raw, scaled_vals)
+        ]
+    else:
+        assert out.splitlines() == [" ".join(scaled_vals if scaled else raw)]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("15", "n <= 14"),  # the DU cap
+        ("6..x", "bad length range"),
+        ("6..", "bad length range"),
+        ("9..6", "empty length range"),
+        ("2..4", "diameter 5"),  # wholly below the diameter
+    ],
+)
+def test_du_bad_ranges_are_usage_errors(capsys, spec, message):
+    assert cli.main(["du", DU_EXPR, "--n", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_catalog_list(capsys):
+    assert cli.main(["catalog", "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 120
+    assert all(len(line.split("\t")) == 3 for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_catalog_du_clean(capsys, fmt):
+    assert cli.main(["--format", fmt, "catalog", "--du"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == {"ok": True, "problems": []}
+    else:
+        assert out.splitlines() == ["catalog verification clean"]
+
+
+def test_catalog_du_mismatch_exits_1(capsys, monkeypatch, catalog_entries):
+    entry = catalog_entries[0]
+    wrong = dataclasses.replace(entry, stated_du=(entry.stated_du[0] + 2,) + entry.stated_du[1:])
+    monkeypatch.setattr(lf.catalog, "load_catalog", lambda: [wrong])
+    assert cli.main(["--format", "json", "catalog", "--du"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["problems"] == [f"entry 0: du: n=6: stated {wrong.stated_du[0]}, computed {entry.stated_du[0]}"]

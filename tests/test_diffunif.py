@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import liftforge as lf
+from liftforge import diffunif
 from liftforge.diffunif import (
+    LengthRangeError,
     ddt_max,
     du_profile,
     du_scaled_table,
@@ -124,3 +127,81 @@ def test_equivalent_rules_same_du(conserved_pool_k6):
             base = ddt_max(r, n)[0]
             for m in lf.orbit(r):
                 assert ddt_max(m, n)[0] == base
+
+
+def test_du_profile_rejects_an_empty_range():
+    with pytest.raises(LengthRangeError):
+        du_profile(PATT, 9, 6)
+    with pytest.raises(LengthRangeError):
+        du_profile(_rule("(0★110)∘(0★10)"), 2, 4)  # wholly below the diameter 5
+
+
+# ---------------------------------------------------------------------------
+# the blocked kernel against the per-row loop it replaced
+
+
+def _reference_ddt_max(r, n, restrict_necklaces=True):
+    """One full-x bincount per difference; the first a with a strictly
+    larger maximum wins, then the first b in its row."""
+    F = lf.induce(r, n).as_array()
+    x = np.arange(1 << n, dtype=np.uint32)
+    best, wit = -1, (0, 0)
+    diffs = necklace_representatives(n) if restrict_necklaces else range(1, 1 << n)
+    for a in diffs:
+        if a == 0:
+            continue
+        counts = np.bincount(F[x ^ np.uint32(a)] ^ F[x], minlength=1 << n)
+        m = int(counts.max())
+        if m > best:
+            best, wit = m, (int(a), int(counts.argmax()))
+    return best, wit
+
+
+def _random_rule(rng, k):
+    while True:
+        try:
+            return lf.rule_from_table(k, [rng.randint(0, 1) for _ in range(1 << k)])
+        except lf.InvalidRuleError:  # a constant table
+            pass
+
+
+def _assert_matches_reference(rules_and_lengths):
+    for r, n in rules_and_lengths:
+        for restrict in (True, False):
+            got = ddt_max(r, n, restrict_necklaces=restrict)
+            assert got == _reference_ddt_max(r, n, restrict), (r.text(), n, restrict)
+
+
+def test_ddt_kernel_matches_reference_on_random_rules():
+    rng = random.Random(2411)
+    cases = []
+    for k in range(2, 9):
+        for _ in range(4):
+            r = _random_rule(rng, k)
+            cases.extend((r, n) for n in rng.sample(range(r.k, 12), 2))
+    _assert_matches_reference(cases)
+
+
+def test_ddt_kernel_matches_reference_on_identity_and_patt():
+    ident = lf.rule_from_table(1, [0, 1])
+    _assert_matches_reference([(ident, n) for n in (1, 2, 3, 6, 9)] + [(PATT, n) for n in range(PATT.k, 10)])
+
+
+def test_ddt_kernel_matches_reference_on_catalog(catalog_entries):
+    _assert_matches_reference([(e.rule(), n) for e in catalog_entries for n in range(6, 10)])
+
+
+@pytest.mark.long
+def test_ddt_kernel_matches_reference_on_catalog_to_n12(catalog_entries):
+    _assert_matches_reference([(e.rule(), n) for e in catalog_entries for n in range(10, 13)])
+
+
+# 1: one row per block; 3 << 7: three rows at n=7 (19 nonzero necklaces,
+# so the last block is ragged), one at n >= 8; 1 << 20: every row in one block
+@pytest.mark.parametrize("block", [1, 3 << 7, 1 << 20])
+def test_ddt_kernel_block_sizes(monkeypatch, catalog_entries, block):
+    monkeypatch.setattr(diffunif, "_ROW_BLOCK", block)
+    rng = random.Random(block)
+    cases = [(_random_rule(rng, k), n) for k in (2, 4, 6) for n in (6, 7, 9)]
+    cases += [(catalog_entries[i].rule(), n) for i in (0, 57, 119) for n in (6, 7, 8)]
+    _assert_matches_reference(cases)

@@ -14,7 +14,6 @@ from liftforge.lifting import (
     CapExceededError,
     _raw_induced_array,
     compose_chain,
-    net_rotation,
     replay_witness,
     sigma,
 )
@@ -201,7 +200,7 @@ def test_iterate_order_examples():
 
 def test_iterate_order_records_rotation():
     sq = lf.compose(PATT, PATT)
-    assert sq.k == 1 and net_rotation(sq) == -2
+    assert sq.k == 1 and sq.shift == -2
 
 
 def test_divisor_check():
