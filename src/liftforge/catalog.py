@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -17,9 +18,9 @@ from .corefn import (
     EquivClassId,
     LiftforgeError,
     Rule,
-    _end_vars,
     _mobius,
     _rev_index,
+    _take,
     _windows,
     array_to_table,
     canonicalize,
@@ -216,31 +217,108 @@ def default_generators() -> list[Rule]:
     return gens
 
 
-def _trim(arr: np.ndarray, k: int) -> Optional[tuple[int, np.ndarray]]:
-    """A raw k-variable table array trimmed to its tight window as
-    (diameter, table array), or None if it is constant."""
-    ends = _end_vars(array_to_table(arr), k)
-    if ends is None:
-        return None
-    i0, j0 = ends
-    k2 = j0 - i0 + 1
-    if k2 == k:
-        return k, arr
-    return k2, np.ascontiguousarray(arr[0 : (1 << k2) << i0 : 1 << i0])
+_CLASS_BLOCK = 64  # known classes extended together
+_GATHER_CHUNK = 1 << 17  # table entries per gathered chunk of composites
+
+# bit v of a 64-bit word is table entry v; mask i keeps the v whose bit i is 0
+_WORD_SHIFTS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint64)
+_WORD_MASKS = np.array(
+    [
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    ],
+    dtype=np.uint64,
+)
 
 
-def _orbit_arrays(arr: np.ndarray, k: int) -> list[np.ndarray]:
-    rev = arr[_rev_index(k)]
-    comp = arr[::-1] ^ 1
-    revcomp = rev[::-1] ^ 1
-    uniq: dict[bytes, np.ndarray] = {}
-    for a in (arr, rev, comp, revcomp):
-        uniq.setdefault(a.tobytes(), a)
-    return list(uniq.values())
+@lru_cache(maxsize=16)
+def _word_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For variables 6..k-1 in turn, the word pairs (u, u + 2**(i - 6))
+    with bit i - 6 of u clear: the words that differ only in variable i."""
+    u = np.arange(1 << (k - 6))
+    lo = np.concatenate([u[(u >> b) & 1 == 0] for b in range(k - 6)])
+    return lo, lo + np.repeat(1 << np.arange(k - 6), 1 << (k - 7))
 
 
-def _canon_bytes(arr: np.ndarray, k: int) -> bytes:
-    return min(a.tobytes() for a in _orbit_arrays(arr, k))
+def _trimmed_windows(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest essential variable i0 and tight diameter of each raw
+    k-variable table row (uint8 bits); the diameter is 0 for a constant row.
+
+    Each row is packed into uint64 words, table entry v at bit v % 64 of
+    word v // 64.  Variables i < 6 are read inside the words (entry v
+    against entry v + 2**i, over the v whose bit i is 0) in one broadcast,
+    variables i >= 6 by comparing the word pairs that differ in i.
+    """
+    if k < 6:
+        rows = np.tile(rows, (1, 1 << (6 - k)))  # variables k..5 become dummies
+    words = np.packbits(rows, axis=1, bitorder="little").view("<u8")
+    low = min(k, 6)
+    w = words[:, :, None]
+    dep = np.bitwise_or.reduce(((w >> _WORD_SHIFTS[:low]) ^ w) & _WORD_MASKS[:low], axis=1) != 0
+    if k > 6:
+        lo, hi = _word_pairs(k)
+        high = (words[:, lo] != words[:, hi]).reshape(len(words), k - 6, -1).any(axis=2)
+        dep = np.concatenate((dep, high), axis=1)
+    i0 = dep.argmax(axis=1)
+    width = k - dep[:, ::-1].argmax(axis=1) - i0
+    width[~dep.any(axis=1)] = 0
+    return i0, width
+
+
+def _cut(rows: np.ndarray, keep: np.ndarray, i0: np.ndarray, width: np.ndarray, d: int) -> np.ndarray:
+    """Rows ``keep`` of the raw k-variable tables ``rows`` cut to their tight
+    windows: entry j of a cut table is entry j << i0 of its row.  The cut
+    tables are stored 2**d wide, each repeated past its own width."""
+    # holds j < 2**d and every index j << i0 < 2**k
+    dtype = np.uint16 if max(rows.shape[1], 1 << d) <= 1 << 16 else np.uint32
+    j = np.arange(1 << d, dtype=dtype) & ((1 << width[keep]) - 1).astype(dtype)[:, None]
+    return rows[keep[:, None], j << i0[keep, None].astype(dtype)]
+
+
+def _gather(tables: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Every table row over every window row: ``np.take(tables, windows,
+    axis=1)``.  ``np.take`` copies its indices to intp, so a window row wider
+    than ``_GATHER_CHUNK`` (one row per chunk then) goes by ``corefn._take``
+    in slices."""
+    if windows.shape[1] <= _GATHER_CHUNK:
+        return np.take(tables, windows, axis=1)
+    return np.stack([[_take(t, w) for w in windows] for t in tables])
+
+
+def _orbit_arrays(tables: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct orbit members of each row of ``tables`` (n, 2**k), in the
+    order identity, reversal, complement, both, as ``(members, owner, m)``:
+    member j is orbit member m[j] of row owner[j]."""
+    rev = np.take(tables, _rev_index(k), axis=1)
+    cand = np.stack((tables, rev, tables[:, ::-1] ^ 1, rev[:, ::-1] ^ 1), axis=1)
+    same = (cand[:, :, None] == cand[:, None]).all(axis=3)
+    keep = ~np.tril(same, -1).any(axis=2)  # unequal to every earlier candidate
+    owner = np.repeat(np.arange(len(tables)), keep.sum(axis=1))
+    return cand[keep], owner, (np.cumsum(keep, axis=1) - 1)[keep]
+
+
+def _canon_keys(tables: np.ndarray, k: int) -> np.ndarray:
+    """Class key of each row of ``tables`` (n, 2**k): its lexicographically
+    least orbit member, packed eight entries to a byte, first entry in the
+    top bit, so that byte order is lexicographic order."""
+    rev = np.take(tables, _rev_index(k), axis=1)
+    packed = [np.packbits(a, axis=1) for a in (tables, rev, tables[:, ::-1] ^ 1, rev[:, ::-1] ^ 1)]
+    pad = ((0, 0), (0, -packed[0].shape[1] % 8))
+    words = [np.pad(a, pad).view(">u8") for a in packed]
+    best, best_words = packed[0], words[0]
+    for a, w in zip(packed[1:], words[1:]):
+        less = np.zeros(len(a), dtype=bool)
+        tie = np.ones(len(a), dtype=bool)
+        for c in range(w.shape[1]):
+            less |= tie & (w[:, c] < best_words[:, c])
+            tie &= w[:, c] == best_words[:, c]
+        best = np.where(less[:, None], a, best)
+        best_words = np.where(less[:, None], w, best_words)
+    return best
 
 
 def closure_search(
@@ -256,8 +334,8 @@ def closure_search(
     generators and is closed under composing one generator on either side,
     whenever the result has diameter <= max_diameter: it holds the
     composition chains of generators grown one atom at a time, each step
-    staying within the cap.  Known classes are taken in discovery order, and each is composed
-    with every generator class on both sides.
+    staying within the cap.  Known classes are taken in discovery order,
+    and each is composed with every generator class on both sides.
 
     Intermediates are memoized by equivalence class: reversal and
     complementation both distribute over composition, so composing a class
@@ -266,13 +344,30 @@ def closure_search(
     the composition budget runs out the result is a correct lower bound and
     ``exhausted`` is set.
 
-    Each composite is the gather ``left[windows]`` over the right operand's
-    window array (``corefn._windows``), which depends only on the right
-    orbit member and the left diameter.  The windows of every generator
-    orbit member are kept per left diameter for the whole run; those of the
-    class x currently being extended are built once per left diameter and
-    dropped when the search moves on to the next class, so the cache never
-    holds more than one non-generator class.
+    Every composition has a place in one sequence: class x, then generator
+    class g (g <= x), then g o x before x o g (once if g is x), then the
+    orbit member of the right operand.  The budget counts compositions
+    along it, and a run that exhausts the budget keeps exactly the
+    composites before the cut, also where a pair is cut midway.
+
+    The work goes in blocks of up to ``_CLASS_BLOCK`` known classes.  The
+    composites of a block depend only on the block and the generators, so
+    they are all computed first and then added in sequence order, which
+    gives the classes the order a one-at-a-time search gives them.  Each
+    composite is a gather ``np.take(left, windows)`` over the right
+    operand's window array (``corefn._windows``), many at once (``_gather``):
+
+    * x o g: the stacked representatives of the block classes of one
+      diameter against the stacked windows of every generator orbit member
+      of one diameter, which are kept for the whole run;
+    * g o x: the stacked representatives of the generators of one diameter
+      against the windows of the block's orbit members, built in one call.
+
+    Gathers go in chunks of at most ``_GATHER_CHUNK`` table entries.  A
+    chunk's tight diameters are read from its packed words, and only the
+    composites of diameter 2..max_diameter are canonicalized.  Memory stays
+    bounded by the chunk, one block's candidates and the generator windows;
+    the classes themselves keep only their representatives.
     """
     if max_diameter < 6:
         raise LiftforgeError("intermediate diameter cap must be >= 6")
@@ -283,14 +378,12 @@ def closure_search(
     known: set[tuple[int, bytes]] = set()
     found: set[EquivClassId] = set()
 
-    def add(k: int, arr: np.ndarray) -> None:
-        if k > max_diameter or k == 1:
+    def add(k: int, key: np.ndarray) -> None:
+        entry = (k, key.tobytes())
+        if entry in known:
             return
-        canon = _canon_bytes(arr, k)
-        if (k, canon) in known:
-            return
-        known.add((k, canon))
-        rep = np.frombuffer(canon, dtype=np.uint8)
+        known.add(entry)
+        rep = np.unpackbits(key, count=1 << k)
         ks.append(k)
         reps.append(rep)
         if k <= 6:
@@ -299,44 +392,101 @@ def closure_search(
                 found.add(EquivClassId(k, rule.table))
 
     for g in gens:
-        add(g.k, g.table_array())
+        if 1 < g.k <= max_diameter:
+            add(g.k, _canon_keys(g.table_array()[None], g.k)[0])
     n_gen = len(ks)
-    gen_orbits = [_orbit_arrays(reps[g], ks[g]) for g in range(n_gen)]
-    gen_windows: dict[tuple[int, int], list[np.ndarray]] = {}  # (class, left diameter)
+    gen_ks = np.array(ks, dtype=np.int64)
+    gen_tables = {}  # diameter -> (generator ids, stacked representatives)
+    gen_members = {}  # diameter -> (stacked orbit members, generator id, member index)
+    orbit_size = np.zeros(n_gen, dtype=np.int64)
+    for kg in sorted(set(ks)):
+        ids = np.flatnonzero(gen_ks == kg)
+        stack = np.stack([reps[g] for g in ids])
+        members, owner, m = _orbit_arrays(stack, kg)
+        orbit_size[ids] = np.bincount(owner, minlength=len(ids))
+        gen_tables[kg] = (ids, stack)
+        gen_members[kg] = (members, ids[owner], m)
+    before = np.concatenate(([0], np.cumsum(orbit_size)))  # orbit members of the generators < g
+    gen_windows: dict[tuple[int, int], np.ndarray] = {}  # (diameter, left diameter)
 
     compositions = 0
     exhausted = False
     x = 0
     while x < len(ks) and not exhausted:
-        # put each generator class g on either side of class x; a pair of
-        # generators is met once, from its later member.  len(ks) is read
-        # afresh, so classes added meanwhile are extended in turn.
-        x_orbit = _orbit_arrays(reps[x], ks[x]) if x >= n_gen else None
-        x_windows: dict[int, list[np.ndarray]] = {}  # per left diameter
-        for g in range(min(n_gen, x + 1)):
-            for li, ri in ((g, x), (x, g)) if g != x else ((g, x),):
-                ka, kb = ks[li], ks[ri]
-                if ri < n_gen:
-                    members, cache, key = gen_orbits[ri], gen_windows, (ri, ka)
-                else:
-                    members, cache, key = x_orbit, x_windows, ka
-                n = min(len(members), budget - compositions)  # one composition per member
-                compositions += n
-                if n and ka + kb - 1 <= arity_cap:
-                    windows = cache.get(key)
-                    if windows is None:
-                        windows = cache[key] = [_windows(m, kb, ka) for m in members]
-                    left = reps[li]
-                    for w in windows[:n]:
-                        trimmed = _trim(left[w], ka + kb - 1)
-                        if trimmed is not None:
-                            add(*trimmed)
-                if n < len(members):
-                    exhausted = True
-                    break
-            if exhausted:
-                break
-        x += 1
+        # classes added meanwhile lie beyond the block and are extended in turn
+        block = np.arange(x, min(len(ks), x + _CLASS_BLOCK))
+        bks = np.array(ks[x : x + len(block)])
+        groups = []
+        n_orbit = np.empty(len(block), dtype=np.int64)
+        for kx in sorted(set(bks.tolist())):
+            sel = np.flatnonzero(bks == kx)
+            stack = np.stack([reps[i] for i in block[sel]])
+            members, owner, m = _orbit_arrays(stack, kx)
+            n_orbit[sel] = np.bincount(owner, minlength=len(sel))
+            groups.append((kx, sel, stack, members, sel[owner], m))
+        n_pairs = np.minimum(n_gen, block + 1)  # generators g <= x
+        per_class = n_pairs * n_orbit + before[n_pairs] - np.where(block < n_gen, n_orbit, 0)
+        start = compositions + np.cumsum(per_class) - per_class  # first index of each class
+
+        candidates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (index, diameter, table)
+
+        def collect(composites: np.ndarray, k: int, index: np.ndarray, valid: np.ndarray) -> None:
+            rows = composites.reshape(-1, 1 << k)
+            i0, width = _trimmed_windows(rows, k)
+            keep = np.flatnonzero(valid.ravel() & (index.ravel() < budget) & (width >= 2) & (width <= max_diameter))
+            if keep.size:
+                candidates.append((index.ravel()[keep], width[keep], _cut(rows, keep, i0, width, max_diameter)))
+
+        for kx, sel, stack, members, member_class, m in groups:
+            for kg, (ids, gstack) in gen_tables.items():
+                k = kx + kg - 1
+                if k > arity_cap:
+                    continue
+                # g o x: generator representatives over the block's orbit windows
+                wr = max(1, min(len(members), _GATHER_CHUNK >> k))
+                tr = max(1, _GATHER_CHUNK // (wr << k))
+                for w0 in range(0, len(members), wr):
+                    windows = _windows(members[w0 : w0 + wr], kx, kg)
+                    cls = member_class[w0 : w0 + wr]
+                    for t0 in range(0, len(ids), tr):
+                        g = ids[t0 : t0 + tr, None]
+                        index = start[cls] + g * n_orbit[cls] + before[g] + m[w0 : w0 + wr]
+                        collect(_gather(gstack[t0 : t0 + tr], windows), k, index, g < n_pairs[cls])
+                # x o g: block representatives over the generator orbit windows
+                gmembers, gid, gm = gen_members[kg]
+                windows = gen_windows.get((kg, kx))
+                if windows is None:
+                    windows = gen_windows[kg, kx] = _windows(gmembers, kg, kx)
+                wr = max(1, min(len(gmembers), _GATHER_CHUNK >> k))
+                tr = max(1, _GATHER_CHUNK // (wr << k))
+                for w0 in range(0, len(gmembers), wr):
+                    g = gid[w0 : w0 + wr]
+                    for t0 in range(0, len(sel), tr):
+                        cls = sel[t0 : t0 + tr, None]
+                        index = start[cls] + g * n_orbit[cls] + before[g] + n_orbit[cls] + gm[w0 : w0 + wr]
+                        valid = (g < n_pairs[cls]) & (g != block[cls])
+                        collect(_gather(stack[t0 : t0 + tr], windows[w0 : w0 + wr]), k, index, valid)
+
+        total = int(per_class.sum())
+        if compositions + total > budget:
+            compositions, exhausted = budget, True
+        else:
+            compositions += total
+        # add the block's composites in sequence order, each class from its
+        # first occurrence
+        if candidates:
+            index, width, tables = (np.concatenate(a) for a in zip(*candidates))
+            order = np.argsort(index)
+            index, width, tables = index[order], width[order], tables[order]
+            firsts = []
+            for k2 in np.flatnonzero(np.bincount(width)).tolist():
+                at = np.flatnonzero(width == k2)
+                keys = _canon_keys(tables[at, : 1 << k2], k2)
+                _, first = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True)
+                firsts.extend(zip(index[at[first]].tolist(), [k2] * len(first), keys[first]))
+            for _, k2, key in sorted(firsts, key=lambda t: t[0]):
+                add(k2, key)
+        x = int(block[-1]) + 1
     return ClosureResult(max_diameter, frozenset(found), len(ks), compositions, exhausted)
 
 
@@ -365,7 +515,7 @@ class ProbeReport:
 
 def _fast_degree_of_composite(ga: np.ndarray, fa: np.ndarray, kg: int, kf: int) -> int:
     """Degree of g o f: the largest monomial of the composite's raw table."""
-    coeff = _mobius(ga[_windows(fa, kf, kg)], kg + kf - 1)
+    coeff = _mobius(_take(ga, _windows(fa, kf, kg)), kg + kf - 1)
     monomials = np.flatnonzero(coeff)
     return int(np.bitwise_count(monomials).max()) if monomials.size else 0
 

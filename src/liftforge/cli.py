@@ -8,6 +8,7 @@ stderr so stdout stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -28,12 +29,15 @@ def _jobs_default() -> int:
     return 1
 
 
-def _emit(args, doc, text_lines) -> None:
+def _emit(args, doc, text_lines, csv_rows=None) -> None:
+    """Print one result in the chosen format: ``doc`` as JSON, or the text
+    lines.  CSV gets ``csv_rows`` (header first) where given, else the text
+    lines split at tabs."""
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True))
     elif args.format == "csv":
-        for line in text_lines:
-            print(",".join(str(c) for c in line.split("\t")))
+        rows = csv_rows if csv_rows is not None else (line.split("\t") for line in text_lines)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         for line in text_lines:
             print(line)
@@ -181,30 +185,27 @@ def cmd_du(args) -> int:
     r = _expr_rule(args.expr, args.arity_cap)
     lo, hi = _parse_range(args.n)
     rep = diffunif.du_profile(r, lo, hi, n_cap=min(args.n_cap, 14))
-    if args.format == "json":
-        print(json.dumps(rep.to_json(), sort_keys=True))
-    elif args.format == "csv":
-        print("n,raw,scaled")
-        for e in rep.entries:
-            print(f"{e.n},{e.raw},{e.scaled_str()}")
-    else:
-        vals = [e.scaled_str() for e in rep.entries] if args.scaled else [str(e.raw) for e in rep.entries]
-        print(" ".join(vals))
+    vals = [e.scaled_str() for e in rep.entries] if args.scaled else [str(e.raw) for e in rep.entries]
+    rows = [("n", "raw", "scaled")] + [(e.n, e.raw, e.scaled_str()) for e in rep.entries]
+    _emit(args, rep.to_json(), [" ".join(vals)], rows)
     return 0
 
 
 def cmd_catalog(args) -> int:
     entries = catalog_mod.load_catalog()
     if args.list:
+        lo, hi = catalog_mod.DU_RANGE
+        docs, lines, rows = [], [], [["expr", "degree"] + [f"du{n}" for n in range(lo, hi + 1)]]
         for e in entries:
-            du = ",".join(str(v) for v in e.stated_du) if e.stated_du else "-"
-            print(_maybe_ascii(e.text, args) + f"\t{e.stated_degree}\t{du}")
+            expr, du = _maybe_ascii(e.text, args), list(e.stated_du or ())
+            docs.append({"expr": expr, "degree": e.stated_degree, "du": du or None})
+            lines.append(f"{expr}\t{e.stated_degree}\t" + (",".join(map(str, du)) or "-"))
+            rows.append([expr, e.stated_degree] + (du or [""] * (hi - lo + 1)))
+        _emit(args, {"entries": docs}, lines, rows)
         return 0
     rep = catalog_mod.verify_catalog(entries, check_du=args.du, du_to=12 if args.long else 10)
-    if args.format == "json":
-        print(json.dumps({"ok": rep.ok, "problems": [str(p) for p in rep.problems]}, sort_keys=True))
-    else:
-        print(rep.summary())
+    rows = [("index", "kind", "detail")] + [(p.index, p.kind, p.detail) for p in rep.problems]
+    _emit(args, {"ok": rep.ok, "problems": [str(p) for p in rep.problems]}, rep.summary().splitlines(), rows)
     return 0 if rep.ok else MISMATCH
 
 

@@ -240,6 +240,9 @@ def canonical_symbols(l: Landscape) -> str:
 
 _ENUM_MIN_K = 4
 _ENUM_MAX_K = 18
+# a listing holds one Landscape per entry, about 250 bytes each: k=14 peaks
+# at 724 MiB and the count grows about 3.5x per k, so k=16 would need ~9 GiB
+_LIST_MAX_K = 15
 _CHUNK = 1 << 19
 
 
@@ -325,6 +328,10 @@ def _fixed_point_count(k: int, transform: str) -> int:
     return count
 
 
+class ListingCapError(LiftforgeError):
+    """A landscape listing was asked for above the length it can hold."""
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     k: int
@@ -343,9 +350,17 @@ def enumerate_conserved(k: int, include_list: bool = True, jobs: int = 1) -> Enu
     reversal-plus-complement fixed points; pure complement never fixes a
     landscape because the defined ends flip), which agrees with rule-level
     canonicalization; the agreement is exercised by the test-suite on small k.
+
+    The listing (``include_list``) is capped at k <= 15: above that it could
+    not fit in memory, and ``ListingCapError`` is raised before any work.
     """
     if not _ENUM_MIN_K <= k <= _ENUM_MAX_K:
         raise LiftforgeError(f"enumeration supports {_ENUM_MIN_K} <= k <= {_ENUM_MAX_K}")
+    if include_list and k > _LIST_MAX_K:
+        raise ListingCapError(
+            f"a listing of the conserved landscapes stops at k <= {_LIST_MAX_K} "
+            f"(k={k} would need several GiB); counts go up to k = {_ENUM_MAX_K}"
+        )
     stars = list(range(1, k - 1))
     count = 0
     chunks = []

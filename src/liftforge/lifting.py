@@ -22,6 +22,7 @@ from .corefn import (
     Rule,
     _compose_table,
     _normalize,
+    _take,
     bitmask,
     is_identity,
     table_to_array,
@@ -62,7 +63,7 @@ def _raw_induced_array(table: int, k: int, n: int) -> np.ndarray:
             w = x & mk
         else:
             w = ((x >> np.uint32(i)) | ((x & np.uint32(bitmask(i))) << np.uint32(n - i))) & mk
-        out |= tab[w].astype(np.uint32) << np.uint32(i)
+        out |= _take(tab, w).astype(np.uint32) << np.uint32(i)
     return out
 
 

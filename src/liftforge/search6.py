@@ -32,6 +32,7 @@ from .corefn import (
     InvalidRuleError,
     LiftforgeError,
     Rule,
+    _take,
     _windows,
     canonicalize,
     reverse,
@@ -440,7 +441,7 @@ def involution_rule_check(rule: Rule, s: int) -> bool:
 
 def _involution_table_check(table: int, s: int) -> bool:
     tab = table_to_array(table, K6)
-    out = tab[_windows(tab, K6, K6)]  # f o f
+    out = _take(tab, _windows(tab, K6, K6))  # f o f
     z = np.arange(1 << 11, dtype=np.uint32)
     want = ((z >> np.uint32(2 * s - 2)) & 1).astype(np.uint8)
     return bool(np.array_equal(out, want))

@@ -1,11 +1,14 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 import liftforge as lf
+from liftforge import catalog
 from liftforge.catalog import (
     CATALOG_SHA256,
     CatalogError,
+    ClosureResult,
     _catalog_bytes,
     catalog_function_pool,
     closure_search,
@@ -14,8 +17,10 @@ from liftforge.catalog import (
     load_catalog,
     verify_catalog,
 )
+from liftforge.corefn import EquivClassId, _end_vars, _rev_index, _windows, array_to_table
 from liftforge.exprlang import atoms, eval_expr, parse_expr
 from liftforge.landscape import is_conserved
+from liftforge.lifting import DEFAULT_ARITY_CAP
 
 
 def test_checksum_pinned():
@@ -139,6 +144,217 @@ def test_closure_matches_breadth_first_chain_search():
     assert not res.exhausted
     assert res.discovered_classes == len(seen) == 86
     assert res.found_classes == {c for c in seen if c.k <= 6 and lf.degree(c.rule()) >= 2}
+
+
+# ---------------------------------------------------------------------------
+# the one-composition-at-a-time closure loop, kept as the reference for the
+# block closure
+
+
+def _ref_trim(arr, k):
+    ends = _end_vars(array_to_table(arr), k)
+    if ends is None:
+        return None
+    i0, j0 = ends
+    k2 = j0 - i0 + 1
+    if k2 == k:
+        return k, arr
+    return k2, np.ascontiguousarray(arr[0 : (1 << k2) << i0 : 1 << i0])
+
+
+def _ref_orbit(arr, k):
+    rev = arr[_rev_index(k)]
+    uniq = {}
+    for a in (arr, rev, arr[::-1] ^ 1, rev[::-1] ^ 1):
+        uniq.setdefault(a.tobytes(), a)
+    return list(uniq.values())
+
+
+def _reference_closure(max_diameter, budget, generators, arity_cap=DEFAULT_ARITY_CAP, log=None):
+    """The closure one composition at a time.  With ``log``, every new class
+    is logged as (sequence index of its composite, found class or None),
+    with index -1 for the generators."""
+    ks, reps, known, found = [], [], set(), set()
+    at = -1
+
+    def add(k, arr):
+        if k > max_diameter or k == 1:
+            return
+        canon = min(a.tobytes() for a in _ref_orbit(arr, k))
+        if (k, canon) in known:
+            return
+        known.add((k, canon))
+        rep = np.frombuffer(canon, dtype=np.uint8)
+        ks.append(k)
+        reps.append(rep)
+        cid = None
+        if k <= 6:
+            rule = lf.Rule(k, array_to_table(rep), 0)
+            if lf.degree(rule) >= 2:
+                cid = EquivClassId(k, rule.table)
+                found.add(cid)
+        if log is not None:
+            log.append((at, cid))
+
+    for g in generators:
+        add(g.k, g.table_array())
+    n_gen = len(ks)
+    compositions, exhausted, x = 0, False, 0
+    while x < len(ks) and not exhausted:
+        for g in range(min(n_gen, x + 1)):
+            for li, ri in ((g, x), (x, g)) if g != x else ((g, x),):
+                ka, kb = ks[li], ks[ri]
+                members = _ref_orbit(reps[ri], kb)
+                n = min(len(members), budget - compositions)
+                compositions += n
+                if n and ka + kb - 1 <= arity_cap:
+                    for i, mem in enumerate(members[:n]):
+                        at = compositions - n + i
+                        trimmed = _ref_trim(reps[li][_windows(mem, kb, ka)], ka + kb - 1)
+                        if trimmed is not None:
+                            add(*trimmed)
+                if n < len(members):
+                    exhausted = True
+                    break
+            if exhausted:
+                break
+        x += 1
+    return ClosureResult(max_diameter, frozenset(found), len(ks), compositions, exhausted)
+
+
+def _reference_by_budget(max_diameter, generators):
+    """The reference result for every budget, from one run to the fixpoint:
+    a run cut by the budget is a prefix of the full run."""
+    log = []
+    full = _reference_closure(max_diameter, 10**9, generators, log=log)
+    assert not full.exhausted
+
+    def at(budget):
+        seen = [cid for i, cid in log if i < budget]
+        found = frozenset(c for c in seen if c is not None)
+        return ClosureResult(max_diameter, found, len(seen), min(budget, full.compositions), budget < full.compositions)
+
+    return at
+
+
+def _embedded_tables(rng, k, n):
+    """n random tables on variables i0..j0 only, embedded in k variables,
+    as (bits, i0, j0); a third of them constant."""
+    out = []
+    for t in range(n):
+        i0, j0 = sorted(rng.integers(0, k, 2).tolist())
+        w = j0 - i0 + 1
+        inner = rng.integers(0, 2, 1 << w, dtype=np.uint8) if t % 3 else np.full(1 << w, t % 2, np.uint8)
+        out.append(inner[(np.arange(1 << k) >> i0) & ((1 << w) - 1)])
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_trimmed_windows_match_end_vars(k):
+    rng = np.random.default_rng(k)
+    rows = _embedded_tables(rng, k, 60)
+    i0, width = catalog._trimmed_windows(rows, k)
+    for row, a, w in zip(rows, i0.tolist(), width.tolist()):
+        ends = _end_vars(array_to_table(row), k)
+        assert (w == 0) if ends is None else (a, w) == (ends[0], ends[1] - ends[0] + 1)
+
+
+@pytest.mark.parametrize("k", [12, 17])
+def test_cut_reads_tight_windows(k):
+    # at k=17 the indices j << i0 of the last two rows pass 2**16
+    rng = np.random.default_rng(k)
+    d = 8
+    rows = rng.integers(0, 2, (5, 1 << k), dtype=np.uint8)
+    i0, width = np.array([0, 3, k - 8, k - 5, 1]), np.array([8, 5, 8, 5, 2])
+    keep = np.array([0, 1, 2, 3, 4])[::-1]
+    got = catalog._cut(rows, keep, i0, width, d)
+    for r, row in zip(keep, got):
+        want = rows[r, 0 : (1 << width[r]) << i0[r] : 1 << i0[r]]
+        assert np.array_equal(row, np.tile(want, (1 << d) >> width[r])), r
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_canon_keys_and_orbits_match_rules(k):
+    rng = np.random.default_rng(k)
+    tables = rng.integers(0, 2, (40, 1 << k), dtype=np.uint8)
+    tables[0] = tables[0, _rev_index(k)]  # palindromes have smaller orbits
+    tables[1] = np.arange(1 << k) & 1
+    members, owner, m = catalog._orbit_arrays(tables, k)
+    keys = catalog._canon_keys(tables, k)
+    for i, row in enumerate(tables):
+        orbit = lf.orbit(lf.Rule(k, array_to_table(row)))
+        mine = [array_to_table(a) for a in members[owner == i]]
+        assert sorted(mine) == [r.table for r in orbit] and m[owner == i].tolist() == list(range(len(mine)))
+        canon = lf.canonicalize(lf.Rule(k, array_to_table(row)))
+        assert array_to_table(np.unpackbits(keys[i], count=1 << k)) == canon.canon
+
+
+@pytest.fixture(scope="module")
+def small_gens():
+    return [g for g in default_generators() if g.k <= 5]
+
+
+@pytest.mark.parametrize("D", [6, 7, 8])
+def test_block_closure_matches_reference_small_generators(small_gens, D):
+    assert closure_search(D, budget=120_000, generators=small_gens) == _reference_closure(D, 120_000, small_gens)
+
+
+def test_block_closure_matches_reference_all_generators():
+    gens = default_generators()
+    got = closure_search(6, budget=100_000, generators=gens)
+    assert got == _reference_closure(6, 100_000, gens)
+    assert (got.discovered_classes, got.compositions, got.exhausted) == (122, 19_904, False)
+
+
+@pytest.mark.parametrize("budget", [1, 37, 2_000, 20_000])
+def test_block_closure_matches_reference_on_budgets(budget):
+    # cuts inside the first block (among the generators), inside a later
+    # block, and within or between the pairs of one class
+    gens = default_generators()
+    got = closure_search(7, budget=budget, generators=gens)
+    assert got == _reference_closure(7, budget, gens)
+    assert got.exhausted and got.compositions == budget
+
+
+def test_block_closure_matches_reference_at_every_budget(small_gens):
+    # every cut from the first class on: inside a pair, between the two
+    # sides of a pair, between pairs and between classes
+    at = _reference_by_budget(6, small_gens)
+    assert at(37) == _reference_closure(6, 37, small_gens)
+    for budget in range(1, 251):
+        assert closure_search(6, budget=budget, generators=small_gens) == at(budget), budget
+
+
+def test_block_closure_budget_on_a_pair_boundary(small_gens):
+    # the closure's whole spend is a budget that just suffices; one less
+    # cuts the last pair of the last class
+    full = _reference_closure(6, 10_000, small_gens)
+    for budget in (full.compositions, full.compositions - 1):
+        assert closure_search(6, budget=budget, generators=small_gens) == _reference_closure(6, budget, small_gens)
+
+
+def test_block_closure_matches_reference_with_small_generators(small_gens):
+    # k = 2 and k = 3 rules give composites of fewer than 6 variables
+    tiny = [lf.rule_from_anf_text("x1 ^ x2"), lf.rule_from_anf_text("x1 ^ x2*x3")]
+    gens = tiny + small_gens[:6]
+    got = closure_search(6, budget=60_000, generators=gens)
+    assert got == _reference_closure(6, 60_000, gens)
+    assert got.discovered_classes > len(gens)
+
+
+def test_block_closure_matches_reference_under_arity_cap(small_gens):
+    # pairs over more than 9 variables are counted but not composed
+    got = closure_search(7, budget=120_000, generators=small_gens, arity_cap=9)
+    assert got == _reference_closure(7, 120_000, small_gens, arity_cap=9)
+    assert got != closure_search(7, budget=120_000, generators=small_gens)
+
+
+@pytest.mark.parametrize("block, chunk", [(1, 1), (1, 1 << 17), (3, 1 << 9), (1 << 10, 1 << 22)])
+def test_block_closure_independent_of_block_and_chunk(monkeypatch, small_gens, block, chunk):
+    monkeypatch.setattr(catalog, "_CLASS_BLOCK", block)
+    monkeypatch.setattr(catalog, "_GATHER_CHUNK", chunk)
+    for D, budget in ((7, 120_000), (7, 1_000)):
+        assert closure_search(D, budget=budget, generators=small_gens) == _reference_closure(D, budget, small_gens)
 
 
 def test_closure_rejects_small_cap():

@@ -1,10 +1,12 @@
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
 
 import liftforge as lf
-from liftforge import cli
+from liftforge import cli, landscape
 from liftforge.catalog import ClosureResult
 from liftforge.exprlang import eval_expr, parse_expr
 
@@ -208,6 +210,37 @@ def test_catalog_du_clean(capsys, fmt):
         assert out.splitlines() == ["catalog verification clean"]
 
 
+def _csv(out):
+    return list(csv.reader(io.StringIO(out)))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_catalog_formats(capsys, fmt):
+    assert cli.main(["--format", fmt, "catalog"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == {"ok": True, "problems": []}
+    elif fmt == "csv":
+        assert _csv(out) == [["index", "kind", "detail"]]  # no problem rows
+    else:
+        assert out.splitlines() == ["catalog verification clean"]
+
+
+def test_catalog_list_json(capsys, catalog_entries):
+    assert cli.main(["--format", "json", "catalog", "--list"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [(d["expr"], d["degree"], tuple(d["du"])) for d in entries] == [
+        (e.text, e.stated_degree, e.stated_du) for e in catalog_entries
+    ]
+
+
+def test_catalog_list_csv(capsys, catalog_entries):
+    assert cli.main(["--format", "csv", "catalog", "--list"]) == 0
+    header, *rows = _csv(capsys.readouterr().out)
+    assert header == ["expr", "degree"] + [f"du{n}" for n in range(6, 13)]
+    assert rows == [[e.text, str(e.stated_degree)] + [str(v) for v in e.stated_du] for e in catalog_entries]
+
+
 def test_catalog_du_mismatch_exits_1(capsys, monkeypatch, catalog_entries):
     entry = catalog_entries[0]
     wrong = dataclasses.replace(entry, stated_du=(entry.stated_du[0] + 2,) + entry.stated_du[1:])
@@ -216,3 +249,129 @@ def test_catalog_du_mismatch_exits_1(capsys, monkeypatch, catalog_entries):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
     assert doc["problems"] == [f"entry 0: du: n=6: stated {wrong.stated_du[0]}, computed {entry.stated_du[0]}"]
+
+
+def test_catalog_du_mismatch_csv_row(capsys, monkeypatch, catalog_entries):
+    entry = catalog_entries[0]
+    wrong = dataclasses.replace(entry, stated_du=(entry.stated_du[0] + 2,) + entry.stated_du[1:])
+    monkeypatch.setattr(lf.catalog, "load_catalog", lambda: [wrong])
+    assert cli.main(["--format", "csv", "catalog", "--du"]) == 1
+    assert _csv(capsys.readouterr().out) == [
+        ["index", "kind", "detail"],
+        ["0", "du", f"n=6: stated {wrong.stated_du[0]}, computed {entry.stated_du[0]}"],
+    ]
+
+
+def _no_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the listing cap must be checked before any enumeration work")
+
+    monkeypatch.setattr(landscape, "_conserved_counts_for_star", refuse)
+
+
+def test_landscapes_list_above_cap_exits_2(capsys, monkeypatch):
+    _no_enumeration(monkeypatch)
+    assert cli.main(["--long", "landscapes", "--k", "16", "--list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "k <= 15" in captured.err
+
+
+# parse: (0★10)∘(0★110), the highlighted catalog row ROW above
+PARSE_EXPR = "(0★10)∘(0★110)"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_parse_formats(capsys, fmt):
+    assert cli.main(["--format", fmt, "parse", PARSE_EXPR]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = {k: str(v) for k, v in json.loads(out).items()}
+    elif fmt == "csv":
+        doc = dict(_csv(out))
+    else:
+        doc = dict(line.split("\t", 1) for line in out.splitlines())
+    rule = lf.rule_from_text(ROW)
+    assert doc == {
+        "expr": PARSE_EXPR,
+        "rule": ROW,
+        "k": "6",
+        "degree": str(lf.degree(rule)),
+        "balanced": "True",
+        "anf": lf.render_anf(lf.to_anf(rule)),
+        "class": lf.canonicalize(rule).text(),
+    }
+
+
+def test_parse_ascii(capsys):
+    assert cli.main(["--ascii", "--format", "json", "parse", PARSE_EXPR]) == 0
+    assert json.loads(capsys.readouterr().out)["expr"] == "(0*10)o(0*110)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--arity-cap", "5", "parse", PARSE_EXPR], "cap is 5"),  # the composite has 8 variables
+        (["parse", "0★1x"], "trailing input"),
+    ],
+)
+def test_parse_usage_errors(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+FAMILY_KEYS = {"family", "rule", "k", "anf", "proper", "order_power", "order_verified"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_families_chain_formats(capsys, fmt):
+    assert cli.main(["--format", fmt, "families", "--r", "3"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = {k: str(v) for k, v in json.loads(out).items()}
+    elif fmt == "csv":
+        doc = dict(_csv(out))
+    else:
+        doc = dict(line.split("\t", 1) for line in out.splitlines())
+    assert set(doc) == FAMILY_KEYS
+    assert (doc["family"], doc["k"], doc["order_power"]) == ("chain", "6", "3")
+    assert (doc["proper"], doc["order_verified"]) == ("True", "True")
+    assert lf.rule_from_anf_text(doc["anf"]).same_function(lf.rule_from_text(doc["rule"]))
+
+
+def test_families_symmetric(capsys):
+    assert cli.main(["--format", "json", "families", "--k", "6", "--j", "3", "--set", "1,6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["family"], doc["k"], doc["order_power"], doc["order_verified"], doc["proper"]) == (
+        "symmetric",
+        6,
+        4,
+        True,
+        True,
+    )
+
+
+def test_families_order_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.families, "verify_order_claim", lambda *args, **kwargs: False)
+    assert cli.main(["--format", "json", "families", "--r", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["order_verified"] is False and doc["proper"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["families", "--k", "6", "--j", "3"], "need either --r"),  # no --set
+        (["families"], "need either --r"),
+        (["families", "--r", "1"], "r-range"),
+        (["families", "--k", "6", "--j", "3", "--set", "1,2"], "asymmetric"),
+        (["families", "--r", "7"], "cap is 26"),  # r=7 squares to 27 variables
+    ],
+)
+def test_families_usage_errors(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

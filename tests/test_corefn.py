@@ -11,6 +11,7 @@ from liftforge.corefn import (
     _compose_table,
     _end_vars,
     _lex_key,
+    _take,
     _var_zero_mask,
     _window_blocks,
     _windows,
@@ -232,6 +233,32 @@ def test_kernel_blocks_of_any_size(monkeypatch, block_bits):
     monkeypatch.setattr(corefn, "_BLOCK_BITS", block_bits)
     rng = np.random.default_rng(block_bits)
     for kg, kf in ((2, 9), (5, 4), (9, 2), (6, 6)):
+        g, f = _random_table(rng, kg), _random_table(rng, kf)
+        raw = _compose_table(table_to_array(g, kg), kg, table_to_array(f, kf), kf)
+        assert all(((raw >> x) & 1) == _pointwise(g, kg, f, kf, x) for x in range(1 << (kg + kf - 1)))
+
+
+@pytest.mark.parametrize("block_bits", [3, 6, 22])
+def test_windows_of_a_stack_match_each_table(monkeypatch, block_bits):
+    # a stack of tables gives one window row per table, also in blocks
+    monkeypatch.setattr(corefn, "_BLOCK_BITS", block_bits)
+    rng = np.random.default_rng(block_bits)
+    for kf, m, n in ((4, 1, 3), (4, 6, 5), (5, 8, 7), (6, 7, 1), (2, 9, 4), (6, 3, 64)):
+        stack = np.stack([table_to_array(_random_table(rng, kf), kf) for _ in range(n)])
+        got = _windows(stack, kf, m)
+        assert got.shape == (n, 1 << (m + kf - 1)) and got.dtype == _windows(stack[0], kf, m).dtype
+        assert all(np.array_equal(got[i], _windows(stack[i], kf, m)) for i in range(n)), (kf, m, n)
+
+
+@pytest.mark.parametrize("take_bits", [3, 10])
+def test_take_in_slices_matches_indexing(monkeypatch, take_bits):
+    monkeypatch.setattr(corefn, "_TAKE_BITS", take_bits)
+    rng = np.random.default_rng(take_bits)
+    a = rng.integers(0, 2, 1 << 12, dtype=np.uint8)
+    for n in (0, 1, 7, 8, 1 << take_bits, (1 << take_bits) + 5, 5000):
+        idx = rng.integers(0, a.size, n).astype(np.uint16)
+        assert np.array_equal(_take(a, idx), a[idx]), n
+    for kg, kf in ((7, 6), (9, 2)):
         g, f = _random_table(rng, kg), _random_table(rng, kf)
         raw = _compose_table(table_to_array(g, kg), kg, table_to_array(f, kf), kf)
         assert all(((raw >> x) & 1) == _pointwise(g, kg, f, kf, x) for x in range(1 << (kg + kf - 1)))

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import liftforge as lf
+from liftforge import landscape
 from liftforge.landscape import (
     InvalidLandscapeError,
     Landscape,
@@ -206,3 +207,23 @@ def test_landscape_orbit_members_valid():
     for m in landscape_orbit(l):
         assert isinstance(m, Landscape)
         assert m.k == l.k
+
+
+def test_listing_cap_raises_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the listing cap must be checked before any enumeration work")
+
+    monkeypatch.setattr(landscape, "_conserved_counts_for_star", refuse)
+    for k in (16, 17, 18):
+        with pytest.raises(landscape.ListingCapError):
+            enumerate_conserved(k, include_list=True)
+    assert issubclass(landscape.ListingCapError, lf.LiftforgeError)
+
+
+def test_counting_is_not_capped_by_the_listing_cap(monkeypatch):
+    # counts stay allowed up to k=18; the star scans are stubbed out, since
+    # a real k=16 count takes about 25 s
+    monkeypatch.setattr(landscape, "_conserved_counts_for_star", lambda k, q, collect: (0, []))
+    monkeypatch.setattr(landscape, "_fixed_point_count", lambda k, transform: 0)
+    for k in (16, 18):
+        assert enumerate_conserved(k, include_list=False).count == 0
