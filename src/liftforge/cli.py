@@ -143,9 +143,9 @@ def cmd_search6(args) -> int:
 def cmd_families(args) -> int:
     if args.r is not None:
         params = families.ChainFamilyParams(args.r)
-        r = families.build_chain(params)
+        r = families.build_chain(params, args.arity_cap)
         claim = ("chain", args.r, args.r)
-        ok = families.verify_order_claim(r, args.r, args.r)
+        ok = families.verify_order_claim(r, args.r, args.r, args.arity_cap)
     else:
         if args.k is None or args.j is None or args.set is None:
             print("need either --r or all of --k --j --set", file=sys.stderr)
@@ -154,7 +154,7 @@ def cmd_families(args) -> int:
         params = families.symmetric_params(args.k, args.j, members)
         r = families.build_symmetric(params)
         claim = ("symmetric", 1 << params.r_exp, params.j)
-        ok = families.verify_order_claim(r, 1 << params.r_exp, params.j)
+        ok = families.verify_order_claim(r, 1 << params.r_exp, params.j, args.arity_cap)
     verdict = lifting.decide_proper(r)
     doc = {
         "family": claim[0],
@@ -210,7 +210,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    res = catalog_mod.closure_search(args.diameter, budget=args.budget)
+    res = catalog_mod.closure_search(args.diameter, budget=args.budget, arity_cap=args.arity_cap)
     doc = {
         "max_diameter": res.max_diameter,
         "found_classes": res.found_count,

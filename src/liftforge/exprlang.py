@@ -7,13 +7,13 @@ Grammar (whitespace-insensitive):
     lstring = one or more of 0 1 - ★ *
 
 Chains associate left to right as written; the rightmost atom is applied
-first.  Nested parenthesized sub-chains are accepted and flattened.
+first.  Nested parenthesized sub-chains are accepted and spliced into
+the one flat chain of landscapes a ``LiftExpr`` holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .corefn import LiftforgeError, Rule
 from .landscape import Landscape, compile_landscape, parse_landscape
@@ -29,37 +29,13 @@ class ExprSyntaxError(LiftforgeError):
 
 
 @dataclass(frozen=True)
-class Atom:
-    landscape: Landscape
+class LiftExpr:
+    """A composition chain of landscapes, leftmost (applied last) first."""
 
+    atoms: tuple[Landscape, ...]
 
-@dataclass(frozen=True)
-class Compose:
-    left: "LiftExpr"
-    right: "LiftExpr"
-
-
-LiftExpr = Union[Atom, Compose]
 
 _LCHARS = "01-★*"
-
-
-def _flatten(e: LiftExpr) -> list[Landscape]:
-    if isinstance(e, Atom):
-        return [e.landscape]
-    return _flatten(e.left) + _flatten(e.right)
-
-
-def atoms(e: LiftExpr) -> list[Landscape]:
-    """The expression's atoms, leftmost (applied last) first."""
-    return _flatten(e)
-
-
-def _chain(parts: list[LiftExpr]) -> LiftExpr:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = Compose(acc, p)
-    return acc
 
 
 class _Parser:
@@ -91,14 +67,7 @@ class _Parser:
                 parts.append(self.atom())
             else:
                 break
-        # left-associative chain; sub-chains splice in flat
-        flat: list[LiftExpr] = []
-        for p in parts:
-            if isinstance(p, Compose):
-                flat.extend(Atom(l) for l in _flatten(p))
-            else:
-                flat.append(p)
-        return _chain(flat)
+        return LiftExpr(tuple(l for p in parts for l in p.atoms))
 
     def atom(self) -> LiftExpr:
         self._ws()
@@ -119,7 +88,7 @@ class _Parser:
             got = repr(ch) if ch else "end of input"
             raise ExprSyntaxError(f"expected a landscape or '(', got {got}", self.i)
         try:
-            return Atom(parse_landscape(self.text[start : self.i]))
+            return LiftExpr((parse_landscape(self.text[start : self.i]),))
         except LiftforgeError as exc:
             raise ExprSyntaxError(str(exc), start) from exc
 
@@ -130,11 +99,11 @@ def parse_expr(text: str) -> LiftExpr:
 
 def eval_expr(e: LiftExpr, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
     """Fold the chain into a single normalized rule (rightmost applied first)."""
-    return compose_chain([compile_landscape(l) for l in _flatten(e)], arity_cap)
+    return compose_chain([compile_landscape(l) for l in e.atoms], arity_cap)
 
 
 def print_expr(e: LiftExpr, ascii: bool = False) -> str:
-    parts = [f"({l.symbols})" for l in _flatten(e)]
+    parts = [f"({l.symbols})" for l in e.atoms]
     out = COMPOSE.join(parts)
     if ascii:
         out = out.replace("★", "*").replace(COMPOSE, "o")

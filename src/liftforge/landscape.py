@@ -21,8 +21,8 @@ from .corefn import (
     LiftforgeError,
     Rule,
     _normalize,
+    _windows,
     array_to_table,
-    bitmask,
     essential_vars,
 )
 
@@ -87,19 +87,6 @@ def parse_landscape(text: str) -> Landscape:
     return Landscape(s, star_at + 1)
 
 
-def compile_landscape(l: Landscape) -> Rule:
-    """Truth table of the landscape's flip rule (normalized; already tight)."""
-    k = l.k
-    idx = np.arange(1 << k, dtype=np.uint32)
-    match = np.ones(idx.size, dtype=bool)
-    for d, e in l.offsets().items():
-        p = l.s + d  # 1-based variable index
-        match &= ((idx >> np.uint32(p - 1)) & 1) == e
-    center = ((idx >> np.uint32(l.s - 1)) & 1).astype(np.uint8)
-    table = center ^ match.astype(np.uint8)
-    return _normalize(k, array_to_table(table))
-
-
 def _masks(l: Landscape) -> tuple[int, int]:
     """(defined, ones) bitmasks over 0-based string positions."""
     D = O = 0
@@ -147,25 +134,12 @@ def check_shift_product(r: Rule) -> Optional[int]:
         ess = essential_vars(g_t, k)
         if (ess >> (j - 1)) & 1:
             continue  # f + x_j still depends on x_j
-        ok = True
-        for d in range(k):
-            if not (ess >> d) & 1:
-                continue
-            t = (d + 1) - j
-            if t == 0:
-                continue
-            span = k + abs(t)
-            idx = np.arange(1 << span, dtype=np.uint32)
-            if t > 0:
-                w1 = idx & np.uint32(bitmask(k))
-                w2 = (idx >> np.uint32(t)) & np.uint32(bitmask(k))
-            else:
-                w1 = (idx >> np.uint32(-t)) & np.uint32(bitmask(k))
-                w2 = idx & np.uint32(bitmask(k))
-            if np.any(g[w1] & g[w2]):
-                ok = False
-                break
-        if ok:
+        # bit t of a window entry is g at offset t, so bit t of ``clash`` is
+        # set iff g is 1 at offsets 0 and t of some word; the product for a
+        # shift t < 0 is the same condition at |t|
+        w = _windows(g, k, k)
+        clash = int(np.bitwise_or.reduce(w[(w & 1) == 1]))
+        if not any((clash >> abs(d + 1 - j)) & 1 for d in range(k) if (ess >> d) & 1):
             return j
     return None
 
@@ -204,6 +178,11 @@ def compile_set(S: LandscapeSet | Iterable[Landscape]) -> Rule:
         flip |= match
     center = ((idx >> np.uint32(s - 1)) & 1).astype(np.uint8)
     return _normalize(K, array_to_table(center ^ flip.astype(np.uint8)))
+
+
+def compile_landscape(l: Landscape) -> Rule:
+    """Truth table of the landscape's flip rule (normalized; already tight)."""
+    return compile_set((l,))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,14 @@ A rule f of diameter k induces, for every circular length n >= k, the
 shift-invariant map F(x)_i = f(x_i, ..., x_{i+k-1}) with indices mod n
 (offset-0 convention).  States are packed integers with x_{i+1} at bit i;
 the cyclic right shift of the sequence is therefore a left bit-rotation.
+
+F is built on the composition kernel: the window array of f over n bits
+(``corefn._windows``) holds the n - k + 1 outputs whose windows do not
+wrap, and each further block of outputs is the same array read at the
+state rotated right by the block's first position.  The spread rule of
+``expand`` is the table of f broadcast along its variables' axes, and
+``check_shift_product`` in :mod:`liftforge.landscape` reads its shifted
+products from one window array as well.
 """
 
 from __future__ import annotations
@@ -20,9 +28,11 @@ from .corefn import (
     InvalidRuleError,
     LiftforgeError,
     Rule,
+    _TAKE_BITS,
     _compose_table,
     _normalize,
-    _take,
+    _windows,
+    array_to_table,
     bitmask,
     is_identity,
     table_to_array,
@@ -52,18 +62,27 @@ def _rotate_seq_array(y: np.ndarray, n: int, c: int) -> np.ndarray:
 
 
 def _raw_induced_array(table: int, k: int, n: int) -> np.ndarray:
-    """Materialize F over all 2**n states for a raw k-variable table."""
+    """Materialize F over all 2**n states for a raw k-variable table.
+
+    ``_windows`` gives the m = n - k + 1 outputs whose windows do not wrap;
+    the state rotated right by c gives outputs c..c+m-1 the same way.  The
+    blocks start at c = 0, m, 2m, ..., the last clamped to n - m, so that
+    none wraps and overlapping blocks write equal bits.  States go in the
+    slices ``_take`` uses, so no full-size rotation or gather is held.
+    """
+    m = n - k + 1
+    lin = _windows(table_to_array(table, k), k, m)
+    starts = [min(c, n - m) for c in range(m, n, m)]
     size = 1 << n
-    x = np.arange(size, dtype=np.uint32)
-    tab = table_to_array(table, k)
-    mk = np.uint32(bitmask(k))
-    out = np.zeros(size, dtype=np.uint32)
-    for i in range(n):
-        if i == 0:
-            w = x & mk
-        else:
-            w = ((x >> np.uint32(i)) | ((x & np.uint32(bitmask(i))) << np.uint32(n - i))) & mk
-        out |= _take(tab, w).astype(np.uint32) << np.uint32(i)
+    step = 1 << _TAKE_BITS
+    mask = np.uint32(bitmask(n))
+    out = lin.astype(np.uint32)
+    for x0 in range(0, size, step):
+        x = np.arange(x0, min(x0 + step, size), dtype=np.uint32)
+        acc = out[x0 : x0 + step]
+        for c in starts:
+            rot = (x >> np.uint32(c)) | ((x << np.uint32(n - c)) & mask)
+            acc |= np.take(lin, rot).astype(np.uint32) << np.uint32(c)
     return out
 
 
@@ -157,12 +176,11 @@ def expand(f: Rule, s: int, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
     K = (f.k - 1) * s + 1
     if K > arity_cap:
         raise ArityCapError(f"expansion needs {K} variables, cap is {arity_cap}")
-    fa = f.table_array()
-    idx = np.arange(1 << K, dtype=np.uint64)
-    acc = np.zeros(idx.size, dtype=np.uint32)
-    for j in range(f.k):
-        acc |= ((idx >> np.uint64(j * s)) & np.uint64(1)).astype(np.uint32) << np.uint32(j)
-    return _normalize(K, int.from_bytes(np.packbits(fa[acc], bitorder="little").tobytes(), "little"), f.shift)
+    # variable j of f is bit j*s of the spread window: every s-th axis of its table
+    shape = [1] * K
+    shape[::s] = [2] * f.k
+    spread = np.broadcast_to(f.table_array().reshape(shape), (2,) * K)
+    return _normalize(K, array_to_table(spread.reshape(-1)), f.shift)
 
 
 def iterate_order(r: Rule, max_power: int, arity_cap: int = DEFAULT_ARITY_CAP) -> Optional[int]:

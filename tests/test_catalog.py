@@ -18,7 +18,7 @@ from liftforge.catalog import (
     verify_catalog,
 )
 from liftforge.corefn import EquivClassId, _end_vars, _rev_index, _windows, array_to_table
-from liftforge.exprlang import atoms, eval_expr, parse_expr
+from liftforge.exprlang import eval_expr, parse_expr
 from liftforge.landscape import is_conserved
 from liftforge.lifting import DEFAULT_ARITY_CAP
 
@@ -47,7 +47,7 @@ def test_highlights_are_the_four_lowest_rows(catalog_entries):
 
 def test_every_atom_is_a_conserved_landscape(catalog_entries):
     for e in catalog_entries:
-        for l in atoms(e.expr):
+        for l in e.expr.atoms:
             assert is_conserved(l), (e.text, l.symbols)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import liftforge as lf
 from liftforge import cli, landscape
-from liftforge.catalog import ClosureResult
+from liftforge.catalog import ClosureResult, closure_search
 from liftforge.exprlang import eval_expr, parse_expr
 
 
@@ -42,6 +42,21 @@ def test_closure_exhausted_notes_lower_bound(capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["exhausted"] is True
     assert "lower bound" in captured.err
+
+
+def test_closure_honours_the_arity_cap(capsys):
+    rc = cli.main(["--format", "json", "--arity-cap", "10", "closure", "--diameter", "6"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    res = closure_search(6, arity_cap=10)
+    assert doc == {
+        "max_diameter": 6,
+        "found_classes": res.found_count,
+        "discovered_classes": res.discovered_classes,
+        "compositions": res.compositions,
+        "exhausted": res.exhausted,
+    }
+    assert res.compositions < closure_search(6).compositions
 
 
 def test_search6_requires_long(capsys):
@@ -368,6 +383,9 @@ def test_families_order_mismatch_exits_1(capsys, monkeypatch):
         (["families", "--r", "1"], "r-range"),
         (["families", "--k", "6", "--j", "3", "--set", "1,2"], "asymmetric"),
         (["families", "--r", "7"], "cap is 26"),  # r=7 squares to 27 variables
+        (["--arity-cap", "10", "families", "--r", "3"], "cap is 10"),  # r=3 squares to 11 variables
+        (["--arity-cap", "10", "families", "--k", "6", "--j", "3", "--set", "1,6"], "cap is 10"),
+        (["--arity-cap", "5", "families", "--r", "3"], "above cap 5"),  # the rule itself has 6
     ],
 )
 def test_families_usage_errors(capsys, argv, message):

@@ -4,10 +4,8 @@ import pytest
 
 import liftforge as lf
 from liftforge.exprlang import (
-    Atom,
-    Compose,
     ExprSyntaxError,
-    atoms,
+    LiftExpr,
     eval_expr,
     parse_expr,
     print_expr,
@@ -16,17 +14,15 @@ from liftforge.exprlang import (
 
 def test_parse_two_atom_chain():
     e = parse_expr("(0★10)∘(0★110)")
-    assert isinstance(e, Compose)
-    assert isinstance(e.left, Atom) and isinstance(e.right, Atom)
-    assert e.left.landscape.symbols == "0★10"
-    assert e.right.landscape.symbols == "0★110"
+    assert isinstance(e, LiftExpr)
+    assert [l.symbols for l in e.atoms] == ["0★10", "0★110"]
 
 
 def test_parse_six_atom_chain():
     e = parse_expr("(0★011)∘(100★11)∘(10★11)∘(0★0011)∘(10★11)∘(0★011)")
-    assert len(atoms(e)) == 6
-    # left-associated: the left subtree carries all but the last atom
-    assert isinstance(e, Compose) and len(atoms(e.left)) == 5
+    assert len(e.atoms) == 6
+    # leftmost (applied last) first
+    assert e.atoms[0].symbols == "0★011" and e.atoms[-1].symbols == "0★011" and e.atoms[1].symbols == "100★11"
 
 
 def test_parse_errors_have_positions():
@@ -42,7 +38,7 @@ def test_parse_errors_have_positions():
 
 def test_ascii_forms_accepted():
     assert parse_expr("(0*10)o(0*110)") == parse_expr("(0★10)∘(0★110)")
-    assert parse_expr("0★10") == Atom(lf.parse_landscape("0★10"))
+    assert parse_expr("0★10") == LiftExpr((lf.parse_landscape("0★10"),))
 
 
 def test_nested_parentheses_flatten():
@@ -92,7 +88,7 @@ def test_eval_body_table_row():
 
 def test_round_trip_random_chains(catalog_entries):
     rng = random.Random(2024)
-    pool = [l for e in catalog_entries for l in atoms(e.expr)]
+    pool = [l for e in catalog_entries for l in e.expr.atoms]
     for _ in range(200):
         chain = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
         text = "∘".join(f"({l.symbols})" for l in chain)

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 import liftforge as lf
@@ -23,6 +24,7 @@ from liftforge.landscape import (
     parse_landscape,
     reverse_landscape,
 )
+from liftforge.corefn import array_to_table, bitmask, essential_vars
 from liftforge.lifting import compose_chain
 
 
@@ -71,6 +73,57 @@ def test_check_shift_product_examples():
 def test_check_shift_product_on_conserved_pool(conserved_pool_k6):
     for _, r in conserved_pool_k6:
         assert lf.check_shift_product(r) is not None
+
+
+def _reference_shift_product(r):
+    """check_shift_product with one span index array pair per shift t."""
+    k = r.k
+    arr = r.table_array()
+    idx_k = np.arange(1 << k, dtype=np.uint32)
+    for j in range(1, k + 1):
+        g = arr ^ ((idx_k >> np.uint32(j - 1)) & 1).astype(np.uint8)
+        g_t = array_to_table(g)
+        if g_t == 0:
+            return j
+        ess = essential_vars(g_t, k)
+        if (ess >> (j - 1)) & 1:
+            continue
+        ok = True
+        for d in range(k):
+            if not (ess >> d) & 1:
+                continue
+            t = (d + 1) - j
+            idx = np.arange(1 << (k + abs(t)), dtype=np.uint32)
+            lo = idx & np.uint32(bitmask(k))
+            hi = (idx >> np.uint32(abs(t))) & np.uint32(bitmask(k))
+            w1, w2 = (lo, hi) if t > 0 else (hi, lo)
+            if np.any(g[w1] & g[w2]):
+                ok = False
+                break
+        if ok:
+            return j
+    return None
+
+
+def test_check_shift_product_matches_reference(conserved_pool_k6):
+    rules = [r for _, r in conserved_pool_k6]
+    rules += [compile_landscape(l) for l in enumerate_conserved(7).landscapes]
+    rng = random.Random(14)
+    for _ in range(200):  # random rules, mostly refuted
+        k = rng.randint(2, 8)
+        rules.append(lf.rule_from_table(k, rng.randrange(1, (1 << (1 << k)) - 1)))
+    for _ in range(200):  # x_j plus a random term in the other variables
+        k = rng.randint(2, 8)
+        j = rng.randint(1, k)
+        h = rng.getrandbits(1 << (k - 1)) & rng.getrandbits(1 << (k - 1)) & rng.getrandbits(1 << (k - 1))
+        table = 0
+        for v in range(1 << k):
+            rest = (v & bitmask(j - 1)) | ((v >> j) << (j - 1))
+            table |= (((v >> (j - 1)) & 1) ^ ((h >> rest) & 1)) << v
+        rules.append(lf.rule_from_table(k, table))
+    verdicts = [lf.check_shift_product(r) for r in rules]
+    assert verdicts == [_reference_shift_product(r) for r in rules]
+    assert verdicts.count(None) > 100 and len(set(verdicts)) > 4
 
 
 def test_shift_product_success_implies_involution(conserved_pool_k6):

@@ -8,7 +8,7 @@ import pytest
 
 import liftforge as lf
 from liftforge import cli, lifting
-from liftforge.corefn import ArityCapError, InvalidRuleError, bitmask
+from liftforge.corefn import ArityCapError, InvalidRuleError, _normalize, _take, bitmask, table_to_array
 from liftforge.landscape import compile_landscape, parse_landscape
 from liftforge.lifting import (
     CapExceededError,
@@ -105,6 +105,77 @@ def test_normalization_preserves_induced_behavior():
 
 
 # ---------------------------------------------------------------------------
+# the induced map against the per-position loop it replaced
+
+
+def _reference_induced(table, k, n):
+    """F over all 2**n states, one gather and shift per window position."""
+    size = 1 << n
+    x = np.arange(size, dtype=np.uint32)
+    tab = table_to_array(table, k)
+    mk = np.uint32(bitmask(k))
+    out = np.zeros(size, dtype=np.uint32)
+    for i in range(n):
+        if i == 0:
+            w = x & mk
+        else:
+            w = ((x >> np.uint32(i)) | ((x & np.uint32(bitmask(i))) << np.uint32(n - i))) & mk
+        out |= _take(tab, w).astype(np.uint32) << np.uint32(i)
+    return out
+
+
+def _padded_tables(seed, k_max, n_max):
+    """Seeded (raw k, raw table, n): a random table read through a window
+    with dead variables at either end, so its rule has a nonzero shift."""
+    rng = random.Random(seed)
+    for k in range(1, k_max + 1):
+        for n in range(k, n_max + 1):
+            inner = rng.randint(1, k)
+            lead = rng.randint(0, k - inner)
+            base = rng.randrange(1, (1 << (1 << inner)) - 1)  # not constant
+            raw = sum(((base >> ((v >> lead) & bitmask(inner))) & 1) << v for v in range(1 << k))
+            yield k, raw, n
+
+
+def _assert_induced_matches_reference(cases):
+    for k, raw, n in cases:
+        r = lf.rule_from_table(k, raw)
+        assert np.array_equal(lf.induce(r, n).as_array(), _reference_induced(r.table, r.k, n)), (k, raw, n)
+        shifted = lf.induce(r, n, honor_shift=True).as_array()
+        assert np.array_equal(shifted, _reference_induced(raw, k, n)), (k, raw, n)
+
+
+def test_induce_matches_reference():
+    _assert_induced_matches_reference(_padded_tables(10, 12, 14))
+
+
+@pytest.mark.parametrize("take_bits", [0, 3])
+def test_induce_matches_reference_in_small_slices(monkeypatch, take_bits):
+    monkeypatch.setattr(lifting, "_TAKE_BITS", take_bits)
+    _assert_induced_matches_reference(_padded_tables(11, 6, 9 if take_bits == 0 else 12))
+
+
+def test_induce_matches_reference_near_the_cap():
+    rng = random.Random(12)
+    for k, n in [(6, 22), (20, 20)]:
+        t = rng.getrandbits(1 << k)
+        assert np.array_equal(_raw_induced_array(t, k, n), _reference_induced(t, k, n)), (k, n)
+
+
+def test_induce_builds_no_full_size_rotation():
+    # the state array, the window array and the output are all a 2**20 map
+    # needs; a rotation or gather of full size would add another 4 MiB
+    r = _rule("0★------10")
+    tracemalloc.start()
+    try:
+        lf.induce(r, 20).as_array()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+
+
+# ---------------------------------------------------------------------------
 # composition
 
 
@@ -186,6 +257,41 @@ def test_expand_conjugacy_coprime():
     for _ in range(200):
         x = rng.getrandbits(n)
         assert apply_perm(base[x]) == exp[apply_perm(x)]
+
+
+def _reference_expand(f, s):
+    """f_s by an index gather: bit j*s of every spread index is variable j."""
+    if s == 1:
+        return f
+    K = (f.k - 1) * s + 1
+    idx = np.arange(1 << K, dtype=np.uint64)
+    acc = np.zeros(idx.size, dtype=np.uint32)
+    for j in range(f.k):
+        acc |= ((idx >> np.uint64(j * s)) & np.uint64(1)).astype(np.uint32) << np.uint32(j)
+    return _normalize(K, int.from_bytes(np.packbits(f.table_array()[acc], bitorder="little").tobytes(), "little"), f.shift)
+
+
+def test_expand_matches_reference():
+    rng = random.Random(13)
+    for k in range(1, 9):
+        for s in range(1, 5):
+            if (k - 1) * s + 1 > 22:
+                continue
+            for _ in range(2):
+                f = lf.rule_from_table(k, rng.randrange(1, (1 << (1 << k)) - 1))
+                got, ref = lf.expand(f, s), _reference_expand(f, s)
+                assert (got.k, got.table, got.shift) == (ref.k, ref.table, ref.shift), (k, s, f.table)
+
+
+def test_expand_cap_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArityCapError):
+            lf.expand(PATT, 20)  # 61 variables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
