@@ -116,12 +116,10 @@ def cmd_search6(args) -> int:
     if not args.long:
         print("the exhaustive diameter-6 search requires --long", file=sys.stderr)
         return 2
-    pooled = search6.search_all(include_complemented=args.complemented, jobs=args.jobs)
+    pooled = search6.search_all(include_complemented=args.complemented)
     rows = []
     for s in (2, 3, 4, 5):
-        res = pooled.by_offset[s]
-        invs = res.involutions if hasattr(res, "involutions") else res
-        for inv in invs:
+        for inv in pooled.by_offset[s].involutions:
             rows.append(
                 {
                     "s": inv.s,
@@ -233,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="liftforge",
         description="local rules of reversible cellular automata: construct, decide, classify, evaluate",
     )
-    p.add_argument("--jobs", type=int, default=_jobs_default(), help="worker processes (env LIFTFORGE_JOBS)")
+    p.add_argument(
+        "--jobs", type=int, default=_jobs_default(), help="worker processes for landscapes (env LIFTFORGE_JOBS)"
+    )
     p.add_argument("--n-cap", type=int, default=24, dest="n_cap", help="circular-length cap for bijectivity scans")
     p.add_argument("--arity-cap", type=int, default=26, dest="arity_cap", help="table-width cap for compositions")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -363,7 +363,13 @@ class EquivClassId:
 
 
 def canonicalize(r: Rule) -> EquivClassId:
-    """Class id: the lexicographically smallest table in the 4-element orbit."""
+    """Class id: the lexicographically smallest table in the 4-element orbit.
+
+    The catalog and the searches count classes of functions with f(0) = 0:
+    a class is an orbit, under {id, reverse, complement, both}, of such
+    functions.  The output negation NOT o f is proper exactly when f is,
+    but has f(0) = 1 and is left out.  This function itself applies no such
+    filter."""
     best = None
     best_key = None
     for cand in orbit(r):

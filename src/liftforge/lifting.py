@@ -25,6 +25,7 @@ import numpy as np
 
 from .corefn import (
     ArityCapError,
+    MAX_DIAMETER,
     InvalidRuleError,
     LiftforgeError,
     Rule,
@@ -168,14 +169,18 @@ def compose_chain(rules, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
 
 
 def expand(f: Rule, s: int, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
-    """Spread the rule's window by stride s: f_s(x) = f(x_1, x_{s+1}, ...)."""
+    """Spread the rule's window by stride s: f_s(x) = f(x_1, x_{s+1}, ...).
+
+    f keeps both end variables, so f_s has tight diameter (k-1)s+1; past
+    MAX_DIAMETER no Rule holds it, whatever ``arity_cap`` allows."""
     if s < 1:
         raise InvalidRuleError("stride must be >= 1")
     if s == 1:
         return f
     K = (f.k - 1) * s + 1
-    if K > arity_cap:
-        raise ArityCapError(f"expansion needs {K} variables, cap is {arity_cap}")
+    cap = min(arity_cap, MAX_DIAMETER)
+    if K > cap:
+        raise ArityCapError(f"expansion needs {K} variables, cap is {cap}")
     # variable j of f is bit j*s of the spread window: every s-th axis of its table
     shape = [1] * K
     shape[::s] = [2] * f.k

@@ -9,20 +9,23 @@ even).  Each combined assignment pins the rule on the 44 windows that occur
 in such sequences; scanning the combinations and discarding value
 collisions leaves a few thousand partial tables.
 
-Most of these already contradict the involution identity
-f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1} on one of the 278 eleven-bit
-words z whose six windows are all pinned.  One array pass over the
-survivors' pinned tables evaluates the identity on those words and drops
-every survivor where f(v) is pinned to the wrong bit (4,296 -> 34 at s=2,
-4,564 -> 130 at s=3).  On the rest, the 20 free window values are completed
-by unit propagation over the exact 11-variable identity rather than a blind
-2^20 scan.
+The partial tables are then completed by unit propagation of the involution
+identity f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1} over the 2,048
+eleven-bit words z, batched over all of them at once.  A row is a partial
+table held as 64-bit words `defined` and `ones`, with `fresh` marking the
+windows set since its last round.  A round takes every word whose six
+windows are defined, one of them fresh, computes v = f(z_1..z_6) ..
+f(z_6..z_11) and forces f(v) = z_{2s-1}; a row dies when a forced value
+contradicts a defined one or two words force opposite values.  Rows with
+nothing fresh left are finished tables or split on their lowest unset
+window.  The first round sees the 278 words whose windows are all pinned
+and already refutes most rows (4,296 -> 34 at s=2, 4,564 -> 130 at s=3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -295,140 +298,88 @@ def enumerate_periodic_assignments(s: int, include_complemented: bool = False) -
 
 
 # ---------------------------------------------------------------------------
-# extension over the free windows: exact involution identity with propagation
+# extension over the free windows: batched unit propagation of the identity
+
+
+_ROW_BLOCK = 16  # rows per propagation call; bounds the (words, rows) temporaries
+_FULL = np.uint64((1 << WORDS) - 1)
 
 
 @lru_cache(maxsize=4)
-def _constraints(s: int):
-    """For each 11-bit word z: its six 6-bit windows and the target bit index."""
-    windows = [[(z >> j) & (WORDS - 1) for j in range(6)] for z in range(1 << 11)]
-    occ = [[] for _ in range(WORDS)]
-    for z, ws in enumerate(windows):
-        for w in ws:
-            occ[w].append(z)
-    tbit = 2 * s - 2
-    return windows, [tuple(o) for o in occ], tbit
+def _word_planes(s: int):
+    """The 2,048 eleven-bit words z, those with z_{2s-1} = 0 first: their
+    six window indices (one row per word), the 64-bit mask of those windows,
+    and the number of words with z_{2s-1} = 0."""
+    z = np.arange(1 << 11)
+    z = z[np.argsort((z >> (2 * s - 2)) & 1, kind="stable")]
+    windows = ((z[:, None] >> np.arange(6)) & (WORDS - 1)).astype(np.uint8)
+    masks = np.bitwise_or.reduce(np.uint64(1) << windows.astype(np.uint64), axis=1)
+    return windows, masks, len(z) // 2
 
 
-_FILTER_ROWS = 64  # survivors per array pass; bounds the (rows, words, 6) temporaries
+def _propagate(defined, ones, fresh, s: int):
+    """One round on a block of rows.  Every word whose windows are all
+    defined, one of them fresh, gives v = f(z_1..z_6)..f(z_6..z_11) and
+    forces f(v) = z_{2s-1}.  Returns the rows' new (defined, ones, fresh)
+    and two row masks: a forced value contradicts a defined one, and two
+    words force opposite values."""
+    windows, masks, zeros = _word_planes(s)
+    words = np.flatnonzero(
+        ((masks & ~np.bitwise_or.reduce(defined)) == 0) & ((masks & np.bitwise_or.reduce(fresh)) != 0)
+    )
+    m = masks[words, None]
+    cand = ((defined & m) == m) & ((fresh & m) != 0)  # (words, rows)
+    # bit x of every row's `ones`, one row per window x; then v bit by bit
+    bits = np.unpackbits(ones.view(np.uint8).reshape(-1, 8).T, axis=0, bitorder="little")
+    w = np.take(windows, words, axis=0)
+    v = np.take(bits, w[:, 0], axis=0)
+    for j in range(1, 6):
+        v |= np.take(bits, w[:, j], axis=0) << j
+    forced = np.where(cand, np.uint64(1) << v.astype(np.uint64), np.uint64(0))
+    split = np.searchsorted(words, zeros)
+    f0 = np.bitwise_or.reduce(forced[:split], axis=0)
+    f1 = np.bitwise_or.reduce(forced[split:], axis=0)
+    new = (f0 | f1) & ~defined
+    pinned = ((f1 & ~ones) | (f0 & ones)) & defined
+    return defined | new, ones | f1, new, pinned != 0, (f0 & f1) != 0
 
 
-def _bit_rows(masks: list[int]) -> np.ndarray:
-    """64-bit masks as a (len(masks), 64) uint8 array of their bits."""
-    buf = b"".join(m.to_bytes(8, "little") for m in masks)
-    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little").reshape(len(masks), WORDS)
+def _extend_all(def_masks, ones_masks, s: int) -> tuple[list[int], int]:
+    """The full 64-bit tables that extend one of the partial tables
+    (def_masks[i], ones_masks[i]), with ones only on defined windows, and
+    satisfy f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1}; and the number
+    of rows the first round finds no pinned-value conflict in.
 
-
-@lru_cache(maxsize=4)
-def _pinned_word_planes(s: int):
-    """The 11-bit words z whose six windows are all short-period words (the
-    windows every scan survivor pins): their window indices, one row per
-    word, and their target bits z_{2s-1}."""
-    z = np.arange(1 << 11, dtype=np.intp)
-    windows = (z[:, None] >> np.arange(6)) & (WORDS - 1)
-    pinned = _bit_rows([short_period_words()])[0]
-    keep = pinned[windows].all(axis=1)
-    return windows[keep], ((z[keep] >> (2 * s - 2)) & 1).astype(np.uint8)
-
-
-def _refuted_by_pinned_words(assignments, s: int) -> np.ndarray:
-    """Boolean mask of the assignments that contradict the involution
-    identity on a word whose six windows are all pinned.
-
-    For such a word z the pinned values give v = f(z_1..z_6)..f(z_6..z_11);
-    if f(v) is pinned too and differs from z_{2s-1}, no completion exists.
-    """
-    windows, target = _pinned_word_planes(s)
-    out = np.zeros(len(assignments), dtype=bool)
-    for lo in range(0, len(assignments), _FILTER_ROWS):
-        chunk = assignments[lo : lo + _FILTER_ROWS]
-        ones = _bit_rows([a.ones_mask for a in chunk])
-        defined = _bit_rows([a.def_mask for a in chunk])
-        z_defined = defined[:, windows].all(axis=2)
-        # packing the six window bits of each word gives v directly
-        v = np.packbits(ones[:, windows], axis=2, bitorder="little")[:, :, 0].astype(np.intp)
-        fv = np.take_along_axis(ones, v, axis=1)
-        v_defined = np.take_along_axis(defined, v, axis=1)
-        conflict = z_defined & (v_defined == 1) & (fv != target)
-        out[lo : lo + len(chunk)] = conflict.any(axis=1)
-    return out
-
-
-def _extend_assignment(def_mask: int, ones_mask: int, s: int) -> list[int]:
-    """All full 64-bit tables extending the pinned windows that satisfy the
-    involution identity f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1}."""
-    windows, occ, tbit = _constraints(s)
-    UNSET = 2
-    table = [UNSET] * WORDS
-    cnt = [6] * (1 << 11)
-    trail: list[int] = []
-    solutions: list[int] = []
-
-    def assign(w: int, val: int) -> bool:
-        stack = [(w, val)]
-        while stack:
-            w, val = stack.pop()
-            cur = table[w]
-            if cur != UNSET:
-                if cur != val:
-                    return False
-                continue
-            table[w] = val
-            trail.append(w)
-            failed = False
-            # the decrement loop must run to completion even on conflict so
-            # that undo(), which re-increments per occurrence, stays exact
-            for z in occ[w]:
-                cnt[z] -= 1
-                if not failed and cnt[z] == 0:
-                    ws = windows[z]
-                    v = (
-                        table[ws[0]]
-                        | (table[ws[1]] << 1)
-                        | (table[ws[2]] << 2)
-                        | (table[ws[3]] << 3)
-                        | (table[ws[4]] << 4)
-                        | (table[ws[5]] << 5)
-                    )
-                    t = (z >> tbit) & 1
-                    cur_v = table[v]
-                    if cur_v == UNSET:
-                        stack.append((v, t))
-                    elif cur_v != t:
-                        failed = True
-            if failed:
-                return False
-        return True
-
-    def undo(mark: int):
-        while len(trail) > mark:
-            w = trail.pop()
-            table[w] = UNSET
-            for z in occ[w]:
-                cnt[z] += 1
-
-    def dfs():
-        w = next((i for i in range(WORDS) if table[i] == UNSET), None)
-        if w is None:
-            solutions.append(sum(table[i] << i for i in range(WORDS)))
-            return
-        for val in (0, 1):
-            mark = len(trail)
-            if assign(w, val):
-                dfs()
-            undo(mark)
-
-    mark0 = len(trail)
-    ok = True
-    for w in range(WORDS):
-        if (def_mask >> w) & 1:
-            if not assign(w, (ones_mask >> w) & 1):
-                ok = False
-                break
-    if ok:
-        dfs()
-    undo(mark0)
-    return solutions
+    All rows take each round together, _ROW_BLOCK at a time; a row with
+    nothing fresh is finished or splits on its lowest unset window."""
+    defined = np.array(def_masks, dtype="<u8")
+    ones = np.array(ones_masks, dtype="<u8")
+    fresh = defined.copy()
+    tables: list[int] = []
+    searched = 0
+    # each pass defines at least one more window of every row it keeps
+    for rnd in range(WORDS + 1):
+        pinned = np.zeros(len(defined), dtype=bool)
+        clash = np.zeros(len(defined), dtype=bool)
+        for lo in range(0, len(defined), _ROW_BLOCK):
+            b = slice(lo, lo + _ROW_BLOCK)
+            defined[b], ones[b], fresh[b], pinned[b], clash[b] = _propagate(defined[b], ones[b], fresh[b], s)
+        if rnd == 0:
+            searched = len(defined) - int(np.count_nonzero(pinned))
+        live = ~(pinned | clash)
+        defined, ones, fresh = defined[live], ones[live], fresh[live]
+        busy = fresh != 0
+        full = ~busy & (defined == _FULL)
+        tables.extend(int(t) for t in ones[full])
+        split = ~busy & ~full
+        d, o = defined[split], ones[split]
+        low = ~d & (d + np.uint64(1))
+        defined = np.concatenate([defined[busy], d | low, d | low])
+        ones = np.concatenate([ones[busy], o, o | low])
+        fresh = np.concatenate([fresh[busy], low, low])
+        if not len(defined):
+            return tables, searched
+    raise LiftforgeError("internal: rows left after every window was defined")
 
 
 def involution_rule_check(rule: Rule, s: int) -> bool:
@@ -464,33 +415,20 @@ class SearchResult:
     completions: int  # involutive completions before the tight-diameter filter
     scanned: int  # class-map combinations scanned
     scan_survivors: int  # combinations left by the scan's collision test
-    searched: int  # scan survivors left by the pinned-word filter and extended
+    searched: int  # scan survivors with no pinned-value conflict in the first round
 
     @property
     def class_ids(self) -> frozenset:
         return frozenset(i.class_id for i in self.involutions)
 
 
-def complete_search(s: int, include_complemented: bool = False, jobs: int = 1) -> SearchResult:
-    """Extend every surviving assignment over the 20 free windows and keep
-    the tight diameter-6 rules; each result is re-verified independently.
-
-    Survivors refuted on a fully pinned word are dropped before the
-    extension, whose pinning stage would hit the same conflict."""
+def complete_search(s: int, include_complemented: bool = False) -> SearchResult:
+    """Extend every surviving assignment over its free windows and keep the
+    tight diameter-6 rules; each result is re-verified independently."""
     scan = enumerate_periodic_assignments(s, include_complemented)
-    refuted = _refuted_by_pinned_words(scan.survivors, s)
-    todo = [a for a, r in zip(scan.survivors, refuted.tolist()) if not r]
-    tables: list[int] = []
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload = [(a.def_mask, a.ones_mask, s) for a in todo]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sols in pool.map(_extend_worker, payload):
-                tables.extend(sols)
-    else:
-        for a in todo:
-            tables.extend(_extend_assignment(a.def_mask, a.ones_mask, s))
+    tables, searched = _extend_all(
+        [a.def_mask for a in scan.survivors], [a.ones_mask for a in scan.survivors], s
+    )
     assert len(set(tables)) == len(tables)
     out = []
     for t in sorted(tables):
@@ -503,11 +441,7 @@ def complete_search(s: int, include_complemented: bool = False, jobs: int = 1) -
         if rule.k != K6:
             continue  # involutive but of smaller diameter
         out.append(Involution6(rule, s, canonicalize(rule)))
-    return SearchResult(s, tuple(out), len(tables), scan.scanned, len(scan.survivors), len(todo))
-
-
-def _extend_worker(args) -> list[int]:
-    return _extend_assignment(*args)
+    return SearchResult(s, tuple(out), len(tables), scan.scanned, len(scan.survivors), searched)
 
 
 @dataclass(frozen=True)
@@ -527,16 +461,10 @@ class PooledSearch:
 
 def search_all(include_complemented: bool = False, jobs: int = 1) -> PooledSearch:
     """Run s=2 and s=3 directly; s=4 and s=5 are the reversals of s=3 and
-    s=2, and the pool is deduplicated at the function level."""
-    by = {}
-    functions = set()
-    classes = set()
-    for s in (2, 3):
-        res = complete_search(s, include_complemented, jobs)
-        by[s] = res
-        for inv in res.involutions:
-            functions.add(inv.rule.table)
-            classes.add(inv.class_id)
+    s=2 and carry their source offset's counters.  The pool is deduplicated
+    at the function level.  ``jobs`` has no effect: the search runs in one
+    process."""
+    by = {s: complete_search(s, include_complemented) for s in (2, 3)}
     for s_src, s_dst in ((3, 4), (2, 5)):
         revs = []
         for inv in by[s_src].involutions:
@@ -544,7 +472,6 @@ def search_all(include_complemented: bool = False, jobs: int = 1) -> PooledSearc
             if not involution_rule_check(rr, s_dst):
                 raise LiftforgeError("internal: reversal does not carry the involution")
             revs.append(Involution6(rr, s_dst, canonicalize(rr)))
-            functions.add(rr.table)
-            classes.add(revs[-1].class_id)
-        by[s_dst] = revs
-    return PooledSearch(by, frozenset(functions), frozenset(classes))
+        by[s_dst] = replace(by[s_src], s=s_dst, involutions=tuple(revs))
+    functions = frozenset(inv.rule.table for res in by.values() for inv in res.involutions)
+    return PooledSearch(by, functions, frozenset().union(*(res.class_ids for res in by.values())))

@@ -62,6 +62,17 @@ def test_catalog_classes_distinct(catalog_entries):
     assert len(ids) == 120
 
 
+def test_classes_count_functions_with_f0_zero(catalog_entries):
+    # a class is an orbit of functions with f(0) = 0; the output negation
+    # NOT o f (f(0) = 1) is in no catalog class
+    rules = [e.rule() for e in catalog_entries]
+    ids = {lf.canonicalize(r) for r in rules}
+    assert all(r.bit(0) == 0 for r in rules)
+    negations = {lf.canonicalize(lf.rule_from_table(r.k, r.table ^ ((1 << (1 << r.k)) - 1))) for r in rules}
+    assert len(ids) == len(negations) == 120
+    assert not ids & negations
+
+
 def test_structural_verification_clean(catalog_entries):
     rep = verify_catalog(catalog_entries)
     assert rep.ok, rep.summary()

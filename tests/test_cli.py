@@ -73,6 +73,14 @@ def test_search6_json_rows(capsys):
     assert {row["s"] for row in rows} == {2, 3, 4, 5}
 
 
+def test_search6_ignores_jobs(capsys):
+    rc = cli.main(["--jobs", "2", "--long", "--format", "json", "search6"])
+    assert rc == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 152
+    assert len({row["class"] for row in rows}) == 40
+
+
 def test_search6_text_summary(capsys):
     rc = cli.main(["--long", "search6"])
     assert rc == 0

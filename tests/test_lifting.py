@@ -294,6 +294,21 @@ def test_expand_cap_raises_before_allocating():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("text, s", [("0★-----10", 3), ("0★0010", 5)])
+def test_expand_past_max_diameter_raises_before_allocating(text, s):
+    # K = 25 and 26 are under the default arity cap but no Rule holds them
+    f = compile_landscape(parse_landscape(text))
+    assert (f.k - 1) * s + 1 in (25, 26)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArityCapError):
+            lf.expand(f, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # iterate order and the divisor implication
 
