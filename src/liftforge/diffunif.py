@@ -12,22 +12,39 @@ set bit of a, see each pair once.  A nonzero necklace representative is the
 least rotation of its necklace, hence odd, so the necklace scan counts over
 the even states only; the full scan groups the differences by their lowest
 set bit.  Rows go in blocks of at most ``_ROW_BLOCK`` counts: the keys
-(row << n) | d of one block feed one ``bincount``, and one flat ``argmax``
-finds the first row holding the block's maximum and the first b in it.
+(row << n) | d of one block are counted with one ``np.add.at`` into a
+buffer the thread keeps from scan to scan, so a block allocates nothing,
+and one flat ``argmax`` finds the first row holding the block's maximum
+and the first b in it.
 The witness is the smallest difference a whose row reaches the overall
 maximum, with the smallest b in that row.
+
+The necklace scan skips the rows that cannot beat the running maximum.
+Let S = 9, let k <= S be the rule's diameter and let g take an S-bit word
+z to the m = S - k + 1 outputs f(z_i..z_{i+k-1}) whose windows fit in it;
+H[w] is the largest count in row w of g's DDT (built once per rule, over
+the even words, with the same row kernel).  For n >= S, any m consecutive
+outputs of F read only the S bits of x under one cyclic window, and the
+same window of a is their input difference, so every count in row a is at
+most 2^(n-S) * H[w] for each of the n cyclic S-bit windows w of a; the
+bound takes the least.  Rows go in ascending a, in blocks of survivors,
+and a row whose bound is no more than the running maximum is skipped: it
+could not replace the witness, which takes only a strictly larger count.
+Below S, above diameter S, and in the full scan (the reference the tests
+compare against) every row is counted.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corefn import LiftforgeError, Rule, bitmask
+from .corefn import LiftforgeError, Rule, _windows, bitmask, table_to_array
 from .lifting import CapExceededError, induce
 
 DEFAULT_DU_CAP = 14
@@ -96,7 +113,8 @@ class DuReport:
         }
 
 
-_ROW_BLOCK = 1 << 15  # DDT counts per bincount: rows of a block times 2^n
+_ROW_BLOCK = 1 << 15  # rows of a block times the states they are counted over
+_S = 9  # input bits of the window map behind the row bound
 
 
 @lru_cache(maxsize=32)
@@ -117,28 +135,122 @@ def _difference_groups(n: int, restrict: bool) -> tuple[tuple[np.ndarray, np.nda
     return tuple(groups)
 
 
+_scratch = threading.local()  # .buf: an intp buffer kept from one scan to the next
+
+
+class _RowCounter:
+    """Half counts of the DDT rows of a map F (``width`` output bits) over
+    the states xs, one block of at most ``rows`` rows per call, for a scan
+    of ``total`` rows; a context manager.
+
+    A block's keys and counts live in one buffer that the thread keeps from
+    scan to scan, grown to the largest scan so far (a scan nested in another
+    gets its own): fresh temporaries cost a page fault per page whenever
+    the allocator has handed the last ones back to the system, and in a
+    fresh process that can cost more than the counting itself.
+    """
+
+    def __init__(self, F: np.ndarray, xs: np.ndarray, width: int, total: int):
+        self.rows = max(1, min(total, _ROW_BLOCK // (2 * len(xs))))
+        self.F, self.xs, self.width = F, xs, width
+
+    def __enter__(self) -> "_RowCounter":
+        n_keys = self.rows * len(self.xs)
+        size = 3 * n_keys + (self.rows << self.width)
+        buf = getattr(_scratch, "buf", None)
+        _scratch.buf = None  # taken: a nested scan allocates its own
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype=np.intp)
+        self.buf = buf
+        self.base, self.partners, self.keys = buf[: 3 * n_keys].reshape(3, self.rows, len(self.xs))
+        self.counts = buf[3 * n_keys : size]
+        np.bitwise_or(self.F[self.xs], np.arange(self.rows, dtype=np.intp)[:, None] << self.width, out=self.base)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _scratch.buf = self.buf
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """The counts of the rows a, at most ``rows`` of them, shape
+        (len(a), 2^width): a view of the buffer the next call overwrites."""
+        r = len(a)
+        partners = np.bitwise_xor(self.xs, a[:, None], out=self.partners[:r])
+        keys = np.take(self.F, partners, out=self.keys[:r], mode="clip")  # "raise" would copy
+        keys ^= self.base[:r]
+        counts = self.counts[: r << self.width]
+        counts.fill(0)
+        np.add.at(counts, keys.ravel(), 1)
+        return counts.reshape(r, -1)
+
+
+def _row_blocks(F: np.ndarray, width: int, groups) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(a, counts) for every block of the rows in ``groups``, in order."""
+    for xs, diffs in groups:
+        with _RowCounter(F, xs, width, len(diffs)) as count:
+            for i in range(0, len(diffs), count.rows):
+                a = diffs[i : i + count.rows]
+                yield a, count(a)
+
+
+@lru_cache(maxsize=128)
+def _window_row_max(k: int, table: int) -> np.ndarray:
+    """H, the largest half count of each DDT row of the window map g, which
+    takes an S-bit word z to the m = S - k + 1 outputs f(z_i..z_{i+k-1})
+    whose windows fit in it; H[0] is the whole half, 2^(S-1)."""
+    m = _S - k + 1
+    g = _windows(table_to_array(table, k), k, m).astype(np.intp)
+    H = np.full(1 << _S, 1 << (_S - 1), dtype=np.uint16)
+    for a, counts in _row_blocks(g, m, _difference_groups(_S, False)):
+        H[a] = counts.max(axis=1)
+    return H
+
+
+@lru_cache(maxsize=32)
+def _necklace_windows(n: int) -> np.ndarray:
+    """The n cyclic S-bit windows of each nonzero necklace representative,
+    shape (n, rows): entry [j, i] holds bits j..j+S-1 of the i-th one."""
+    a = np.array(necklace_representatives(n)[1:], dtype=np.intp)
+    j = np.arange(n, dtype=np.intp)[:, None]
+    return ((a >> j) | (a << (n - j))) & bitmask(_S)
+
+
+def _row_bounds(r: Rule, n: int) -> np.ndarray:
+    """An upper bound on the largest half count of each nonzero necklace
+    row of the map r induces at length n >= S: 2^(n-S) times H at the
+    row's tightest window."""
+    H = _window_row_max(r.k, r.table)
+    return H[_necklace_windows(n)].min(axis=0).astype(np.intp) << (n - _S)
+
+
 def ddt_max(
     r: Rule, n: int, n_cap: int = DEFAULT_DU_CAP, restrict_necklaces: bool = True
 ) -> tuple[int, tuple[int, int]]:
     """Maximum DDT entry over nonzero input differences, with a witness."""
     if not r.k <= n <= n_cap:
         raise CapExceededError(f"need k <= n <= {n_cap}, got n={n}")
-    # intp throughout: uint32 indices and bincount inputs are cast on every call
+    # intp throughout: np.take and np.add.at cast other index dtypes on every call
     F = induce(r, n).as_array().astype(np.intp)
-    rows = max(1, _ROW_BLOCK >> n)
-    offsets = np.arange(rows, dtype=np.intp)[:, None] << n
     best = (-1, 0, 0)  # (half count, -a, b)
-    for xs, diffs in _difference_groups(n, restrict_necklaces):
-        base = F[xs] | offsets
-        for i in range(0, len(diffs), rows):
-            a = diffs[i : i + rows]
-            keys = F[xs ^ a[:, None]]
-            keys ^= base[: len(a)]
-            counts = np.bincount(keys.ravel(), minlength=len(a) << n)
-            j = int(counts.argmax())
-            cand = (int(counts[j]), -int(a[j >> n]), j & bitmask(n))
-            if cand[:2] > best[:2]:
-                best = cand
+
+    def take(a: np.ndarray, counts: np.ndarray) -> None:
+        nonlocal best
+        j = int(counts.argmax())
+        cand = (int(counts.flat[j]), -int(a[j >> n]), j & bitmask(n))
+        if cand[:2] > best[:2]:
+            best = cand
+
+    if restrict_necklaces and r.k <= _S <= n:
+        ((xs, diffs),) = _difference_groups(n, True)  # the representatives are odd
+        bound = _row_bounds(r, n)
+        with _RowCounter(F, xs, n, len(diffs)) as count:
+            i = 0
+            while (live := i + np.flatnonzero(bound[i:] > best[0])[: count.rows]).size:
+                a = diffs[live]
+                take(a, count(a))
+                i = int(live[-1]) + 1
+    else:
+        for a, counts in _row_blocks(F, n, _difference_groups(n, restrict_necklaces)):
+            take(a, counts)
     half, neg_a, b = best
     return 2 * half, (-neg_a, b)
 
@@ -147,11 +259,18 @@ def scale(n: int, raw: int) -> Fraction:
     return Fraction(raw) * Fraction(1 << 9, 1 << n) if n > 9 else Fraction(raw * (1 << (9 - n)))
 
 
+def _check_du_cap(n_to: int, n_cap: int) -> None:
+    """Refuse a length range that runs past the cap before any DDT is built."""
+    if n_to > n_cap:
+        raise CapExceededError(f"need n <= {n_cap}, got n={n_to}")
+
+
 def du_profile(r: Rule, n_from: int, n_to: int, n_cap: int = DEFAULT_DU_CAP) -> DuReport:
     """DU entries for n_from..n_to, starting at the rule's diameter."""
     lo = max(n_from, r.k)
     if lo > n_to:
         raise LengthRangeError(f"no length in {n_from}..{n_to} at or above the diameter {r.k}")
+    _check_du_cap(n_to, n_cap)
     entries = []
     for n in range(lo, n_to + 1):
         raw, wit = ddt_max(r, n, n_cap)
@@ -203,6 +322,7 @@ def du_scaled_table(rows: Sequence, n_from: int, n_to: int, n_cap: int = DEFAULT
     from . import exprlang
     from .corefn import degree as rule_degree
 
+    _check_du_cap(n_to, n_cap)
     table_rows = []
     for item in rows:
         if isinstance(item, tuple):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import liftforge as lf
-from liftforge import cli, landscape
+from liftforge import cli, diffunif, landscape
 from liftforge.catalog import ClosureResult, closure_search
 from liftforge.exprlang import eval_expr, parse_expr
 
@@ -214,6 +214,17 @@ def test_du_bad_ranges_are_usage_errors(capsys, spec, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_du_past_the_cap_fails_before_any_ddt(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ddt_max reached past the DU cap")
+
+    monkeypatch.setattr(diffunif, "ddt_max", unreachable)
+    assert cli.main(["du", DU_EXPR, "--n", "6..15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "n <= 14" in captured.err
 
 
 def test_catalog_list(capsys):

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +131,20 @@ def test_equivalent_rules_same_du(conserved_pool_k6):
                 assert ddt_max(m, n)[0] == base
 
 
+def _unreachable_ddt_max(*args, **kwargs):
+    raise AssertionError("ddt_max reached past the DU cap")
+
+
+def test_du_cap_fails_before_any_ddt(monkeypatch):
+    monkeypatch.setattr(diffunif, "ddt_max", _unreachable_ddt_max)
+    with pytest.raises(CapExceededError, match="n <= 14"):
+        du_profile(PATT, 6, 15)
+    with pytest.raises(CapExceededError, match="n <= 12"):
+        du_profile(PATT, 6, 13, n_cap=12)
+    with pytest.raises(CapExceededError, match="n <= 14"):
+        du_scaled_table([parse_expr("(0★110)∘(0★10)")], 6, 15)
+
+
 def test_du_profile_rejects_an_empty_range():
     with pytest.raises(LengthRangeError):
         du_profile(PATT, 9, 6)
@@ -196,12 +212,152 @@ def test_ddt_kernel_matches_reference_on_catalog_to_n12(catalog_entries):
     _assert_matches_reference([(e.rule(), n) for e in catalog_entries for n in range(10, 13)])
 
 
+def test_ddt_kernel_matches_reference_at_the_window_edges():
+    # k = 1 and k = 9 = S are the widest and narrowest window maps; k = 10
+    # is above S, where every necklace row is counted
+    rng = random.Random(909)
+    cases = [(_random_rule(rng, k), n) for k in (1, 9) for n in (9, 10, 11)]
+    cases += [(_random_rule(rng, 10), n) for n in (10, 11)]
+    _assert_matches_reference(cases)
+
+
 # 1: one row per block; 3 << 7: three rows at n=7 (19 nonzero necklaces,
-# so the last block is ragged), one at n >= 8; 1 << 20: every row in one block
+# so the last block is ragged), one at n >= 8; 1 << 20: every row in one
+# block.  n = 9 and 10 run the pruned scan, whose window table H is built
+# in blocks of _ROW_BLOCK >> 9 rows.
 @pytest.mark.parametrize("block", [1, 3 << 7, 1 << 20])
 def test_ddt_kernel_block_sizes(monkeypatch, catalog_entries, block):
     monkeypatch.setattr(diffunif, "_ROW_BLOCK", block)
+    monkeypatch.setattr(diffunif, "_window_row_max", diffunif._window_row_max.__wrapped__)
     rng = random.Random(block)
     cases = [(_random_rule(rng, k), n) for k in (2, 4, 6) for n in (6, 7, 9)]
-    cases += [(catalog_entries[i].rule(), n) for i in (0, 57, 119) for n in (6, 7, 8)]
+    cases += [(catalog_entries[i].rule(), n) for i in (0, 57, 119) for n in (6, 7, 8, 10)]
     _assert_matches_reference(cases)
+
+
+@pytest.mark.long
+def test_pruned_kernel_matches_full_scan_past_n12(catalog_entries):
+    # the bound scales by 2^(n-9); n = 14 is DEFAULT_DU_CAP
+    for i in (0, 57, 119):
+        r = catalog_entries[i].rule()
+        for n in (13, 14):
+            got = ddt_max(r, n)
+            assert got[0] == ddt_max(r, n, restrict_necklaces=False)[0], (i, n)
+            assert got == _reference_ddt_max(r, n), (i, n)
+
+
+def test_negated_output_keeps_ddt_max(catalog_entries):
+    # F xor 1^n has the same DDT as F, so NOT o f (f(0) = 1, outside the
+    # catalog's classes) has the same DU row and witnesses
+    rng = random.Random(1411)
+    for e in rng.sample(catalog_entries, 6):
+        r = e.rule()
+        neg = lf.rule_from_table(r.k, r.table ^ ((1 << (1 << r.k)) - 1))
+        assert neg.k == r.k and neg.table != r.table
+        for n in range(6, 13):
+            assert ddt_max(neg, n) == ddt_max(r, n), (e.index, n)
+
+
+# ---------------------------------------------------------------------------
+# the row bound of the pruned necklace scan
+
+
+def _row_maxima(r, n):
+    """The largest count of each nonzero necklace row, one full bincount
+    per row."""
+    F = lf.induce(r, n).as_array().astype(np.intp)
+    x = np.arange(1 << n, dtype=np.intp)
+    return np.array([np.bincount(F[x ^ a] ^ F).max() for a in necklace_representatives(n)[1:]])
+
+
+def _reference_row_bounds(r, n, S=9):
+    """2^(n-S) times the least, over the n cyclic S-bit windows w of a, of
+    the largest count in row w of the DDT of g, where g(z) packs
+    f(z_i..z_{i+k-1}) for i = 0..S-k; from the rule's bits, one row at a
+    time, in full counts."""
+    k = r.k
+    z = np.arange(1 << S)
+    g = sum(np.array([r.bit((int(v) >> i) & ((1 << k) - 1)) for v in z]) << i for i in range(S - k + 1))
+    H = [1 << S] + [int(np.bincount(g[z ^ w] ^ g).max()) for w in range(1, 1 << S)]
+    out = []
+    for a in necklace_representatives(n)[1:]:
+        windows = [((a >> j) | (a << (n - j))) & ((1 << S) - 1) for j in range(n)]
+        out.append(min(H[w] for w in windows) << (n - S))
+    return np.array(out)
+
+
+def _bound_cases(catalog_entries):
+    rng = random.Random(9)
+    cases = [(_random_rule(rng, k), rng.choice(range(9, 13))) for k in range(1, 10) for _ in range(2)]
+    picked = rng.sample(catalog_entries, 12)
+    return cases + [(e.rule(), 9 + i % 4) for i, e in enumerate(picked)]
+
+
+def test_row_bound_covers_every_necklace_row(catalog_entries):
+    for r, n in _bound_cases(catalog_entries):
+        bound = 2 * diffunif._row_bounds(r, n)  # half counts to counts
+        assert (bound >= _row_maxima(r, n)).all(), (r.text(), n)
+
+
+def test_row_bound_matches_window_reference(catalog_entries):
+    for r, n in _bound_cases(catalog_entries)[::4]:
+        assert (2 * diffunif._row_bounds(r, n) == _reference_row_bounds(r, n)).all(), (r.text(), n)
+
+
+def test_row_bound_is_exact_for_the_identity():
+    ident = lf.rule_from_table(1, [0, 1])
+    for n in (9, 12):
+        assert (2 * diffunif._row_bounds(ident, n) == 1 << n).all()
+
+
+def test_row_bound_prunes_catalog_rows_at_n12(monkeypatch, catalog_entries):
+    counted = []
+    row_counts = diffunif._RowCounter.__call__
+
+    def counting(self, a):
+        if self.width == 12:
+            counted.append(len(a))
+        return row_counts(self, a)
+
+    monkeypatch.setattr(diffunif._RowCounter, "__call__", counting)
+    ruled_out = 0
+    for e in catalog_entries:
+        r = e.rule()
+        raw, _ = ddt_max(r, 12)
+        assert raw == e.stated_du[-1]
+        ruled_out += int((2 * diffunif._row_bounds(r, 12) < raw).sum())
+    rows = len(catalog_entries) * (len(necklace_representatives(12)) - 1)
+    assert ruled_out > 0
+    # 12,772 of 42,120 rows are counted; an unpruned scan counts them all
+    assert sum(counted) < 0.35 * rows
+
+
+# ---------------------------------------------------------------------------
+# the per-thread scratch buffer of the row kernel
+
+
+def test_nested_row_counters_keep_their_own_buffers():
+    F = lf.induce(PATT, 9).as_array().astype(np.intp)
+    xs = np.arange(0, 1 << 9, 2, dtype=np.intp)
+    rows = np.array([1, 3], dtype=np.intp)
+    with diffunif._RowCounter(F, xs, 9, 2) as outer:
+        first = outer(rows).copy()
+        with diffunif._RowCounter(F, xs, 9, 2) as inner:
+            assert inner.buf is not outer.buf
+            inner(np.array([5, 7], dtype=np.intp))
+        assert (outer(rows) == first).all()
+
+
+def test_ddt_max_from_threads(catalog_entries):
+    # more threads than cores; numpy drops the interpreter lock in the
+    # kernel, so a buffer shared between threads would mix their counts
+    cases = [(catalog_entries[i].rule(), n) for i in (3, 40, 77, 110) for n in (9, 10, 11, 12)]
+    expect = [ddt_max(r, n) for r, n in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda c: ddt_max(*c), cases * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expect * 3
