@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -218,7 +217,7 @@ def default_generators() -> list[Rule]:
 
 
 _CLASS_BLOCK = 64  # known classes extended together
-_GATHER_CHUNK = 1 << 17  # table entries per gathered chunk of composites
+_GATHER_CHUNK = 1 << 18  # bytes per chunk of composites, gathered or packed
 
 # bit v of a 64-bit word is table entry v; mask i keeps the v whose bit i is 0
 _WORD_SHIFTS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint64)
@@ -235,48 +234,144 @@ _WORD_MASKS = np.array(
 )
 
 
-@lru_cache(maxsize=16)
-def _word_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """For variables 6..k-1 in turn, the word pairs (u, u + 2**(i - 6))
-    with bit i - 6 of u clear: the words that differ only in variable i."""
-    u = np.arange(1 << (k - 6))
-    lo = np.concatenate([u[(u >> b) & 1 == 0] for b in range(k - 6)])
-    return lo, lo + np.repeat(1 << np.arange(k - 6), 1 << (k - 7))
-
-
-def _trimmed_windows(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest essential variable i0 and tight diameter of each raw
-    k-variable table row (uint8 bits); the diameter is 0 for a constant row.
-
-    Each row is packed into uint64 words, table entry v at bit v % 64 of
-    word v // 64.  Variables i < 6 are read inside the words (entry v
-    against entry v + 2**i, over the v whose bit i is 0) in one broadcast,
-    variables i >= 6 by comparing the word pairs that differ in i.
-    """
+def _packed(rows: np.ndarray, k: int) -> np.ndarray:
+    """Raw k-variable table rows (uint8 bits) as uint64 words, table entry v
+    at bit v % 64 of word v // 64; a row of fewer than 64 entries is tiled
+    to 64, so that variables k..5 are dummies."""
     if k < 6:
-        rows = np.tile(rows, (1, 1 << (6 - k)))  # variables k..5 become dummies
-    words = np.packbits(rows, axis=1, bitorder="little").view("<u8")
-    low = min(k, 6)
-    w = words[:, :, None]
-    dep = np.bitwise_or.reduce(((w >> _WORD_SHIFTS[:low]) ^ w) & _WORD_MASKS[:low], axis=1) != 0
-    if k > 6:
-        lo, hi = _word_pairs(k)
-        high = (words[:, lo] != words[:, hi]).reshape(len(words), k - 6, -1).any(axis=2)
-        dep = np.concatenate((dep, high), axis=1)
-    i0 = dep.argmax(axis=1)
-    width = k - dep[:, ::-1].argmax(axis=1) - i0
-    width[~dep.any(axis=1)] = 0
-    return i0, width
+        rows = np.tile(rows, (1, 1 << (6 - k)))
+    return np.packbits(rows, axis=1, bitorder="little").view("<u8")
 
 
-def _cut(rows: np.ndarray, keep: np.ndarray, i0: np.ndarray, width: np.ndarray, d: int) -> np.ndarray:
-    """Rows ``keep`` of the raw k-variable tables ``rows`` cut to their tight
-    windows: entry j of a cut table is entry j << i0 of its row.  The cut
-    tables are stored 2**d wide, each repeated past its own width."""
+def _depends(words: np.ndarray, i: int) -> np.ndarray:
+    """Whether each row of words (see ``_packed``) depends on variable i: for
+    i < 6 inside the words (entry v against entry v + 2**i, over the v whose
+    bit i is 0), for i >= 6 by comparing the two halves of each run of
+    2**(i - 5) words, which differ only in i."""
+    if i < 6:
+        return (((words >> _WORD_SHIFTS[i]) ^ words) & _WORD_MASKS[i]).any(axis=1)
+    halves = words.reshape(len(words), -1, 2, 1 << (i - 6))
+    return (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))
+
+
+def _first_dependence(words: np.ndarray, order) -> np.ndarray:
+    """The first variable in ``order`` each row of words depends on, or -1:
+    one pass per variable over the rows still open."""
+    first = np.full(len(words), -1)
+    rows = np.arange(len(words))
+    for i in order:
+        dep = _depends(words, i)
+        first[rows[dep]] = i
+        if dep.all():
+            break
+        rows, words = rows[~dep], words[~dep]
+    return first
+
+
+def _trimmed_windows(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest essential variable i0 and tight diameter of each raw
+    k-variable table, given as rows of words (see ``_packed``); the
+    diameter is 0 for a constant table.  Like ``corefn._end_vars``, the
+    scans go up from the lowest and down from the highest variable and stop
+    at the first one each row depends on."""
+    i0 = _first_dependence(words, range(k))
+    width = np.zeros(len(words), dtype=np.intp)
+    live = np.flatnonzero(i0 >= 0)
+    width[live] = _first_dependence(words[live], range(k - 1, -1, -1)) + 1 - i0[live]
+    return np.maximum(i0, 0), width
+
+
+def _cut(words: np.ndarray, keep: np.ndarray, i0: np.ndarray, width: np.ndarray, d: int) -> np.ndarray:
+    """Rows ``keep`` of the raw tables ``words`` (see ``_packed``) cut to
+    their tight windows: entry j of a cut table is entry j << i0 of its
+    row.  The cut tables are uint8 bits, stored 2**d wide, each repeated
+    past its own width."""
+    rows = np.unpackbits(words[keep].view(np.uint8), axis=1, bitorder="little")
     # holds j < 2**d and every index j << i0 < 2**k
     dtype = np.uint16 if max(rows.shape[1], 1 << d) <= 1 << 16 else np.uint32
     j = np.arange(1 << d, dtype=dtype) & ((1 << width[keep]) - 1).astype(dtype)[:, None]
-    return rows[keep[:, None], j << i0[keep, None].astype(dtype)]
+    return np.take_along_axis(rows, j << i0[keep, None].astype(dtype), axis=1)
+
+
+def _cube_forms(tables: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each row of ``tables`` (n, 2**k) as an XOR of cubes, for ``_compose_cubes``.
+
+    A row's form is its fixed-polarity Reed-Muller form with the fewest
+    terms: with polarity p, f(y) = h(y ^ p) for the ANF h of f(z ^ p), so
+    every monomial of h is a cube of literals y_j (p_j = 0) or not y_j
+    (p_j = 1).  One Moebius transform over the last axis of the (n, 2**k,
+    2**k) array f[y ^ p] gives all polarities at once; past
+    ``_GATHER_CHUNK`` entries it goes in blocks of polarities.
+
+    Entry c of the result gives the c-th cube of every row, smallest first,
+    as an (n, L) array of plane indices: j for y_j, k + j for not y_j, and
+    the padding 2k (the zero plane; a row with fewer cubes) and 2k + 1
+    (the one plane; after a cube's own literals).
+    """
+    n, size = tables.shape
+    zero, one = 2 * k, 2 * k + 1
+    p = np.arange(size)
+    step = max(1, _GATHER_CHUNK // (n << k))  # polarities per block
+    terms = np.concatenate(
+        [_mobius(tables[:, p[q : q + step, None] ^ p], k).sum(axis=2) for q in range(0, size, step)], axis=1
+    )
+    best = terms.argmin(axis=1)
+    anf = _mobius(tables[np.arange(n)[:, None], p ^ best[:, None]], k)
+    forms = [
+        sorted(([j + k * (pol >> j & 1) for j in range(k) if s >> j & 1] for s in np.flatnonzero(f).tolist()), key=len)
+        for f, pol in zip(anf, best.tolist())
+    ]
+    out = []
+    for c in range(max(1, max(map(len, forms)))):
+        slot = [form[c] if c < len(form) else [zero] for form in forms]
+        width = max(1, max(map(len, slot)))
+        out.append(np.array([cube + [one] * (width - len(cube)) for cube in slot], dtype=np.intp))
+    return out
+
+
+# byte b with every bit doubled, as a little-endian uint16
+_SPREAD = np.packbits(
+    np.repeat(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"), 2, axis=1),
+    axis=1,
+    bitorder="little",
+).view("<u2")[:, 0]
+
+
+def _shift_planes(tables: np.ndarray, kx: int, kg: int) -> np.ndarray:
+    """The literal planes of the tables x (r, 2**kx) over K = kx + kg - 1
+    variables, for ``_compose_cubes``: (2 kg + 2, r, W) uint64 words, W =
+    max(2**K, 64) / 64.  Plane j < kg holds x[(v >> j) & (2**kx - 1)] at bit v
+    (see ``_packed``), plane kg + j its complement, then the zero and the
+    one plane.  Plane j has period 2**(kx + j) in v: x packed to bytes with
+    every bit repeated 2**j times, one doubling (``_SPREAD``) per plane,
+    then tiled."""
+    r = len(tables)
+    n_bytes = max(1 << (kx + kg - 1), 64) >> 3
+    period = np.packbits(np.tile(tables, (1, max(1, 8 >> kx))), axis=1, bitorder="little")
+    planes = np.empty((2 * kg + 2, r, n_bytes >> 3), dtype=np.uint64)
+    for j in range(kg):
+        if j:
+            period = _SPREAD[period].view(np.uint8)
+        # below 8 entries x was tiled, so cut to the plane: still a multiple of the period
+        width = min(period.shape[1], n_bytes)
+        planes[j].view(np.uint8).reshape(r, -1, width)[:] = period[:, None, :width]
+    np.invert(planes[:kg], out=planes[kg : 2 * kg])
+    planes[2 * kg] = 0
+    planes[2 * kg + 1] = ~np.uint64(0)
+    return planes
+
+
+def _compose_cubes(cubes: list[np.ndarray], planes: np.ndarray) -> np.ndarray:
+    """g o x for every cube form g of ``_cube_forms`` and every x of
+    ``_shift_planes``, as (n, r, W) words (see ``_packed``): the XOR over
+    the cubes of the AND of their literal planes."""
+    out = None
+    for lits in cubes:
+        cube = np.take(planes, lits[:, 0], axis=0)
+        for col in lits.T[1:]:
+            cube &= np.take(planes, col, axis=0)
+        out = cube if out is None else np.bitwise_xor(out, cube, out=out)
+    return out
 
 
 def _gather(tables: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -307,8 +402,8 @@ def _canon_keys(tables: np.ndarray, k: int) -> np.ndarray:
     top bit, so that byte order is lexicographic order."""
     rev = np.take(tables, _rev_index(k), axis=1)
     packed = [np.packbits(a, axis=1) for a in (tables, rev, tables[:, ::-1] ^ 1, rev[:, ::-1] ^ 1)]
-    pad = ((0, 0), (0, -packed[0].shape[1] % 8))
-    words = [np.pad(a, pad).view(">u8") for a in packed]
+    pad = -packed[0].shape[1] % 8
+    words = [(np.pad(a, ((0, 0), (0, pad))) if pad else a).view(">u8") for a in packed]
     best, best_words = packed[0], words[0]
     for a, w in zip(packed[1:], words[1:]):
         less = np.zeros(len(a), dtype=bool)
@@ -353,21 +448,33 @@ def closure_search(
     The work goes in blocks of up to ``_CLASS_BLOCK`` known classes.  The
     composites of a block depend only on the block and the generators, so
     they are all computed first and then added in sequence order, which
-    gives the classes the order a one-at-a-time search gives them.  Each
-    composite is a gather ``np.take(left, windows)`` over the right
-    operand's window array (``corefn._windows``), many at once (``_gather``):
+    gives the classes the order a one-at-a-time search gives them.  The two
+    directions compose differently, many pairs at once:
 
-    * x o g: the stacked representatives of the block classes of one
-      diameter against the stacked windows of every generator orbit member
-      of one diameter, which are kept for the whole run;
-    * g o x: the stacked representatives of the generators of one diameter
-      against the windows of the block's orbit members, built in one call.
+    * g o x: g(y) is an XOR of cubes of literals y_j or not y_j, and
+      (g o x)(v) is g at y_j = x(v >> j), so g o x is the same XOR of cubes
+      over the packed shift planes of x (bitslicing, as in Biham's DES,
+      FSE 1997).  Each generator representative of one diameter is written
+      once in its fixed-polarity Reed-Muller form with the fewest terms
+      (``_cube_forms``): a conserved landscape is x_s xor one cube, so 2
+      terms for every default generator, and any table is accepted.  Each
+      chunk of the block's orbit members is packed once into its planes
+      (``_shift_planes``), and g o x is then a few word ANDs per pair
+      (``_compose_cubes``).
+    * x o g: an arbitrary outer x has no short cube form, so it stays a
+      gather ``np.take(x, windows)`` (``_gather``) of the stacked block
+      representatives of one diameter over the window arrays
+      (``corefn._windows``) of every generator orbit member of one
+      diameter, which are kept for the whole run; the composites are then
+      packed to words (``_packed``).
 
-    Gathers go in chunks of at most ``_GATHER_CHUNK`` table entries.  A
-    chunk's tight diameters are read from its packed words, and only the
-    composites of diameter 2..max_diameter are canonicalized.  Memory stays
-    bounded by the chunk, one block's candidates and the generator windows;
-    the classes themselves keep only their representatives.
+    Both directions go in chunks of at most ``_GATHER_CHUNK`` bytes and meet
+    in one trim on words: a chunk's tight diameters are read from its
+    packed words (``_trimmed_windows``), and only the composites of
+    diameter 2..max_diameter are unpacked, cut (``_cut``) and
+    canonicalized.  Memory stays bounded by the chunk, one block's
+    candidates and the generator windows; the classes themselves keep only
+    their representatives.
     """
     if max_diameter < 6:
         raise LiftforgeError("intermediate diameter cap must be >= 6")
@@ -396,7 +503,7 @@ def closure_search(
             add(g.k, _canon_keys(g.table_array()[None], g.k)[0])
     n_gen = len(ks)
     gen_ks = np.array(ks, dtype=np.int64)
-    gen_tables = {}  # diameter -> (generator ids, stacked representatives)
+    gen_forms = {}  # diameter -> (generator ids, cube forms of their representatives)
     gen_members = {}  # diameter -> (stacked orbit members, generator id, member index)
     orbit_size = np.zeros(n_gen, dtype=np.int64)
     for kg in sorted(set(ks)):
@@ -404,7 +511,7 @@ def closure_search(
         stack = np.stack([reps[g] for g in ids])
         members, owner, m = _orbit_arrays(stack, kg)
         orbit_size[ids] = np.bincount(owner, minlength=len(ids))
-        gen_tables[kg] = (ids, stack)
+        gen_forms[kg] = (ids, _cube_forms(stack, kg))
         gen_members[kg] = (members, ids[owner], m)
     before = np.concatenate(([0], np.cumsum(orbit_size)))  # orbit members of the generators < g
     gen_windows: dict[tuple[int, int], np.ndarray] = {}  # (diameter, left diameter)
@@ -431,41 +538,46 @@ def closure_search(
         candidates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (index, diameter, table)
 
         def collect(composites: np.ndarray, k: int, index: np.ndarray, valid: np.ndarray) -> None:
-            rows = composites.reshape(-1, 1 << k)
-            i0, width = _trimmed_windows(rows, k)
+            words = composites.reshape(index.size, -1)
+            i0, width = _trimmed_windows(words, k)
             keep = np.flatnonzero(valid.ravel() & (index.ravel() < budget) & (width >= 2) & (width <= max_diameter))
             if keep.size:
-                candidates.append((index.ravel()[keep], width[keep], _cut(rows, keep, i0, width, max_diameter)))
+                candidates.append((index.ravel()[keep], width[keep], _cut(words, keep, i0, width, max_diameter)))
 
         for kx, sel, stack, members, member_class, m in groups:
-            for kg, (ids, gstack) in gen_tables.items():
+            for kg, (ids, cubes) in gen_forms.items():
                 k = kx + kg - 1
                 if k > arity_cap:
                     continue
-                # g o x: generator representatives over the block's orbit windows
-                wr = max(1, min(len(members), _GATHER_CHUNK >> k))
-                tr = max(1, _GATHER_CHUNK // (wr << k))
+                # g o x: generator cube forms over the block's orbit planes;
+                # the planes and the composites each fill at most a chunk's bytes
+                bits = _GATHER_CHUNK << 3
+                wr = max(1, min(len(members), bits // ((2 * kg + 2) << k)))
+                tr = max(1, bits // (wr << k))
                 for w0 in range(0, len(members), wr):
-                    windows = _windows(members[w0 : w0 + wr], kx, kg)
+                    planes = _shift_planes(members[w0 : w0 + wr], kx, kg)
                     cls = member_class[w0 : w0 + wr]
                     for t0 in range(0, len(ids), tr):
                         g = ids[t0 : t0 + tr, None]
                         index = start[cls] + g * n_orbit[cls] + before[g] + m[w0 : w0 + wr]
-                        collect(_gather(gstack[t0 : t0 + tr], windows), k, index, g < n_pairs[cls])
+                        words = _compose_cubes([c[t0 : t0 + tr] for c in cubes], planes)
+                        collect(words, k, index, g < n_pairs[cls])
                 # x o g: block representatives over the generator orbit windows
                 gmembers, gid, gm = gen_members[kg]
                 windows = gen_windows.get((kg, kx))
                 if windows is None:
                     windows = gen_windows[kg, kx] = _windows(gmembers, kg, kx)
-                wr = max(1, min(len(gmembers), _GATHER_CHUNK >> k))
-                tr = max(1, _GATHER_CHUNK // (wr << k))
+                # many tables over few window rows: np.take copies the rows to intp
+                tr = max(1, min(len(sel), _GATHER_CHUNK >> k))
+                wr = max(1, _GATHER_CHUNK // (tr << k))
                 for w0 in range(0, len(gmembers), wr):
                     g = gid[w0 : w0 + wr]
                     for t0 in range(0, len(sel), tr):
                         cls = sel[t0 : t0 + tr, None]
                         index = start[cls] + g * n_orbit[cls] + before[g] + n_orbit[cls] + gm[w0 : w0 + wr]
                         valid = (g < n_pairs[cls]) & (g != block[cls])
-                        collect(_gather(stack[t0 : t0 + tr], windows[w0 : w0 + wr]), k, index, valid)
+                        rows = _gather(stack[t0 : t0 + tr], windows[w0 : w0 + wr]).reshape(-1, 1 << k)
+                        collect(_packed(rows, k), k, index, valid)
 
         total = int(per_class.sum())
         if compositions + total > budget:

@@ -244,7 +244,9 @@ def ddt_max(
         bound = _row_bounds(r, n)
         with _RowCounter(F, xs, n, len(diffs)) as count:
             i = 0
-            while (live := i + np.flatnonzero(bound[i:] > best[0])[: count.rows]).size:
+            # the first block is one row: it sets the maximum that prunes the
+            # rest, and a = 1 is the witness for most rules
+            while (live := i + np.flatnonzero(bound[i:] > best[0])[: 1 if best[0] < 0 else count.rows]).size:
                 a = diffs[live]
                 take(a, count(a))
                 i = int(live[-1]) + 1

@@ -17,7 +17,15 @@ from liftforge.catalog import (
     load_catalog,
     verify_catalog,
 )
-from liftforge.corefn import EquivClassId, _end_vars, _rev_index, _windows, array_to_table
+from liftforge.corefn import (
+    EquivClassId,
+    _end_vars,
+    _rev_index,
+    _windows,
+    array_to_table,
+    table_to_anf_masks,
+    table_to_array,
+)
 from liftforge.exprlang import eval_expr, parse_expr
 from liftforge.landscape import is_conserved
 from liftforge.lifting import DEFAULT_ARITY_CAP
@@ -260,11 +268,20 @@ def _embedded_tables(rng, k, n):
     return np.stack(out)
 
 
+def _words(rows, k):
+    """Table rows as uint64 words, entry v at bit v % 64 of word v // 64,
+    tiled to 64 entries below k = 6."""
+    tiled = np.tile(rows, (1, max(1, 64 >> k)))
+    return np.packbits(tiled, axis=1, bitorder="little").view("<u8")
+
+
 @pytest.mark.parametrize("k", range(2, 14))
 def test_trimmed_windows_match_end_vars(k):
     rng = np.random.default_rng(k)
     rows = _embedded_tables(rng, k, 60)
-    i0, width = catalog._trimmed_windows(rows, k)
+    words = _words(rows, k)
+    assert np.array_equal(catalog._packed(rows, k), words)
+    i0, width = catalog._trimmed_windows(words, k)
     for row, a, w in zip(rows, i0.tolist(), width.tolist()):
         ends = _end_vars(array_to_table(row), k)
         assert (w == 0) if ends is None else (a, w) == (ends[0], ends[1] - ends[0] + 1)
@@ -278,10 +295,64 @@ def test_cut_reads_tight_windows(k):
     rows = rng.integers(0, 2, (5, 1 << k), dtype=np.uint8)
     i0, width = np.array([0, 3, k - 8, k - 5, 1]), np.array([8, 5, 8, 5, 2])
     keep = np.array([0, 1, 2, 3, 4])[::-1]
-    got = catalog._cut(rows, keep, i0, width, d)
+    got = catalog._cut(_words(rows, k), keep, i0, width, d)
     for r, row in zip(keep, got):
         want = rows[r, 0 : (1 << width[r]) << i0[r] : 1 << i0[r]]
         assert np.array_equal(row, np.tile(want, (1 << d) >> width[r])), r
+
+
+# ---------------------------------------------------------------------------
+# g o x from cube forms over shift planes, against the window gather
+
+
+def _gathered_words(g, x, kg, kx):
+    """g o x for every row of g over every row of x by the window gather,
+    as (len(g), len(x), words)."""
+    k = kx + kg - 1
+    rows = np.take(g, _windows(x, kx, kg), axis=1).reshape(-1, 1 << k)
+    return _words(rows, k).reshape(len(g), len(x), -1)
+
+
+def _n_terms(cubes, k):
+    """Number of cubes of each row of a cube form (padding is the zero plane)."""
+    return sum((lits[:, 0] != 2 * k).astype(int) for lits in cubes)
+
+
+def _fewest_terms(table, k):
+    """The fewest ANF terms of f(z ^ p) over all polarities p, one table at a time."""
+    return min(
+        len(table_to_anf_masks(array_to_table(table[np.arange(1 << k) ^ p]), k)) for p in range(1 << k)
+    )
+
+
+@pytest.mark.parametrize("kg", range(2, 7))
+@pytest.mark.parametrize("kx", range(2, 9))
+def test_cube_compose_matches_gather(kx, kg):
+    # K = kx + kg - 1 < 6 is tiled to 64 entries, as the trim reads it
+    rng = np.random.default_rng(100 * kx + kg)
+    g = rng.integers(0, 2, (7, 1 << kg), dtype=np.uint8)
+    g[0] = 0  # no cube
+    g[1] = 1  # one empty cube
+    g[2] = np.arange(1 << kg) >> (kg - 1) & 1  # one literal
+    x = rng.integers(0, 2, (5, 1 << kx), dtype=np.uint8)
+    cubes = catalog._cube_forms(g, kg)
+    got = catalog._compose_cubes(cubes, catalog._shift_planes(x, kx, kg))
+    assert np.array_equal(got, _gathered_words(g, x, kg, kx))
+    assert _n_terms(cubes, kg).tolist() == [_fewest_terms(row, kg) for row in g]
+
+
+def test_default_generator_orbits_compose_by_two_cubes():
+    # every orbit member of a conserved landscape is x_s xor one cube
+    members = {(m.k, m.table) for g in default_generators() for m in lf.orbit(g)}
+    rng = np.random.default_rng(90)
+    for kg in (4, 5, 6):
+        g = np.stack([table_to_array(t, kg) for k, t in sorted(members) if k == kg])
+        cubes = catalog._cube_forms(g, kg)
+        assert (_n_terms(cubes, kg) == 2).all()
+        for kx in (2, 5, 8):
+            x = rng.integers(0, 2, (3, 1 << kx), dtype=np.uint8)
+            got = catalog._compose_cubes(cubes, catalog._shift_planes(x, kx, kg))
+            assert np.array_equal(got, _gathered_words(g, x, kg, kx)), (kg, kx)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -392,6 +463,18 @@ def test_closure_d7_reproduces_the_catalog(catalog_entries):
     # composites of proper rules are proper: a check of the pair graph
     assert all(lf.decide_proper(c.rule()).proper for c in res.found_classes)
     assert lf.decide_proper(lf.rule_from_text("5:D30EFF00"), method="finite-scan").proper
+
+
+@pytest.mark.long
+def test_closure_d8_all_generators_at_3m():
+    # the budget cut is exact, so these counts do not depend on how the
+    # composites are computed; the fixpoint lies far beyond this budget
+    res = closure_search(8, budget=3_000_000)
+    assert (res.discovered_classes, res.compositions, res.exhausted) == (32_440, 3_000_000, True)
+    by_diameter = {}
+    for c in res.found_classes:
+        by_diameter[c.k] = by_diameter.get(c.k, 0) + 1
+    assert by_diameter == {4: 1, 5: 5, 6: 118}
 
 
 @pytest.mark.long

@@ -332,6 +332,27 @@ def test_row_bound_prunes_catalog_rows_at_n12(monkeypatch, catalog_entries):
     assert sum(counted) < 0.35 * rows
 
 
+def test_first_row_alone_prunes_catalog_rows_at_n9(monkeypatch, catalog_entries):
+    # the first block is one row, so the maximum that prunes the rest is
+    # known after a single row: a = 1 is the witness for most rules
+    counted = []
+    row_counts = diffunif._RowCounter.__call__
+
+    def counting(self, a):
+        if self.width == 9:
+            counted.append(len(a))
+        return row_counts(self, a)
+
+    monkeypatch.setattr(diffunif._RowCounter, "__call__", counting)
+    for e in catalog_entries:
+        r = e.rule()
+        for n in (9, 10):
+            assert ddt_max(r, n) == _reference_ddt_max(r, n), (e.index, n)
+    # 2,177 rows; with a first block of _ROW_BLOCK >> 9 = 64 rows all 7,080
+    # nonzero necklace rows of the 120 rules are counted
+    assert sum(counted) < 2_500
+
+
 # ---------------------------------------------------------------------------
 # the per-thread scratch buffer of the row kernel
 
