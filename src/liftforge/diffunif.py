@@ -20,18 +20,33 @@ The witness is the smallest difference a whose row reaches the overall
 maximum, with the smallest b in that row.
 
 The necklace scan skips the rows that cannot beat the running maximum.
-Let S = 9, let k <= S be the rule's diameter and let g take an S-bit word
-z to the m = S - k + 1 outputs f(z_i..z_{i+k-1}) whose windows fit in it;
-H[w] is the largest count in row w of g's DDT (built once per rule, over
-the even words, with the same row kernel).  For n >= S, any m consecutive
-outputs of F read only the S bits of x under one cyclic window, and the
-same window of a is their input difference, so every count in row a is at
-most 2^(n-S) * H[w] for each of the n cyclic S-bit windows w of a; the
-bound takes the least.  Rows go in ascending a, in blocks of survivors,
-and a row whose bound is no more than the running maximum is skipped: it
-could not replace the witness, which takes only a strictly larger count.
-Below S, above diameter S, and in the full scan (the reference the tests
-compare against) every row is counted.
+Let S be 9 at n = 9 and 10 at n >= 10, let k <= S be the rule's diameter
+and let g take an S-bit word z to the m = S - k + 1 outputs
+f(z_i..z_{i+k-1}) whose windows fit in it; H[w] is the largest count in
+row w of g's DDT (built once per rule and width).  For n >= S, any m
+consecutive outputs of F read only the S bits of x under one cyclic
+window, and the same window of a is their input difference, so every count
+in row a is at most 2^(n-S) * H[w] for each of the n cyclic S-bit windows
+w of a; the bound takes the least.  Rows go in ascending a, in blocks of
+survivors, and a row whose bound is no more than the running maximum is
+skipped: it could not replace the witness, which takes only a strictly
+larger count.  Below n = 9, above diameter S, and in the full scan (the
+reference the tests compare against) every row is counted.
+
+H comes from Walsh spectra, not from counting (Chabaud and Vaudenay,
+EUROCRYPT 1994).  Let X_u(z) = (-1)^(u.g(z)) for each component u < 2^m,
+and let W_u be its Walsh transform over z.  The transform of W_u^2 is 2^S
+times the autocorrelation of X_u, and the transform of the
+autocorrelations over u is 2^m times the DDT.  So with W^2 squared entry by
+entry, T = H_m W^2 H_S equals 2^(m+S) D(w, b), and H[w] = max_b T >>
+(m + S + 1) in half counts.  The transforms over z are products with two
+Hadamard factors of about S/2 bits.  The transform over u is a product
+with one of c = min(m, 6) bits within each chunk of 2^c components, then a
+butterfly across the chunks.  The matmuls run in float64 on +-1 factors.
+Every partial sum is an integer of magnitude at most 2^(m+2S) <= 2^30:
+|W| <= 2^S, the squares of one W_u sum to 2^2S (Parseval), and a sum over
+u has at most 2^m terms.  So the float sums are exact in any order, and H
+does not depend on the BLAS build or its threads.
 """
 
 from __future__ import annotations
@@ -114,7 +129,12 @@ class DuReport:
 
 
 _ROW_BLOCK = 1 << 15  # rows of a block times the states they are counted over
-_S = 9  # input bits of the window map behind the row bound
+_COMPONENT_BITS = 6  # log2 of the components per chunk in the build of H
+
+
+def _window_bits(n: int) -> int:
+    """S, the input bits of the window map behind the row bound at length n."""
+    return 10 if n >= 10 else 9
 
 
 @lru_cache(maxsize=32)
@@ -135,7 +155,18 @@ def _difference_groups(n: int, restrict: bool) -> tuple[tuple[np.ndarray, np.nda
     return tuple(groups)
 
 
-_scratch = threading.local()  # .buf: an intp buffer kept from one scan to the next
+_scratch = threading.local()  # .buf: an intp buffer kept from one row scan or build of H to the next
+
+
+def _take_scratch(size: int) -> np.ndarray:
+    """The thread's scratch buffer, grown to at least ``size`` entries and
+    taken until the caller puts it back in ``_scratch.buf``; a nested user
+    meanwhile allocates its own."""
+    buf = getattr(_scratch, "buf", None)
+    _scratch.buf = None
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=np.intp)
+    return buf
 
 
 class _RowCounter:
@@ -143,11 +174,11 @@ class _RowCounter:
     the states xs, one block of at most ``rows`` rows per call, for a scan
     of ``total`` rows; a context manager.
 
-    A block's keys and counts live in one buffer that the thread keeps from
-    scan to scan, grown to the largest scan so far (a scan nested in another
-    gets its own): fresh temporaries cost a page fault per page whenever
-    the allocator has handed the last ones back to the system, and in a
-    fresh process that can cost more than the counting itself.
+    A block's keys and counts live in the thread's scratch buffer, kept
+    from scan to scan and grown to the largest scan so far (a scan nested
+    in another gets its own): fresh temporaries cost a page fault per page
+    whenever the allocator has handed the last ones back to the system, and
+    in a fresh process that can cost more than the counting itself.
     """
 
     def __init__(self, F: np.ndarray, xs: np.ndarray, width: int, total: int):
@@ -157,11 +188,7 @@ class _RowCounter:
     def __enter__(self) -> "_RowCounter":
         n_keys = self.rows * len(self.xs)
         size = 3 * n_keys + (self.rows << self.width)
-        buf = getattr(_scratch, "buf", None)
-        _scratch.buf = None  # taken: a nested scan allocates its own
-        if buf is None or buf.size < size:
-            buf = np.empty(size, dtype=np.intp)
-        self.buf = buf
+        self.buf = buf = _take_scratch(size)
         self.base, self.partners, self.keys = buf[: 3 * n_keys].reshape(3, self.rows, len(self.xs))
         self.counts = buf[3 * n_keys : size]
         np.bitwise_or(self.F[self.xs], np.arange(self.rows, dtype=np.intp)[:, None] << self.width, out=self.base)
@@ -192,34 +219,83 @@ def _row_blocks(F: np.ndarray, width: int, groups) -> Iterator[tuple[np.ndarray,
                 yield a, count(a)
 
 
+@lru_cache(maxsize=16)
+def _signs(b: int) -> np.ndarray:
+    """(-1)^popcount(y) for y < 2^b, as float64."""
+    s = np.ones(1)
+    for _ in range(b):
+        s = np.concatenate([s, -s])
+    return s
+
+
+@lru_cache(maxsize=16)
+def _hadamard(b: int) -> np.ndarray:
+    """The 2^b x 2^b Walsh-Hadamard matrix, entry (i, j) = (-1)^popcount(i & j)."""
+    i = np.arange(1 << b)
+    return _signs(b)[i[:, None] & i]
+
+
 @lru_cache(maxsize=128)
-def _window_row_max(k: int, table: int) -> np.ndarray:
+def _window_row_max(k: int, table: int, S: int) -> np.ndarray:
     """H, the largest half count of each DDT row of the window map g, which
     takes an S-bit word z to the m = S - k + 1 outputs f(z_i..z_{i+k-1})
-    whose windows fit in it; H[0] is the whole half, 2^(S-1)."""
-    m = _S - k + 1
+    whose windows fit in it; H[0] is the whole half, 2^(S-1).
+
+    Built from the Walsh spectra of g's components (see the module
+    docstring), 2^c of them at a time.  A chunk's transforms over z and its
+    part of the transform over u are batches of small matmuls, at most 2^17
+    multiply-adds each, which OpenBLAS runs on the calling thread (one
+    2^c x 2^S product would wake its thread pool, which costs more than the
+    product).  The rest of the transform over u, across the chunks, is an
+    in-place butterfly over B, which holds 2^(m+S) floats.  B and the
+    chunk's three arrays of 2^(c+S) floats are views of the thread's
+    scratch buffer, so the build allocates nothing else of their size:
+    9.5 MiB at most, at k = 1 and S = 10."""
+    m = S - k + 1
     g = _windows(table_to_array(table, k), k, m).astype(np.intp)
-    H = np.full(1 << _S, 1 << (_S - 1), dtype=np.uint16)
-    for a, counts in _row_blocks(g, m, _difference_groups(_S, False)):
-        H[a] = counts.max(axis=1)
-    return H
+    lo = S // 2
+    hi = S - lo
+    c = min(m, _COMPONENT_BITS)
+    Hz_hi, Hz_lo, Hc = _hadamard(hi), _hadamard(lo), _hadamard(c)
+    n_b, n_chunk = 1 << (m + S), 1 << (c + S)
+    buf = _take_scratch(n_b + 3 * n_chunk)
+    space = buf.view(np.float64)
+    B = space[:n_b].reshape(1 << (m - c), 1 << c, 1 << hi, 1 << lo)  # [u_hi, b_lo, w_hi, w_lo]
+    X, W, A = space[n_b : n_b + 3 * n_chunk].reshape(3, 1 << c, 1 << hi, 1 << lo)
+    for j in range(len(B)):
+        # X[u_lo, z_hi, z_lo] = (-1)^(u . g(z)) for u = j 2^c + u_lo
+        np.take(Hc, g & bitmask(c), axis=1, out=X.reshape(1 << c, 1 << S), mode="clip")
+        X *= _signs(m - c)[j & (g >> c)].reshape(1 << hi, 1 << lo)
+        np.matmul(np.matmul(Hz_hi, X, out=W), Hz_lo, out=A)  # the Walsh spectra
+        A *= A
+        np.matmul(np.matmul(Hz_hi, A, out=W), Hz_lo, out=A)  # [u_lo, w_hi, w_lo]
+        np.matmul(Hc, A.transpose(1, 0, 2), out=B[j].transpose(1, 0, 2))
+    for t in range(m - c):  # u_hi to b_hi, one bit at a time: (x, y) -> (x + y, x - y)
+        pairs = B.reshape(-1, 2, B.size >> (m - c - t))
+        x, y = pairs[:, 0], pairs[:, 1]
+        x += y
+        y *= -2
+        y += x
+    T = B.reshape(-1, 1 << S).max(axis=0)  # max over b of 2^(m+S) D(w, b)
+    _scratch.buf = buf
+    return (T.astype(np.int64) >> (m + S + 1)).astype(np.uint16)
 
 
 @lru_cache(maxsize=32)
-def _necklace_windows(n: int) -> np.ndarray:
+def _necklace_windows(n: int, S: int) -> np.ndarray:
     """The n cyclic S-bit windows of each nonzero necklace representative,
     shape (n, rows): entry [j, i] holds bits j..j+S-1 of the i-th one."""
     a = np.array(necklace_representatives(n)[1:], dtype=np.intp)
     j = np.arange(n, dtype=np.intp)[:, None]
-    return ((a >> j) | (a << (n - j))) & bitmask(_S)
+    return ((a >> j) | (a << (n - j))) & bitmask(S)
 
 
-def _row_bounds(r: Rule, n: int) -> np.ndarray:
+def _row_bounds(r: Rule, n: int, S: int) -> np.ndarray:
     """An upper bound on the largest half count of each nonzero necklace
     row of the map r induces at length n >= S: 2^(n-S) times H at the
-    row's tightest window."""
-    H = _window_row_max(r.k, r.table)
-    return H[_necklace_windows(n)].min(axis=0).astype(np.intp) << (n - _S)
+    row's tightest S-bit window."""
+    H = _window_row_max(r.k, r.table, S)
+    return H[_necklace_windows(n, S)].min(axis=0).astype(np.intp) << (n - S)
 
 
 def ddt_max(
@@ -239,9 +315,10 @@ def ddt_max(
         if cand[:2] > best[:2]:
             best = cand
 
-    if restrict_necklaces and r.k <= _S <= n:
+    S = _window_bits(n)
+    if restrict_necklaces and r.k <= S <= n:
         ((xs, diffs),) = _difference_groups(n, True)  # the representatives are odd
-        bound = _row_bounds(r, n)
+        bound = _row_bounds(r, n, S)
         with _RowCounter(F, xs, n, len(diffs)) as count:
             i = 0
             # the first block is one row: it sets the maximum that prunes the

@@ -181,6 +181,13 @@ def _random_rule(rng, k):
             pass
 
 
+def _rule_of_diameter(rng, k):
+    """A random rule that reads both end variables of its k-window."""
+    while (r := _random_rule(rng, k)).k != k:
+        pass
+    return r
+
+
 def _assert_matches_reference(rules_and_lengths):
     for r, n in rules_and_lengths:
         for restrict in (True, False):
@@ -213,22 +220,25 @@ def test_ddt_kernel_matches_reference_on_catalog_to_n12(catalog_entries):
 
 
 def test_ddt_kernel_matches_reference_at_the_window_edges():
-    # k = 1 and k = 9 = S are the widest and narrowest window maps; k = 10
-    # is above S, where every necklace row is counted
+    # S = 9 at n = 9 and 10 above it.  k = 1 gives the widest window map
+    # (m = S outputs, built in more than one chunk of components at S = 10);
+    # k = 9 = S at n = 9 and k = 10 = S at n >= 10 the narrowest (one
+    # output); k = 11 is above S, where every necklace row is counted
     rng = random.Random(909)
     cases = [(_random_rule(rng, k), n) for k in (1, 9) for n in (9, 10, 11)]
-    cases += [(_random_rule(rng, 10), n) for n in (10, 11)]
+    cases += [(_rule_of_diameter(rng, 10), n) for n in (10, 11, 12)]
+    cases += [(_rule_of_diameter(rng, 11), n) for n in (11, 12)]
     _assert_matches_reference(cases)
 
 
 # 1: one row per block; 3 << 7: three rows at n=7 (19 nonzero necklaces,
 # so the last block is ragged), one at n >= 8; 1 << 20: every row in one
-# block.  n = 9 and 10 run the pruned scan, whose window table H is built
-# in blocks of _ROW_BLOCK >> 9 rows.
+# block.  n = 9 and 10 run the pruned scan (S = 9 and 10), whose window
+# table H comes from Walsh spectra, not from the row kernel, so it does not
+# depend on the block size.
 @pytest.mark.parametrize("block", [1, 3 << 7, 1 << 20])
 def test_ddt_kernel_block_sizes(monkeypatch, catalog_entries, block):
     monkeypatch.setattr(diffunif, "_ROW_BLOCK", block)
-    monkeypatch.setattr(diffunif, "_window_row_max", diffunif._window_row_max.__wrapped__)
     rng = random.Random(block)
     cases = [(_random_rule(rng, k), n) for k in (2, 4, 6) for n in (6, 7, 9)]
     cases += [(catalog_entries[i].rule(), n) for i in (0, 57, 119) for n in (6, 7, 8, 10)]
@@ -237,7 +247,7 @@ def test_ddt_kernel_block_sizes(monkeypatch, catalog_entries, block):
 
 @pytest.mark.long
 def test_pruned_kernel_matches_full_scan_past_n12(catalog_entries):
-    # the bound scales by 2^(n-9); n = 14 is DEFAULT_DU_CAP
+    # the bound scales by 2^(n-10); n = 14 is DEFAULT_DU_CAP
     for i in (0, 57, 119):
         r = catalog_entries[i].rule()
         for n in (13, 14):
@@ -270,15 +280,20 @@ def _row_maxima(r, n):
     return np.array([np.bincount(F[x ^ a] ^ F).max() for a in necklace_representatives(n)[1:]])
 
 
-def _reference_row_bounds(r, n, S=9):
-    """2^(n-S) times the least, over the n cyclic S-bit windows w of a, of
-    the largest count in row w of the DDT of g, where g(z) packs
+def _reference_window_row_max(r, S):
+    """The largest count in each row w of the DDT of g, where g(z) packs
     f(z_i..z_{i+k-1}) for i = 0..S-k; from the rule's bits, one row at a
     time, in full counts."""
     k = r.k
     z = np.arange(1 << S)
     g = sum(np.array([r.bit((int(v) >> i) & ((1 << k) - 1)) for v in z]) << i for i in range(S - k + 1))
-    H = [1 << S] + [int(np.bincount(g[z ^ w] ^ g).max()) for w in range(1, 1 << S)]
+    return np.array([1 << S] + [int(np.bincount(g[z ^ w] ^ g).max()) for w in range(1, 1 << S)])
+
+
+def _reference_row_bounds(r, n, S):
+    """2^(n-S) times the least, over the n cyclic S-bit windows w of a, of
+    the largest count in row w of g's DDT."""
+    H = _reference_window_row_max(r, S)
     out = []
     for a in necklace_representatives(n)[1:]:
         windows = [((a >> j) | (a << (n - j))) & ((1 << S) - 1) for j in range(n)]
@@ -294,20 +309,85 @@ def _bound_cases(catalog_entries):
 
 
 def test_row_bound_covers_every_necklace_row(catalog_entries):
+    # both widths bound every row once n >= S; the scan uses the wider one
     for r, n in _bound_cases(catalog_entries):
-        bound = 2 * diffunif._row_bounds(r, n)  # half counts to counts
-        assert (bound >= _row_maxima(r, n)).all(), (r.text(), n)
+        maxima = _row_maxima(r, n)
+        for S in (9, 10):
+            if r.k <= S <= n:
+                bound = 2 * diffunif._row_bounds(r, n, S)  # half counts to counts
+                assert (bound >= maxima).all(), (r.text(), n, S)
 
 
 def test_row_bound_matches_window_reference(catalog_entries):
     for r, n in _bound_cases(catalog_entries)[::4]:
-        assert (2 * diffunif._row_bounds(r, n) == _reference_row_bounds(r, n)).all(), (r.text(), n)
+        S = diffunif._window_bits(n)
+        assert (2 * diffunif._row_bounds(r, n, S) == _reference_row_bounds(r, n, S)).all(), (r.text(), n)
 
 
 def test_row_bound_is_exact_for_the_identity():
     ident = lf.rule_from_table(1, [0, 1])
-    for n in (9, 12):
-        assert (2 * diffunif._row_bounds(ident, n) == 1 << n).all()
+    for n in (9, 10, 12):
+        assert (2 * diffunif._row_bounds(ident, n, diffunif._window_bits(n)) == 1 << n).all()
+
+
+def test_window_width_per_length():
+    assert [diffunif._window_bits(n) for n in (9, 10, 11, 12, 14)] == [9, 10, 10, 10, 10]
+
+
+def _assert_window_table_matches_counts(r, S):
+    got = 2 * diffunif._window_row_max.__wrapped__(r.k, r.table, S).astype(np.int64)
+    assert (got == _reference_window_row_max(r, S)).all(), (r.text(), S)
+
+
+def test_window_table_matches_counts_on_random_rules():
+    # every k <= S, at both widths: k = 1..4 at S = 10 build their table in
+    # more than one chunk of 2^6 components
+    rng = random.Random(1014)
+    for S in (9, 10):
+        for k in range(1, S + 1):
+            _assert_window_table_matches_counts(_rule_of_diameter(rng, k), S)
+
+
+def test_window_table_matches_counts_on_catalog(catalog_entries):
+    for e in catalog_entries:
+        _assert_window_table_matches_counts(e.rule(), 10)
+
+
+def test_window_table_in_chunks_matches_one_chunk(monkeypatch):
+    # the butterfly across chunks against one chunk of all 2^m components
+    rng = random.Random(77)
+    rules = [_rule_of_diameter(rng, k) for k in (3, 5, 7)]
+    whole = [diffunif._window_row_max.__wrapped__(r.k, r.table, 10) for r in rules]
+    for bits in (1, 2):
+        monkeypatch.setattr(diffunif, "_COMPONENT_BITS", bits)
+        for r, H in zip(rules, whole):
+            assert (diffunif._window_row_max.__wrapped__(r.k, r.table, 10) == H).all(), (r.text(), bits)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_window_table_memory_is_bounded(k):
+    # the build holds B (2^(m+S) floats) and three chunk arrays of
+    # 2^(c+S) floats, c = min(m, 6), in the thread's scratch buffer, and
+    # little else; a second build reuses the buffer
+    import tracemalloc
+
+    r = _rule_of_diameter(random.Random(k), k)
+    for S in (9, 10):
+        m = S - k + 1
+        scratch = 8 * ((1 << (m + S)) + 3 * (1 << (min(m, 6) + S)))
+        diffunif._scratch.buf = None
+        tracemalloc.start()
+        try:
+            diffunif._window_row_max.__wrapped__(r.k, r.table, S)
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]  # the buffer, kept
+            diffunif._window_row_max.__wrapped__(r.k, r.table, S)
+            again = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert first < scratch + (256 << 10), (k, S, first)
+        assert again < 256 << 10, (k, S, again)
 
 
 def test_row_bound_prunes_catalog_rows_at_n12(monkeypatch, catalog_entries):
@@ -325,11 +405,12 @@ def test_row_bound_prunes_catalog_rows_at_n12(monkeypatch, catalog_entries):
         r = e.rule()
         raw, _ = ddt_max(r, 12)
         assert raw == e.stated_du[-1]
-        ruled_out += int((2 * diffunif._row_bounds(r, 12) < raw).sum())
+        ruled_out += int((2 * diffunif._row_bounds(r, 12, 10) < raw).sum())
     rows = len(catalog_entries) * (len(necklace_representatives(12)) - 1)
     assert ruled_out > 0
-    # 12,772 of 42,120 rows are counted; an unpruned scan counts them all
-    assert sum(counted) < 0.35 * rows
+    # 572 of 42,120 rows are counted (12,243 with a 9-bit window); an
+    # unpruned scan counts them all
+    assert sum(counted) < 0.03 * rows
 
 
 def test_first_row_alone_prunes_catalog_rows_at_n9(monkeypatch, catalog_entries):
