@@ -30,11 +30,12 @@ def _jobs_default() -> int:
 
 
 def _emit(args, doc, text_lines, csv_rows=None) -> None:
-    """Print one result in the chosen format: ``doc`` as JSON, or the text
-    lines.  CSV gets ``csv_rows`` (header first) where given, else the text
-    lines split at tabs."""
+    """Print one result in the chosen format: ``doc`` as JSON (a list as one
+    object per line), or the text lines.  CSV gets ``csv_rows`` (header
+    first) where given, else the text lines split at tabs."""
     if args.format == "json":
-        print(json.dumps(doc, sort_keys=True))
+        for d in doc if isinstance(doc, list) else [doc]:
+            print(json.dumps(d, sort_keys=True))
     elif args.format == "csv":
         rows = csv_rows if csv_rows is not None else (line.split("\t") for line in text_lines)
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
@@ -70,14 +71,14 @@ def cmd_parse(args) -> int:
 def cmd_verify(args) -> int:
     r = _expr_rule(args.expr, args.arity_cap)
     method = "pair-graph" if args.exact else "finite-scan"
-    verdict = lifting.decide_proper(r, method=method, scan_limit=min(args.n_cap, 16))
-    if args.format == "json":
-        print(verdict.to_json())
-    else:
-        print(verdict.decision)
-        if verdict.witness is not None:
-            w = verdict.witness
-            print(f"collision at n={w.n}: {w.bits(w.x)} and {w.bits(w.y)}")
+    limit = min(args.n_cap, lifting.DEFAULT_SCAN_LIMIT)
+    verdict = lifting.decide_proper(r, method=method, scan_limit=limit, n_cap=args.n_cap)
+    lines, row = [verdict.decision], [verdict.decision, verdict.method, "", "", ""]
+    w = verdict.witness
+    if w is not None:
+        lines.append(f"collision at n={w.n}: {w.bits(w.x)} and {w.bits(w.y)}")
+        row[2:] = [w.n, w.bits(w.x), w.bits(w.y)]
+    _emit(args, verdict.as_dict(), lines, [("decision", "method", "n", "x", "y"), row])
     return 0 if verdict.proper else MISMATCH
 
 
@@ -101,14 +102,11 @@ def cmd_landscapes(args) -> int:
         print("k >= 13 requires --long", file=sys.stderr)
         return 2
     res = landscape.enumerate_conserved(args.k, include_list=args.list, jobs=args.jobs)
+    doc = res.to_json()
+    listing = [_maybe_ascii(l.symbols, args) for l in res.landscapes] if args.list else []
     if args.list:
-        for l in res.landscapes:
-            print(_maybe_ascii(l.symbols, args))
-    _emit(
-        args,
-        res.to_json(),
-        [f"count={res.count} classes={res.class_count}"],
-    )
+        doc["landscapes"] = listing
+    _emit(args, doc, listing + [f"count={res.count} classes={res.class_count}"])
     return 0
 
 
@@ -128,12 +126,10 @@ def cmd_search6(args) -> int:
                     "anf": corefn.render_anf(corefn.to_anf(inv.rule)),
                 }
             )
-    if args.format == "json":
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    else:
-        for row in rows:
-            print(f"s={row['s']}\t{row['rule']}\t{row['class']}\t{row['anf']}")
+    lines = [f"s={row['s']}\t{row['rule']}\t{row['class']}\t{row['anf']}" for row in rows]
+    fields = ("s", "rule", "class", "anf")
+    _emit(args, rows, lines, [fields] + [[row[f] for f in fields] for row in rows])
+    if args.format != "json":
         print(f"functions={pooled.function_count} classes={pooled.class_count}", file=sys.stderr)
     return 0
 
@@ -182,7 +178,7 @@ def _parse_range(spec: str) -> tuple[int, int]:
 def cmd_du(args) -> int:
     r = _expr_rule(args.expr, args.arity_cap)
     lo, hi = _parse_range(args.n)
-    rep = diffunif.du_profile(r, lo, hi, n_cap=min(args.n_cap, 14))
+    rep = diffunif.du_profile(r, lo, hi, n_cap=min(args.n_cap, diffunif.DEFAULT_DU_CAP))
     vals = [e.scaled_str() for e in rep.entries] if args.scaled else [str(e.raw) for e in rep.entries]
     rows = [("n", "raw", "scaled")] + [(e.n, e.raw, e.scaled_str()) for e in rep.entries]
     _emit(args, rep.to_json(), [" ".join(vals)], rows)
@@ -234,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=_jobs_default(), help="worker processes for landscapes (env LIFTFORGE_JOBS)"
     )
-    p.add_argument("--n-cap", type=int, default=24, dest="n_cap", help="circular-length cap for bijectivity scans")
-    p.add_argument("--arity-cap", type=int, default=26, dest="arity_cap", help="table-width cap for compositions")
+    p.add_argument("--n-cap", type=int, default=lifting.DEFAULT_N_CAP, help="circular-length cap for bijectivity scans")
+    p.add_argument("--arity-cap", type=int, default=lifting.DEFAULT_ARITY_CAP, help="table-width cap for compositions")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--long", action="store_true", help="enable long-running work")
     p.add_argument("--ascii", action="store_true", help="ASCII output (star as *, compose as o)")

@@ -19,6 +19,11 @@ one window row per table in the same broadcasts.  Large tables are built
 in blocks of at most 2**22 entries.  Normalization then trims only the end
 variables: ``_end_vars`` scans up from x1 and down from xk and stops at
 the first variable each side depends on.
+
+Rules given by a formula (landscapes and their sets, the two families,
+f + x_j) are x_s XOR some cubes of literals; ``cube_table`` writes each
+cube as one slice of the (2,)*K view of the table.  It, ``from_anf`` and
+``Rule`` make the one width check, ``_check_diameter``, before any table.
 """
 
 from __future__ import annotations
@@ -43,6 +48,12 @@ class InvalidRuleError(LiftforgeError):
 
 class ArityCapError(LiftforgeError):
     """An operation would need a truth table wider than the configured cap."""
+
+
+def _check_diameter(k: int) -> None:
+    """The one width check every table-building entry point makes first."""
+    if not 1 <= k <= MAX_DIAMETER:
+        raise InvalidRuleError(f"diameter {k} outside 1..{MAX_DIAMETER}")
 
 
 def bitmask(n: int) -> int:
@@ -106,6 +117,27 @@ def _end_vars(table: int, k: int) -> Optional[tuple[int, int]]:
 def essential_vars(table: int, k: int) -> int:
     """Bitmask of 0-based variable indices the table actually depends on."""
     return sum(1 << i for i in range(k) if _depends_on(table, k, i))
+
+
+def _cube_slice(K: int, ones: int, zeros: int) -> tuple:
+    """Index of a cube (bit i of ``ones``/``zeros``: x_{i+1} is 1/0) in the
+    (2,)*K view of a table, whose axis a is variable K - a."""
+    return tuple(
+        1 if (ones >> i) & 1 else 0 if (zeros >> i) & 1 else slice(None) for i in range(K - 1, -1, -1)
+    )
+
+
+def cube_table(K: int, center: int, cubes=()) -> np.ndarray:
+    """uint8 table of 2**K entries: x_center XOR the OR of the cubes, each a
+    (ones, zeros) pair of masks over the 0-based variables.  K is checked
+    before the table exists."""
+    _check_diameter(K)
+    out = np.zeros(1 << K, dtype=np.uint8)
+    view = out.reshape((2,) * K)
+    for ones, zeros in cubes:
+        view[_cube_slice(K, ones, zeros)] = 1
+    view[_cube_slice(K, 1 << (center - 1), 0)] ^= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +250,7 @@ class Rule:
     shift: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_DIAMETER:
-            raise InvalidRuleError(f"diameter {self.k} outside 1..{MAX_DIAMETER}")
+        _check_diameter(self.k)
         if not 0 <= self.table < (1 << (1 << self.k)):
             raise InvalidRuleError("table does not fit 2**k bits")
 
@@ -270,8 +301,7 @@ def rule_from_table(k: int, table) -> Rule:
     ``table`` may be a packed integer or a sequence of 2**k bits indexed by
     the input word v (x1 = least significant bit of v).
     """
-    if not 1 <= k <= MAX_DIAMETER:
-        raise InvalidRuleError(f"diameter {k} outside 1..{MAX_DIAMETER}")
+    _check_diameter(k)
     if isinstance(table, (int, np.integer)):
         t = int(table)
         if not 0 <= t < (1 << (1 << k)):
@@ -434,13 +464,18 @@ def to_anf(r: Rule) -> Anf:
 
 
 def from_anf(a: Anf) -> Rule:
-    """Rule of an ANF; the window is normalized, so leading absent variables slide away."""
+    """Rule of an ANF, built over the span of its variables: leading absent
+    variables slide away into ``shift``, and a span past MAX_DIAMETER is
+    refused before any table is built."""
     if not a.monomials:
         raise InvalidRuleError("constant-0 ANF has no diameter")
-    k = max((max(m) for m in a.monomials if m), default=0)
-    if k == 0:
+    used = [v for m in a.monomials for v in m]
+    if not used:
         raise InvalidRuleError("constant-1 ANF has no diameter")
-    return _normalize(k, anf_masks_to_table(a.masks(), k))
+    lo = min(used)
+    k = max(used) - lo + 1
+    _check_diameter(k)
+    return _normalize(k, anf_masks_to_table([m >> (lo - 1) for m in a.masks()], k), 1 - lo)
 
 
 def degree(r: Rule) -> int:

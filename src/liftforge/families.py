@@ -4,6 +4,10 @@ The symmetric family takes a mirror-symmetric support set S and flips x_j
 when x_{k+1-j} = 0 and every variable in S is 1; its induced map satisfies
 F^(2^r) = I for a computable r.  The chain family on 2r variables moves a
 lone zero through a run of ones and satisfies F^(r) = I.
+
+Both are x_s XOR cubes of literals (one cube for a symmetric member,
+2(r-1) disjoint cubes for a chain member), written by ``corefn.cube_table``,
+which refuses a diameter past MAX_DIAMETER before the table exists.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .corefn import LiftforgeError, Rule, _normalize, array_to_table, is_identity
+from .corefn import LiftforgeError, Rule, _normalize, array_to_table, bitmask, cube_table, is_identity
 from .lifting import DEFAULT_ARITY_CAP, compose
 
 
@@ -68,13 +70,8 @@ def symmetric_params(k: int, j: int, members) -> SymmetricFamilyParams:
 def build_symmetric(params: SymmetricFamilyParams) -> Rule:
     """f(x) = x_j + (x_{k+1-j} + 1) * prod_{l in S} x_l, tight diameter k."""
     k, j, S = params.k, params.j, params.members
-    idx = np.arange(1 << k, dtype=np.uint32)
-    prod = np.ones(idx.size, dtype=np.uint8)
-    for l in S:
-        prod &= ((idx >> np.uint32(l - 1)) & 1).astype(np.uint8)
-    guard = (((idx >> np.uint32(k - j)) & 1) ^ 1).astype(np.uint8)  # x_{k+1-j} + 1
-    center = ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8)
-    r = _normalize(k, array_to_table(center ^ (guard & prod)))
+    cube = (sum(1 << (l - 1) for l in S), 1 << (k - j))
+    r = _normalize(k, array_to_table(cube_table(k, j, [cube])))
     assert r.k == k, "symmetric-family rule must be tight at the stated diameter"
     return r
 
@@ -98,23 +95,16 @@ def build_chain(params: ChainFamilyParams, arity_cap: int = DEFAULT_ARITY_CAP) -
     k = 2 * r
     if k > arity_cap:
         raise InvalidParamsError("arity", f"2r = {k} above cap {arity_cap}")
-    idx = np.arange(1 << k, dtype=np.uint32)
-
-    def var(i: int) -> np.ndarray:  # 1-based
-        return ((idx >> np.uint32(i - 1)) & 1).astype(np.uint8)
-
-    acc = var(r)
+    # each term j is two cubes (x_{j+1..r} all 0, all 1), and term j needs
+    # x_{r+j+1} = 0 where every later term needs it 1: the 2(r-1) cubes are
+    # disjoint, so their sum is their OR
+    cubes = []
     for j in range(1, r):
-        term = (var(j) ^ 1) & (var(r + j + 1) ^ 1)
-        for m in range(1, j + 1):
-            term &= var(r + m)
-        all_zero = np.ones(idx.size, dtype=np.uint8)
-        all_one = np.ones(idx.size, dtype=np.uint8)
-        for m in range(j + 1, r + 1):
-            all_zero &= var(m) ^ 1
-            all_one &= var(m)
-        acc ^= term & (all_zero ^ all_one)
-    rule = _normalize(k, array_to_table(acc))
+        zeros = 1 << (j - 1) | 1 << (r + j)  # x_j, x_{r+j+1}
+        ones = bitmask(j) << r  # x_{r+1..r+j}
+        tail = bitmask(r - j) << j  # x_{j+1..r}
+        cubes += [(ones, zeros | tail), (ones | tail, zeros)]
+    rule = _normalize(k, array_to_table(cube_table(k, r, cubes)))
     assert rule.k == k, "chain-family rule must be tight at diameter 2r"
     return rule
 

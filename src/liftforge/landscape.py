@@ -7,6 +7,11 @@ at string position p (p != s) is the pattern bit eps_{p-s}; the compiled
 rule flips x_s exactly when every defined pattern position matches:
 
     f(x) = x_s XOR prod over defined d of (x_{s+d} XOR eps_d XOR 1)
+
+The product is one cube of literals, and a set of landscapes flips x_s on
+the OR of its members' cubes; ``corefn.cube_table`` writes the table (and
+the f + x_j of ``check_shift_product``), refusing a window past
+MAX_DIAMETER before the table exists.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .corefn import (
     _normalize,
     _windows,
     array_to_table,
+    cube_table,
     essential_vars,
 )
 
@@ -125,9 +131,8 @@ def check_shift_product(r: Rule) -> Optional[int]:
     """
     k = r.k
     arr = r.table_array()
-    idx_k = np.arange(1 << k, dtype=np.uint32)
     for j in range(1, k + 1):
-        g = arr ^ ((idx_k >> np.uint32(j - 1)) & 1).astype(np.uint8)
+        g = arr ^ cube_table(k, j)
         g_t = array_to_table(g)
         if g_t == 0:
             return j  # f == x_j exactly; nothing left to depend on
@@ -168,16 +173,11 @@ def compile_set(S: LandscapeSet | Iterable[Landscape]) -> Rule:
     dmax = max(l.k - l.s for l in members)
     K = dmax - dmin + 1
     s = 1 - dmin  # star position in the combined window
-    idx = np.arange(1 << K, dtype=np.uint32)
-    flip = np.zeros(idx.size, dtype=bool)
+    cubes = []
     for l in members:
-        match = np.ones(idx.size, dtype=bool)
-        for d, e in l.offsets().items():
-            p = s + d
-            match &= ((idx >> np.uint32(p - 1)) & 1) == e
-        flip |= match
-    center = ((idx >> np.uint32(s - 1)) & 1).astype(np.uint8)
-    return _normalize(K, array_to_table(center ^ flip.astype(np.uint8)))
+        D, O = _masks(l)
+        cubes.append((O << (s - l.s), (D & ~O) << (s - l.s)))
+    return _normalize(K, array_to_table(cube_table(K, s, cubes)))
 
 
 def compile_landscape(l: Landscape) -> Rule:

@@ -41,6 +41,7 @@ from .corefn import (
 
 DEFAULT_N_CAP = 24
 DEFAULT_ARITY_CAP = 26
+DEFAULT_SCAN_LIMIT = 16
 
 
 class CapExceededError(LiftforgeError):
@@ -275,11 +276,14 @@ class PropernessVerdict:
     def proper(self) -> bool:
         return self.decision == "proper"
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         doc = {"decision": self.decision, "method": self.method}
         if self.witness is not None:
             doc["witness"] = self.witness.to_json()
-        return json.dumps(doc, sort_keys=True)
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _edge_labels(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,6 +396,25 @@ def _first_off_diagonal(alive: np.ndarray) -> tuple[int, int]:
     return u0, v0
 
 
+def _walk(start: tuple[int, int], edges, alive: np.ndarray) -> tuple[list, int, Optional[int]]:
+    """Follow the first live edge ``edges`` gives from ``start`` until a
+    diagonal node or a repeated node.  Returns the edge bits (a, b) taken,
+    the window u of the last node, and the position in the bits where the
+    repeated cycle starts (None if the walk ended at a diagonal node)."""
+    node = start
+    bits = []
+    seen = {start: 0}
+    while True:
+        u, v, a, b = next(e for e in edges(*node) if alive[e[0], e[1]])
+        bits.append((a, b))
+        node = (u, v)
+        if u == v:
+            return bits, u, None
+        if node in seen:
+            return bits, u, seen[node]
+        seen[node] = len(bits)
+
+
 def _walk_witness(r: Rule, alive: np.ndarray) -> Witness:
     """Build a circular collision from a closed pair-graph walk through a
     non-diagonal node (always possible when one is alive)."""
@@ -415,95 +438,44 @@ def _walk_witness(r: Rule, alive: np.ndarray) -> Witness:
                 if tab[w1 & bitmask(k)] == tab[w2 & bitmask(k)]:
                     yield (w1 & (W - 1), w2 & (W - 1), (w1 >> (k - 1)) & 1, (w2 >> (k - 1)) & 1)
 
-    u0, v0 = _first_off_diagonal(alive)
-
-    # forward: walk within alive until a diagonal node or a repetition
-    fwd_nodes = [(u0, v0)]
-    fwd_bits = []
-    seen = {(u0, v0): 0}
-    cycle = None
-    d2 = None
-    while True:
-        u, v = fwd_nodes[-1]
-        nu = nv = a = b = None
-        for su, sv, aa, bb in succ_edges(u, v):
-            if alive[su, sv]:
-                nu, nv, a, b = su, sv, aa, bb
-                break
-        fwd_bits.append((a, b))
-        fwd_nodes.append((nu, nv))
-        if nu == nv:
-            d2 = (nu, nv)
-            break
-        if (nu, nv) in seen:
-            i = seen[(nu, nv)]
-            cycle = (fwd_nodes[i:], fwd_bits[i:])
-            break
-        seen[(nu, nv)] = len(fwd_nodes) - 1
-
-    if cycle is None:
-        # backward: walk within alive until a diagonal node or a repetition
-        bwd_nodes = [(u0, v0)]
-        bwd_bits = []
-        seen = {(u0, v0): 0}
-        d1 = None
-        while True:
-            u, v = bwd_nodes[-1]
-            pu = pv = a = b = None
-            for qu, qv, aa, bb in pred_edges(u, v):
-                if alive[qu, qv]:
-                    pu, pv, a, b = qu, qv, aa, bb
-                    break
-            bwd_bits.append((a, b))
-            bwd_nodes.append((pu, pv))
-            if pu == pv:
-                d1 = (pu, pv)
-                break
-            if (pu, pv) in seen:
-                i = seen[(pu, pv)]
-                cyc_nodes = bwd_nodes[i:]
-                cyc_bits = bwd_bits[i:]
-                cycle = (list(reversed(cyc_nodes)), [(a, b) for (a, b) in reversed(cyc_bits)])
-                break
-            seen[(pu, pv)] = len(bwd_nodes) - 1
-
-        if cycle is None:
-            # diagonal splice d2 -> d1 feeding d1's k-1 window bits, then the
-            # backward path (reversed) into v0 and the forward path to d2
-            walk_bits = [(a, b) for (a, b) in reversed(bwd_bits)] + fwd_bits
-            du = d1[0]
-            splice = [((du >> i) & 1, (du >> i) & 1) for i in range(k - 1)]
-            bits = walk_bits + splice
-        else:
-            bits = cycle[1]
+    start = _first_off_diagonal(alive)
+    fwd_bits, _, i = _walk(start, succ_edges, alive)
+    if i is not None:
+        bits = fwd_bits[i:]
     else:
-        bits = cycle[1]
+        bwd_bits, bwd_end, i = _walk(start, pred_edges, alive)
+        if i is not None:
+            bits = bwd_bits[i:][::-1]
+        else:
+            # the backward path (reversed) into the start node, the forward
+            # path to a diagonal node, and a diagonal splice to the backward
+            # walk's diagonal node feeding its k-1 window bits
+            splice = [((bwd_end >> t) & 1,) * 2 for t in range(k - 1)]
+            bits = bwd_bits[::-1] + fwd_bits + splice
 
-    L = len(bits)
-    reps = -(-max(r.k, 2) // L)  # pump short cycles up to at least the diameter
-    bits = bits * reps
-    n = len(bits)
-    x = 0
-    y = 0
-    for i, (a, b) in enumerate(bits):
-        x |= a << i
-        y |= b << i
-    return Witness(n, x, y)
+    bits *= -(-max(k, 2) // len(bits))  # pump short cycles up to at least the diameter
+    x = sum(a << i for i, (a, _) in enumerate(bits))
+    y = sum(b << i for i, (_, b) in enumerate(bits))
+    return Witness(len(bits), x, y)
 
 
 def decide_proper(
     r: Rule,
     method: str = "pair-graph",
-    scan_limit: int = 16,
+    scan_limit: int = DEFAULT_SCAN_LIMIT,
     n_cap: int = DEFAULT_N_CAP,
 ) -> PropernessVerdict:
     """Exact properness decision (pair graph) or finite-scan heuristic.
 
     The pair-graph method is exact for all circular lengths at once; the
     finite scan refutes with the first circular collision found and can only
-    report "proper" in the weak sense of no collision up to scan_limit.
+    report "proper" in the weak sense of no collision up to scan_limit.  It
+    builds a 2**n-entry map for each n, so a scan_limit above n_cap raises
+    ``CapExceededError`` before the first one.
     """
     if method == "finite-scan":
+        if scan_limit > n_cap:
+            raise CapExceededError(f"scan limit n={scan_limit} above cap {n_cap}")
         for n in range(r.k, scan_limit + 1):
             fm = induce(r, n)
             arr = fm.as_array()

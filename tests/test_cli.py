@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -412,3 +413,49 @@ def test_families_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+# ---------------------------------------------------------------------------
+# stdout parses in the format asked for; formulas past the width cap fail at once
+
+
+@pytest.mark.parametrize(
+    "expr, rc, row",
+    [
+        ("0★10", 0, ["proper", "pair-graph", "", "", ""]),
+        ("1★1", 1, ["not-proper", "pair-graph", "3", "000", "111"]),
+    ],
+)
+def test_verify_csv(capsys, expr, rc, row):
+    assert cli.main(["--format", "csv", "verify", expr]) == rc
+    assert _csv(capsys.readouterr().out) == [["decision", "method", "n", "x", "y"], row]
+
+
+def test_search6_csv_matches_json(capsys):
+    assert cli.main(["--long", "--format", "csv", "search6"]) == 0
+    header, *rows = _csv(capsys.readouterr().out)
+    assert header == ["s", "rule", "class", "anf"] and len(rows) == 152
+    assert cli.main(["--long", "--format", "json", "search6"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows == [[str(d[f]) for f in header] for d in docs]
+
+
+def test_landscapes_list_json(capsys):
+    assert cli.main(["--format", "json", "landscapes", "--k", "8", "--list"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["k"], doc["count"], doc["classes"]) == (8, 1160, 290)
+    assert doc["landscapes"] == [l.symbols for l in landscape.enumerate_conserved(8).landscapes]
+
+
+@pytest.mark.parametrize("argv", [["parse", "0★" + "-" * 23 + "1"], ["families", "--r", "13"]])
+def test_formula_past_max_diameter_exits_2_at_once(capsys, argv):
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "diameter 26 outside 1..24" in captured.err
+    assert peak < 1 << 20

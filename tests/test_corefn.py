@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 
 import liftforge as lf
 from liftforge import corefn
+from liftforge.families import ChainFamilyParams, build_chain, build_symmetric, symmetric_params
+from liftforge.landscape import compile_landscape, parse_landscape
 from liftforge.corefn import (
     Anf,
     InvalidRuleError,
@@ -14,8 +19,10 @@ from liftforge.corefn import (
     _take,
     _var_zero_mask,
     _window_blocks,
+    _normalize,
     _windows,
     anf_masks_to_table,
+    cube_table,
     essential_vars,
     rule_from_table,
     table_to_anf_masks,
@@ -286,3 +293,72 @@ def test_constant_composite_rejected():
     f = lf.rule_from_anf_text("x1*(x2^1)")
     with pytest.raises(lf.LiftforgeError):
         lf.compose(g, f)
+
+
+# ---------------------------------------------------------------------------
+# the cube builder and the width check before any table
+
+
+def test_cube_table_matches_pointwise():
+    rng = random.Random(15)
+    for _ in range(300):
+        K = rng.randint(1, 8)
+        center = rng.randint(1, K)
+        cubes = []
+        for _ in range(rng.randint(0, 4)):
+            ones = rng.getrandbits(K)
+            cubes.append((ones, rng.getrandbits(K) & ~ones))
+        got = cube_table(K, center, cubes)
+        want = [any(v & o == o and v & z == 0 for o, z in cubes) ^ (v >> (center - 1) & 1) for v in range(1 << K)]
+        assert got.dtype == np.uint8 and got.tolist() == want, (K, center, cubes)
+
+
+def _reference_from_anf(a):
+    """from_anf over 2**(largest variable index) entries."""
+    k = max(max(m) for m in a.monomials if m)
+    return _normalize(k, anf_masks_to_table(a.masks(), k))
+
+
+def test_from_anf_over_the_span_matches_the_full_width():
+    rng = random.Random(16)
+    for _ in range(300):
+        monos = {frozenset(rng.sample(range(1, 11), rng.randint(0, 3))) for _ in range(rng.randint(1, 5))}
+        a = lf.Anf(frozenset(monos))
+        if not any(monos):
+            continue
+        got, ref = lf.from_anf(a), _reference_from_anf(a)
+        assert (got.k, got.table, got.shift) == (ref.k, ref.table, ref.shift), lf.render_anf(a)
+    r = lf.rule_from_anf_text("x25")
+    assert (r.k, r.table, r.shift) == (1, 0b10, -24)
+
+
+# builders of a rule of diameter k from a formula; symmetric (k, 12, S) is
+# valid at k = 24 (xi = 1) and k = 25 (xi = 2, t = 24)
+WIDE_BUILDERS = {
+    "cube_table": lambda k: cube_table(k, 1),
+    "compile_set": lambda k: compile_landscape(parse_landscape("0★" + "-" * (k - 3) + "1")),
+    "build_symmetric": lambda k: build_symmetric(symmetric_params(k, 12, {1, 2, k - 1, k})),
+    "build_chain": lambda k: build_chain(ChainFamilyParams(k // 2)),
+    "from_anf": lambda k: lf.rule_from_anf_text(f"x2 ^ x{k + 1}"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("cube_table", 25), ("compile_set", 26), ("build_symmetric", 25), ("build_chain", 26), ("from_anf", 25)],
+)
+def test_formula_builders_refuse_past_max_diameter_before_allocating(name, k):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidRuleError, match=f"diameter {k} outside 1..24"):
+            WIDE_BUILDERS[name](k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_BUILDERS))
+def test_formula_builders_build_at_max_diameter(name):
+    got = WIDE_BUILDERS[name](corefn.MAX_DIAMETER)
+    assert got.size == 1 << 24 if name == "cube_table" else got.k == 24

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import liftforge as lf
+from liftforge.corefn import _normalize, array_to_table
 from liftforge.families import (
     ChainFamilyParams,
     InvalidParamsError,
@@ -94,8 +96,6 @@ def test_symmetric_k11_order_power_4():
 def test_symmetric_second_iterate_identity():
     # under the window convention centered at j, the double iterate is
     # G^2(x)_i = x_i + (x_{i+2*Xi}+1) * prod_{l in S} x_{i-j+l} x_{i+Xi-j+l}
-    import numpy as np
-
     from liftforge.lifting import induce
 
     for k, j, S in ((4, 2, {1, 4}), (6, 3, {1, 6}), (8, 3, {1, 4, 5, 8})):
@@ -124,3 +124,53 @@ def test_symmetric_second_iterate_identity():
                     prod &= bit(i + l - j) & bit(i + xi + l - j)
                 claim |= (bit(i) ^ ((bit(i + 2 * xi) ^ 1) & prod)) << np.uint32(i)
             assert np.array_equal(g2, claim)
+
+
+# ---------------------------------------------------------------------------
+# the cube builders against the bit-plane builders they replaced
+
+
+def _planes(k):
+    idx = np.arange(1 << k, dtype=np.uint32)
+    return lambda i: ((idx >> np.uint32(i - 1)) & 1).astype(np.uint8)  # x_i, 1-based
+
+
+def _reference_symmetric(p):
+    k, j, S = p.k, p.j, p.members
+    var = _planes(k)
+    prod = np.ones(1 << k, dtype=np.uint8)
+    for l in S:
+        prod &= var(l)
+    return _normalize(k, array_to_table(var(j) ^ ((var(k + 1 - j) ^ 1) & prod)))
+
+
+def _reference_chain(r):
+    k = 2 * r
+    var = _planes(k)
+    acc = var(r)
+    for j in range(1, r):
+        term = (var(j) ^ 1) & (var(r + j + 1) ^ 1)
+        for m in range(1, j + 1):
+            term &= var(r + m)
+        all_zero = np.ones(1 << k, dtype=np.uint8)
+        all_one = np.ones(1 << k, dtype=np.uint8)
+        for m in range(j + 1, r + 1):
+            all_zero &= var(m) ^ 1
+            all_one &= var(m)
+        acc ^= term & (all_zero ^ all_one)
+    return _normalize(k, array_to_table(acc))
+
+
+def _key(r):
+    return r.k, r.table, r.shift
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 10, 11, 12, 16, 20])
+def test_symmetric_matches_bit_planes(k):
+    for p in valid_symmetric_params(k)[:3]:
+        assert _key(build_symmetric(p)) == _key(_reference_symmetric(p)), p
+
+
+def test_chain_matches_bit_planes():
+    for r in range(2, 11):
+        assert _key(build_chain(ChainFamilyParams(r))) == _key(_reference_chain(r)), r

@@ -24,7 +24,7 @@ from liftforge.landscape import (
     parse_landscape,
     reverse_landscape,
 )
-from liftforge.corefn import array_to_table, bitmask, essential_vars
+from liftforge.corefn import _normalize, array_to_table, bitmask, essential_vars
 from liftforge.lifting import compose_chain
 
 
@@ -280,3 +280,42 @@ def test_counting_is_not_capped_by_the_listing_cap(monkeypatch):
     monkeypatch.setattr(landscape, "_fixed_point_count", lambda k, transform: 0)
     for k in (16, 18):
         assert enumerate_conserved(k, include_list=False).count == 0
+
+
+# ---------------------------------------------------------------------------
+# the cube builder against the bit-plane compiler it replaced
+
+
+def _reference_compile_set(members):
+    """compile_set with one index bit-plane per defined variable."""
+    dmin = min(1 - l.s for l in members)
+    K = max(l.k - l.s for l in members) - dmin + 1
+    s = 1 - dmin
+    idx = np.arange(1 << K, dtype=np.uint32)
+    flip = np.zeros(idx.size, dtype=bool)
+    for l in members:
+        match = np.ones(idx.size, dtype=bool)
+        for d, e in l.offsets().items():
+            match &= ((idx >> np.uint32(s + d - 1)) & 1) == e
+        flip |= match
+    center = ((idx >> np.uint32(s - 1)) & 1).astype(np.uint8)
+    return _normalize(K, array_to_table(center ^ flip.astype(np.uint8)))
+
+
+def _key(r):
+    return r.k, r.table, r.shift
+
+
+def test_compile_landscape_matches_bit_planes():
+    for k in range(4, 9):
+        for l in enumerate_conserved(k).landscapes:
+            assert _key(compile_landscape(l)) == _key(_reference_compile_set([l])), l.symbols
+
+
+def test_compile_set_matches_bit_planes():
+    pool = enumerate_conserved(6).landscapes
+    rng = random.Random(15)
+    for _ in range(300):
+        members = rng.sample(pool, rng.randint(1, 4))
+        got, ref = compile_set(members), _reference_compile_set(members)
+        assert _key(got) == _key(ref), [l.symbols for l in members]

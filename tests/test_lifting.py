@@ -374,6 +374,24 @@ def test_finite_scan_agrees_on_conserved_k6(conserved_pool_k6):
         assert lf.decide_proper(r, method="finite-scan", scan_limit=12).proper
 
 
+def test_finite_scan_past_n_cap_raises_before_any_map(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan cap must be checked before the first induced map")
+
+    monkeypatch.setattr(lifting, "induce", refuse)
+    with pytest.raises(CapExceededError, match="n=17 above cap 16"):
+        lf.decide_proper(PATT, method="finite-scan", scan_limit=17, n_cap=16)
+    with pytest.raises(CapExceededError, match="n=25 above cap 24"):
+        lf.decide_proper(PATT, method="finite-scan", scan_limit=25)
+    monkeypatch.undo()
+    assert lf.decide_proper(PATT, method="finite-scan", scan_limit=10, n_cap=10).proper
+
+
+def test_verify_scan_stays_under_a_small_n_cap(capsys):
+    assert cli.main(["--n-cap", "10", "--format", "json", "verify", "--scan", "0★10"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"decision": "proper", "method": "finite-scan"}
+
+
 def test_finite_scan_agrees_on_random_non_liftings():
     rng = random.Random(77)
     disagreements = 0
