@@ -103,10 +103,13 @@ def cmd_landscapes(args) -> int:
         return 2
     res = landscape.enumerate_conserved(args.k, include_list=args.list, jobs=args.jobs)
     doc = res.to_json()
-    listing = [_maybe_ascii(l.symbols, args) for l in res.landscapes] if args.list else []
+    listing = []
+    rows = [["k", "count", "classes"], [args.k, res.count, res.class_count]]
     if args.list:
+        listing = [_maybe_ascii(l.symbols, args) for l in res.landscapes]
         doc["landscapes"] = listing
-    _emit(args, doc, listing + [f"count={res.count} classes={res.class_count}"])
+        rows = [["landscape"]] + [[l] for l in listing]
+    _emit(args, doc, listing + [f"count={res.count} classes={res.class_count}"], rows)
     return 0
 
 

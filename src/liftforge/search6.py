@@ -7,7 +7,10 @@ involutive assignment of rotation classes (with a rotation alignment per
 swapped pair, and an optional half-period flip on fixed classes when p is
 even).  Each combined assignment pins the rule on the 44 windows that occur
 in such sequences; scanning the combinations and discarding value
-collisions leaves a few thousand partial tables.
+collisions leaves a few thousand partial tables.  The scan is array passes:
+each period's class maps become two uint64 mask arrays, the p1..p4 prefixes
+one broadcast of those, and the p5 collision test a broadcast of prefix
+blocks against every p5 map.
 
 The partial tables are then completed by unit propagation of the involution
 identity f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1} over the 2,048
@@ -16,7 +19,9 @@ table held as 64-bit words `defined` and `ones`, with `fresh` marking the
 windows set since its last round.  A round takes every word whose six
 windows are defined, one of them fresh, computes v = f(z_1..z_6) ..
 f(z_6..z_11) and forces f(v) = z_{2s-1}; a row dies when a forced value
-contradicts a defined one or two words force opposite values.  Rows with
+contradicts a defined one or two words force opposite values.  A round
+runs in blocks whose rows times the words in play stay within a fixed
+budget, so a round over few words takes many rows at once.  Rows with
 nothing fresh left are finished tables or split on their lowest unset
 window.  The first round sees the 278 words whose windows are all pinned
 and already refutes most rows (4,296 -> 34 at s=2, 4,564 -> 130 at s=3).
@@ -35,7 +40,6 @@ from .corefn import (
     InvalidRuleError,
     LiftforgeError,
     Rule,
-    _take,
     _windows,
     canonicalize,
     reverse,
@@ -139,48 +143,34 @@ def _matchings(items: list[int]):
 
 
 @lru_cache(maxsize=16)
-def _class_map_options(p: int, fix_all_zero: bool) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Involutive class maps for period p as tuples of (src, dst, rotation).
+def _class_map_options(p: int, fix_all_zero: bool) -> np.ndarray:
+    """Involutive class maps for period p, one row per map: for every source
+    class (by position) its image class and the rotation, shape (maps, r, 2).
 
-    With ``fix_all_zero`` (only meaningful for p=1) the option swapping the
-    all-zero and all-one sequences is dropped, enforcing f(0) = 0.
+    Each matching of the classes gives a grid of maps, a rotation per
+    swapped pair and (for even p) a flip per fixed class, the first pair
+    varying slowest.  With ``fix_all_zero`` (only meaningful for p=1) the
+    option swapping the all-zero and all-one sequences is dropped, enforcing
+    f(0) = 0.
     """
-    classes = primitive_necklace_classes(p)
-    r = len(classes)
-    flips = (0,) if p % 2 else (0, p // 2)
-    options = []
+    r = len(primitive_necklace_classes(p))
+    blocks = []
     for pairs in _matchings(list(range(r))):
+        if p == 1 and fix_all_zero and pairs:
+            continue  # classes are {000...} (rep 0) and {111...} (rep 1)
         paired = {i for pair in pairs for i in pair}
         fixed = [i for i in range(r) if i not in paired]
-
-        def emit(pair_rots, fixed_flips):
-            entry = []
-            for (a, b), c in zip(pairs, pair_rots):
-                entry.append((a, b, c))
-                entry.append((b, a, (-c) % p))
-            for i, d in zip(fixed, fixed_flips):
-                entry.append((i, i, d))
-            options.append(tuple(sorted(entry)))
-
-        def rec_pairs(i, acc):
-            if i == len(pairs):
-                rec_fixed(0, acc, [])
-                return
-            for c in range(p):
-                rec_pairs(i + 1, acc + [c])
-
-        def rec_fixed(i, pair_rots, acc):
-            if i == len(fixed):
-                emit(pair_rots, acc)
-                return
-            for d in flips:
-                rec_fixed(i + 1, pair_rots, acc + [d])
-
-        rec_pairs(0, [])
-    if p == 1 and fix_all_zero:
-        # classes are {000...} (rep 0) and {111...} (rep 1); keep identity only
-        options = [o for o in options if all(a == b for a, b, _ in o)]
-    return tuple(options)
+        grid = np.indices((p,) * len(pairs) + (2 - p % 2,) * len(fixed)).reshape(r - len(pairs), -1)
+        opts = np.empty((grid.shape[1], r, 2), dtype=np.intp)
+        for (a, b), c in zip(pairs, grid):
+            opts[:, a, 0], opts[:, a, 1] = b, c
+            opts[:, b, 0], opts[:, b, 1] = a, -c % p
+        for i, d in zip(fixed, grid[len(pairs) :]):
+            opts[:, i, 0], opts[:, i, 1] = i, d * (p // 2)
+        blocks.append(opts)
+    out = np.concatenate(blocks)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -205,17 +195,19 @@ def _triple_masks(p: int, src: int, dst: int, c: int, s: int) -> tuple[int, int]
     return def_mask, ones
 
 
-def _forced_masks(p: int, option, s: int) -> tuple[int, int]:
-    """(defined, ones) masks over the 64 windows pinned by one class map."""
-    def_mask = 0
-    ones = 0
-    for src, dst, c in option:
-        d, o = _triple_masks(p, src, dst, c, s)
-        if (def_mask & d) & (ones ^ o):
-            raise LiftforgeError("internal: self-conflicting class map")
-        def_mask |= d
-        ones |= o
-    return def_mask, ones
+def _period_masks(p: int, s: int, fix_all_zero: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(defined, ones) masks over the 64 windows pinned by each class map of
+    period p, as two uint64 arrays in option order."""
+    r = len(primitive_necklace_classes(p))
+    triples = np.array(
+        [[[_triple_masks(p, a, b, c, s) for c in range(p)] for b in range(r)] for a in range(r)], dtype=np.uint64
+    )
+    opts = _class_map_options(p, fix_all_zero)
+    d, o = np.moveaxis(triples[np.arange(r), opts[..., 0], opts[..., 1]], -1, 0)  # (maps, r) each
+    ones = np.bitwise_or.reduce(o, axis=1)
+    if np.any(d & ~o & ones[:, None]):
+        raise LiftforgeError("internal: self-conflicting class map")
+    return np.bitwise_or.reduce(d, axis=1), ones
 
 
 def short_period_words() -> int:
@@ -230,78 +222,73 @@ def short_period_words() -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class PeriodicAssignment:
-    """One collision-free combination of per-period class maps."""
-
-    s: int
-    choices: tuple  # per period p=1..5, the chosen class map
-    def_mask: int
-    ones_mask: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignmentScan:
+    """The collision-free combinations of per-period class maps, as the
+    (defined, ones) masks of their partial tables in scan order."""
+
     s: int
     scanned: int
-    survivors: tuple[PeriodicAssignment, ...]
+    def_masks: np.ndarray  # uint64, one entry per survivor
+    ones_masks: np.ndarray
     fixed_window_count: int
     collision_counts: dict
+
+    @property
+    def survivors(self) -> np.ndarray:
+        """One (defined, ones) row per survivor."""
+        return np.stack((self.def_masks, self.ones_masks), axis=1)
+
+
+_SCAN_BLOCK = 1 << 15  # entries of one p5 collision temporary, prefixes times p5 maps
+
+
+def _outer_or(arrays) -> np.ndarray:
+    """OR of one entry from each array, for every combination, the first
+    array varying slowest."""
+    out = arrays[0]
+    for a in arrays[1:]:
+        out = (out[:, None] | a).reshape(-1)
+    return out
 
 
 def enumerate_periodic_assignments(s: int, include_complemented: bool = False) -> AssignmentScan:
     """Scan all per-period class-map combinations, dropping value collisions.
 
     By default the all-zero sequence is pinned to itself (f(0) = 0);
-    ``include_complemented`` also scans the swapped branch.
+    ``include_complemented`` also scans the swapped branch.  A prefix (maps
+    for p = 1..4) collides when one period's defined zero is another's one;
+    the p5 maps are tested against blocks of the other prefixes.
     """
     if s not in (2, 3):
         raise LiftforgeError("direct scan supports s in {2, 3}; s=4,5 follow by reversal")
-    per_p = []
-    for p in range(1, MAX_P + 1):
-        opts = _class_map_options(p, fix_all_zero=(p == 1 and not include_complemented))
-        per_p.append([(o, *_forced_masks(p, o, s)) for o in opts])
-    # the innermost (largest) level is one array operation per prefix
-    p5 = per_p[4]
-    d5 = np.array([d for _, d, _ in p5], dtype=np.uint64)
-    v5 = np.array([v for _, _, v in p5], dtype=np.uint64)
-    scanned = 0
-    survivors = []
-    collisions = {"prefix": 0, "p5": 0}
-    for o1, d1, v1 in per_p[0]:
-        for o2, d2, v2 in per_p[1]:
-            for o3, d3, v3 in per_p[2]:
-                if (d2 & d3) & (v2 ^ v3):
-                    scanned += len(per_p[3]) * len(p5)
-                    collisions["prefix"] += len(per_p[3]) * len(p5)
-                    continue
-                for o4, d4, v4 in per_p[3]:
-                    pre_d = d1 | d2 | d3 | d4
-                    pre_v = v1 | v2 | v3 | v4
-                    if ((d1 | d2 | d3) & d4) & ((v1 | v2 | v3) ^ v4):
-                        scanned += len(p5)
-                        collisions["prefix"] += len(p5)
-                        continue
-                    scanned += len(p5)
-                    clash = (v5 ^ np.uint64(pre_v)) & (d5 & np.uint64(pre_d))
-                    keep = np.flatnonzero(clash == 0).tolist()
-                    collisions["p5"] += len(p5) - len(keep)
-                    for i in keep:
-                        o5_, d5_, v5_ = p5[i]
-                        survivors.append(
-                            PeriodicAssignment(
-                                s, (o1, o2, o3, o4, o5_), pre_d | d5_, pre_v | v5_
-                            )
-                        )
-    fixed = survivors[0].def_mask.bit_count() if survivors else 0
-    return AssignmentScan(s, scanned, tuple(survivors), fixed, collisions)
+    per_p = [_period_masks(p, s, p == 1 and not include_complemented) for p in range(1, MAX_P + 1)]
+    (d5, v5), prefix = per_p[-1], per_p[:-1]
+    pre_d = _outer_or([d for d, _ in prefix])
+    pre_v = _outer_or([v for _, v in prefix])
+    ok = (_outer_or([d & ~v for d, v in prefix]) & pre_v) == 0
+    pre_d, pre_v = pre_d[ok, None], pre_v[ok, None]
+    rows = max(1, _SCAN_BLOCK // len(d5))
+    defs, ones = [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.uint64)]
+    for lo in range(0, len(pre_d), rows):
+        bd, bv = pre_d[lo : lo + rows], pre_v[lo : lo + rows]
+        clash = bv ^ v5
+        clash &= bd
+        clash &= d5
+        i, j = np.nonzero(clash == 0)
+        defs.append(bd[i, 0] | d5[j])
+        ones.append(bv[i, 0] | v5[j])
+    def_masks, ones_masks = np.concatenate(defs), np.concatenate(ones)
+    collisions = {"prefix": int(np.count_nonzero(~ok)) * len(d5), "p5": len(pre_d) * len(d5) - len(def_masks)}
+    fixed = int(def_masks[0]).bit_count() if len(def_masks) else 0
+    return AssignmentScan(s, len(ok) * len(d5), def_masks, ones_masks, fixed, collisions)
 
 
 # ---------------------------------------------------------------------------
 # extension over the free windows: batched unit propagation of the identity
 
 
-_ROW_BLOCK = 16  # rows per propagation call; bounds the (words, rows) temporaries
+_WORD_BUDGET = 16 * (1 << 11)  # rows per propagation call times its words in play
 _FULL = np.uint64((1 << WORDS) - 1)
 
 
@@ -317,6 +304,15 @@ def _word_planes(s: int):
     return windows, masks, len(z) // 2
 
 
+def _words_in_play(defined, fresh, s: int) -> np.ndarray:
+    """The words whose windows are all defined in some row, one of them
+    fresh in some row: the only words a round over these rows can use."""
+    masks = _word_planes(s)[1]
+    return np.flatnonzero(
+        ((masks & ~np.bitwise_or.reduce(defined)) == 0) & ((masks & np.bitwise_or.reduce(fresh)) != 0)
+    )
+
+
 def _propagate(defined, ones, fresh, s: int):
     """One round on a block of rows.  Every word whose windows are all
     defined, one of them fresh, gives v = f(z_1..z_6)..f(z_6..z_11) and
@@ -324,9 +320,7 @@ def _propagate(defined, ones, fresh, s: int):
     and two row masks: a forced value contradicts a defined one, and two
     words force opposite values."""
     windows, masks, zeros = _word_planes(s)
-    words = np.flatnonzero(
-        ((masks & ~np.bitwise_or.reduce(defined)) == 0) & ((masks & np.bitwise_or.reduce(fresh)) != 0)
-    )
+    words = _words_in_play(defined, fresh, s)
     m = masks[words, None]
     cand = ((defined & m) == m) & ((fresh & m) != 0)  # (words, rows)
     # bit x of every row's `ones`, one row per window x; then v bit by bit
@@ -350,8 +344,10 @@ def _extend_all(def_masks, ones_masks, s: int) -> tuple[list[int], int]:
     satisfy f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1}; and the number
     of rows the first round finds no pinned-value conflict in.
 
-    All rows take each round together, _ROW_BLOCK at a time; a row with
-    nothing fresh is finished or splits on its lowest unset window."""
+    All rows take each round together, in blocks sized by the words in
+    play: rows per block times the words any row can use that round stay
+    within _WORD_BUDGET, which bounds the (words, rows) temporaries.  A row
+    with nothing fresh is finished or splits on its lowest unset window."""
     defined = np.array(def_masks, dtype="<u8")
     ones = np.array(ones_masks, dtype="<u8")
     fresh = defined.copy()
@@ -361,8 +357,9 @@ def _extend_all(def_masks, ones_masks, s: int) -> tuple[list[int], int]:
     for rnd in range(WORDS + 1):
         pinned = np.zeros(len(defined), dtype=bool)
         clash = np.zeros(len(defined), dtype=bool)
-        for lo in range(0, len(defined), _ROW_BLOCK):
-            b = slice(lo, lo + _ROW_BLOCK)
+        rows = max(1, _WORD_BUDGET // max(1, len(_words_in_play(defined, fresh, s))))
+        for lo in range(0, len(defined), rows):
+            b = slice(lo, lo + rows)
             defined[b], ones[b], fresh[b], pinned[b], clash[b] = _propagate(defined[b], ones[b], fresh[b], s)
         if rnd == 0:
             searched = len(defined) - int(np.count_nonzero(pinned))
@@ -382,20 +379,20 @@ def _extend_all(def_masks, ones_masks, s: int) -> tuple[list[int], int]:
     raise LiftforgeError("internal: rows left after every window was defined")
 
 
+def _is_involution(tabs: np.ndarray, s: int) -> np.ndarray:
+    """For each row of ``tabs`` (a stack of 64-entry uint8 tables), whether
+    its raw double self-composition over 11 variables equals x_{2s-1}."""
+    ff = np.take_along_axis(tabs, _windows(tabs, K6, K6), axis=1)
+    z = np.arange(1 << 11, dtype=np.uint32)
+    return (ff == ((z >> np.uint32(2 * s - 2)) & 1)).all(axis=1)
+
+
 def involution_rule_check(rule: Rule, s: int) -> bool:
     """Exact automaton-level involution check at window offset s: the raw
     double self-composition over 11 variables must equal x_{2s-1}."""
     if rule.k != K6:
         return False
-    return _involution_table_check(rule.table, s)
-
-
-def _involution_table_check(table: int, s: int) -> bool:
-    tab = table_to_array(table, K6)
-    out = _take(tab, _windows(tab, K6, K6))  # f o f
-    z = np.arange(1 << 11, dtype=np.uint32)
-    want = ((z >> np.uint32(2 * s - 2)) & 1).astype(np.uint8)
-    return bool(np.array_equal(out, want))
+    return bool(_is_involution(table_to_array(rule.table, K6)[None], s)[0])
 
 
 @dataclass(frozen=True)
@@ -426,14 +423,14 @@ def complete_search(s: int, include_complemented: bool = False) -> SearchResult:
     """Extend every surviving assignment over its free windows and keep the
     tight diameter-6 rules; each result is re-verified independently."""
     scan = enumerate_periodic_assignments(s, include_complemented)
-    tables, searched = _extend_all(
-        [a.def_mask for a in scan.survivors], [a.ones_mask for a in scan.survivors], s
-    )
+    tables, searched = _extend_all(scan.def_masks, scan.ones_masks, s)
+    tables.sort()
     assert len(set(tables)) == len(tables)
+    tabs = np.unpackbits(np.array(tables, dtype="<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    if tables and not _is_involution(tabs, s).all():
+        raise LiftforgeError("internal: completion fails the exact involution check")
     out = []
-    for t in sorted(tables):
-        if not _involution_table_check(t, s):
-            raise LiftforgeError("internal: completion fails the exact involution check")
+    for t in tables:
         try:
             rule = rule_from_table(K6, t)
         except InvalidRuleError:
@@ -441,7 +438,7 @@ def complete_search(s: int, include_complemented: bool = False) -> SearchResult:
         if rule.k != K6:
             continue  # involutive but of smaller diameter
         out.append(Involution6(rule, s, canonicalize(rule)))
-    return SearchResult(s, tuple(out), len(tables), scan.scanned, len(scan.survivors), searched)
+    return SearchResult(s, tuple(out), len(tables), scan.scanned, len(scan.def_masks), searched)
 
 
 @dataclass(frozen=True)

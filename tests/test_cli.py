@@ -158,6 +158,8 @@ def test_landscapes_counts(capsys, fmt):
     out = capsys.readouterr().out
     if fmt == "json":
         assert json.loads(out) == {"k": 8, "count": 1160, "classes": 290}
+    elif fmt == "csv":
+        assert _csv(out) == [["k", "count", "classes"], ["8", "1160", "290"]]
     else:
         assert out.splitlines() == ["count=1160 classes=290"]
 
@@ -168,6 +170,14 @@ def test_landscapes_list(capsys):
     assert summary == "count=1160 classes=290"
     assert len(listed) == len(set(listed)) == 1160
     assert all(lf.is_conserved(lf.parse_landscape(s)) and len(s) == 8 for s in listed)
+
+
+def test_landscapes_list_csv(capsys):
+    assert cli.main(["--format", "csv", "--ascii", "landscapes", "--k", "8", "--list"]) == 0
+    header, *rows = _csv(capsys.readouterr().out)
+    assert header == ["landscape"] and all(len(row) == 1 for row in rows)
+    listing = landscape.enumerate_conserved(8).landscapes
+    assert [row[0] for row in rows] == [l.symbols.replace("★", "*") for l in listing]
 
 
 def test_landscapes_k13_requires_long(capsys):

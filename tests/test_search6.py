@@ -93,7 +93,111 @@ def test_assignment_scan_counts():
     scan3 = enumerate_periodic_assignments(3)
     assert scan3.scanned == 787_456
     assert len(scan3.survivors) == 4564
-    assert {a.def_mask for a in scan3.survivors} == {short_period_words()}
+    assert set(scan3.def_masks.tolist()) == {short_period_words()}
+
+
+# ---------------------------------------------------------------------------
+# the nested-loop scan over class maps built one at a time, kept as the
+# reference for enumerate_periodic_assignments
+
+
+@functools.lru_cache(maxsize=16)
+def _ref_class_map_options(p, fix_all_zero):
+    """Involutive class maps for period p as sorted tuples of (src, dst,
+    rotation), the first pair's rotation and the first fixed class's flip
+    varying slowest."""
+    r = len(primitive_necklace_classes(p))
+    flips = (0,) if p % 2 else (0, p // 2)
+    options = []
+    for pairs in search6._matchings(list(range(r))):
+        paired = {i for pair in pairs for i in pair}
+        fixed = [i for i in range(r) if i not in paired]
+        for choice in itertools.product(*[range(p)] * len(pairs), *[flips] * len(fixed)):
+            entry = [(a, b, c) for (a, b), c in zip(pairs, choice)]
+            entry += [(b, a, -c % p) for (a, b), c in zip(pairs, choice)]
+            entry += [(i, i, d) for i, d in zip(fixed, choice[len(pairs) :])]
+            options.append(tuple(sorted(entry)))
+    if p == 1 and fix_all_zero:
+        options = [o for o in options if all(a == b for a, b, _ in o)]
+    return tuple(options)
+
+
+def _ref_forced_masks(p, option, s):
+    def_mask = ones = 0
+    for src, dst, c in option:
+        d, o = search6._triple_masks(p, src, dst, c, s)
+        assert not (def_mask & d) & (ones ^ o)
+        def_mask |= d
+        ones |= o
+    return def_mask, ones
+
+
+def _ref_scan(s, include_complemented=False):
+    """(scanned, survivors as (defined, ones) pairs, fixed windows,
+    collision counts), one prefix of p1..p4 maps at a time."""
+    per_p = []
+    for p in range(1, 6):
+        opts = _ref_class_map_options(p, p == 1 and not include_complemented)
+        per_p.append([_ref_forced_masks(p, o, s) for o in opts])
+    p5 = per_p[4]
+    scanned = 0
+    survivors = []
+    collisions = {"prefix": 0, "p5": 0}
+    for d1, v1 in per_p[0]:
+        for d2, v2 in per_p[1]:
+            for d3, v3 in per_p[2]:
+                if (d2 & d3) & (v2 ^ v3):
+                    scanned += len(per_p[3]) * len(p5)
+                    collisions["prefix"] += len(per_p[3]) * len(p5)
+                    continue
+                for d4, v4 in per_p[3]:
+                    scanned += len(p5)
+                    if ((d1 | d2 | d3) & d4) & ((v1 | v2 | v3) ^ v4):
+                        collisions["prefix"] += len(p5)
+                        continue
+                    pre_d, pre_v = d1 | d2 | d3 | d4, v1 | v2 | v3 | v4
+                    for d5, v5 in p5:
+                        if (pre_d & d5) & (pre_v ^ v5):
+                            collisions["p5"] += 1
+                        else:
+                            survivors.append((pre_d | d5, pre_v | v5))
+    fixed = survivors[0][0].bit_count() if survivors else 0
+    return scanned, survivors, fixed, collisions
+
+
+def test_class_map_options_match_reference():
+    for p in range(1, 6):
+        for fix in (False, True):
+            got = [tuple((a, int(b), int(c)) for a, (b, c) in enumerate(row)) for row in _class_map_options(p, fix)]
+            assert got == list(_ref_class_map_options(p, fix))
+
+
+@pytest.mark.parametrize(
+    "s, complemented, p5_collisions",
+    [(2, False, 783_160), (3, False, 782_892), (2, True, 1_566_320)],
+)
+def test_assignment_scan_matches_reference(s, complemented, p5_collisions):
+    scan = enumerate_periodic_assignments(s, complemented)
+    scanned, survivors, fixed, collisions = _ref_scan(s, complemented)
+    assert collisions == {"prefix": 0, "p5": p5_collisions}
+    assert list(zip(scan.def_masks.tolist(), scan.ones_masks.tolist())) == survivors
+    assert (scan.scanned, scan.fixed_window_count, scan.collision_counts) == (scanned, fixed, collisions)
+    assert scan.survivors.tolist() == [list(a) for a in survivors]
+    assert scanned == len(survivors) + p5_collisions == (1_574_912 if complemented else 787_456)
+    if complemented:
+        assert len(survivors) == 8592
+
+
+def test_assignment_scan_allocation_bound():
+    enumerate_periodic_assignments(3)  # the cached class maps and triple masks are not counted
+    tracemalloc.start()
+    try:
+        scan = enumerate_periodic_assignments(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scan.def_masks) == 4564
+    assert peak < 1.5 * (1 << 20)
 
 
 def test_assignment_scan_rejects_bad_offset():
@@ -208,14 +312,14 @@ def _ref_bit_rows(masks):
 
 
 def _ref_refuted_by_pinned_words(assignments, s):
-    """Mask of the assignments whose pinned values already contradict the
+    """Mask of the (defined, ones) assignments whose pinned values already contradict the
     identity on a word whose six windows are all short-period words."""
     z = np.arange(1 << 11, dtype=np.intp)
     windows = (z[:, None] >> np.arange(6)) & 63
     keep = _ref_bit_rows([short_period_words()])[0][windows].all(axis=1)
     windows, target = windows[keep], ((z[keep] >> (2 * s - 2)) & 1).astype(np.uint8)
-    ones = _ref_bit_rows([a.ones_mask for a in assignments])
-    defined = _ref_bit_rows([a.def_mask for a in assignments])
+    defined = _ref_bit_rows([d for d, _ in assignments])
+    ones = _ref_bit_rows([o for _, o in assignments])
     z_defined = defined[:, windows].all(axis=2)
     v = np.packbits(ones[:, windows], axis=2, bitorder="little")[:, :, 0].astype(np.intp)
     fv = np.take_along_axis(ones, v, axis=1)
@@ -290,30 +394,41 @@ def reference_extension():
     rng = random.Random(2411)
     out = {}
     for s in (2, 3):
-        survivors = enumerate_periodic_assignments(s).survivors
+        survivors = [tuple(a) for a in enumerate_periodic_assignments(s).survivors.tolist()]
         refuted = _ref_refuted_by_pinned_words(survivors, s)
         kept = [a for a, r in zip(survivors, refuted) if not r]
-        tables = sorted(t for a in kept for t in _ref_extend(a.def_mask, a.ones_mask, s))
+        tables = sorted(t for a in kept for t in _ref_extend(*a, s))
         dropped = rng.sample([a for a, r in zip(survivors, refuted) if r], 100)
         out[s] = kept, tables, dropped
     return out
 
 
 def _masks(assignments):
-    return [a.def_mask for a in assignments], [a.ones_mask for a in assignments]
+    return [d for d, _ in assignments], [o for _, o in assignments]
 
 
 def test_pinned_word_filter_drops_only_unextendable_survivors(reference_extension):
     for s, (kept, _, dropped) in reference_extension.items():
         assert len(kept) == {2: 34, 3: 130}[s]
         for a in dropped:
-            assert _ref_extend(a.def_mask, a.ones_mask, s) == []
+            assert _ref_extend(*a, s) == []
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
 def test_extend_all_matches_reference(reference_extension, monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(search6, "_ROW_BLOCK", block)
+        # the first round uses the 278 words whose windows are all pinned
+        monkeypatch.setattr(search6, "_WORD_BUDGET", block * 278)
+        sizes = []
+        propagate = search6._propagate
+
+        def counted(defined, *args):
+            sizes.append(len(defined))
+            return propagate(defined, *args)
+
+        monkeypatch.setattr(search6, "_propagate", counted)
+        _extend_all(*_masks(reference_extension[2][0]), 2)
+        assert sizes[: 34 // block] == [block] * (34 // block)  # the 34 rows kept at s=2
     for s, (kept, tables, dropped) in reference_extension.items():
         got, searched = _extend_all(*_masks(kept), s)
         assert (sorted(got), searched) == (tables, len(kept))
@@ -358,9 +473,9 @@ def test_opposite_forcings_refute_a_row():
 
 
 def test_extend_all_allocation_bound():
-    survivors = enumerate_periodic_assignments(3).survivors
-    masks = _masks(survivors)
-    _extend_all(*_masks(survivors[:1]), 3)  # the cached word planes are not counted
+    scan = enumerate_periodic_assignments(3)
+    masks = scan.def_masks.tolist(), scan.ones_masks.tolist()
+    _extend_all(scan.def_masks[:1], scan.ones_masks[:1], 3)  # the cached word planes are not counted
     tracemalloc.start()
     try:
         tables, searched = _extend_all(*masks, 3)
