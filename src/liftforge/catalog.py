@@ -27,7 +27,7 @@ from .corefn import (
     is_balanced,
     orbit,
 )
-from .diffunif import ddt_max
+from .diffunif import DEFAULT_DU_CAP, LengthRangeError, _check_du_cap, _ddt_maxima
 from .exprlang import LiftExpr, eval_expr, parse_expr
 from .landscape import compile_landscape, enumerate_conserved
 from .lifting import DEFAULT_ARITY_CAP, decide_proper
@@ -130,39 +130,53 @@ def verify_catalog(
 ) -> CatalogReport:
     """Check diameter, degree, properness, balance and pairwise class
     distinctness of every entry; optionally the stated per-length
-    differential uniformities and containment of a set of class ids."""
+    differential uniformities and containment of a set of class ids.
+
+    The DU values are computed for every checked entry at once, one length
+    at a time, and each entry's problems are reported together, in the
+    order of the checks."""
+    if check_du:  # refused before any rule is built
+        _check_du_cap(du_to, DEFAULT_DU_CAP)
+        if not DU_RANGE[0] <= du_to <= DU_RANGE[1]:
+            raise LengthRangeError(f"DU values are stated for n = {DU_RANGE[0]}..{DU_RANGE[1]}, got du_to={du_to}")
     entries = entries if entries is not None else load_catalog()
     report = CatalogReport()
     seen: dict[EquivClassId, int] = {}
     classes = set()
+    per_entry: list[list[Problem]] = []
+    du_checked: list[tuple[list[Problem], CatalogEntry, Rule]] = []
     for e in entries:
+        problems: list[Problem] = []
+        per_entry.append(problems)
         r = e.rule()
         if r.k != 6:
-            report.problems.append(Problem(e.index, "diameter", f"got {r.k}"))
+            problems.append(Problem(e.index, "diameter", f"got {r.k}"))
             continue
         d = degree(r)
         if d != e.stated_degree:
-            report.problems.append(Problem(e.index, "degree", f"stated {e.stated_degree}, computed {d}"))
+            problems.append(Problem(e.index, "degree", f"stated {e.stated_degree}, computed {d}"))
         if not is_balanced(r):
-            report.problems.append(Problem(e.index, "balance", "table is not balanced"))
+            problems.append(Problem(e.index, "balance", "table is not balanced"))
         cid = canonicalize(r)
         if cid in seen:
-            report.problems.append(Problem(e.index, "duplicate-class", f"same class as entry {seen[cid]}"))
+            problems.append(Problem(e.index, "duplicate-class", f"same class as entry {seen[cid]}"))
         seen[cid] = e.index
         classes.add(cid)
         verdict = decide_proper(r)
         if not verdict.proper:
-            report.problems.append(Problem(e.index, "not-proper", verdict.to_json()))
+            problems.append(Problem(e.index, "not-proper", verdict.to_json()))
         if check_du and e.stated_du is not None:
-            lo = DU_RANGE[0]
-            for n in range(lo, du_to + 1):
-                raw, _ = ddt_max(r, n)
+            du_checked.append((problems, e, r))
+    if du_checked:
+        lo = DU_RANGE[0]
+        rules = [r for _, _, r in du_checked]
+        for n in range(lo, du_to + 1):
+            for (problems, e, _), (raw, _) in zip(du_checked, _ddt_maxima(rules, n)):
                 stated = e.stated_du[n - lo]
                 if raw != stated:
-                    report.problems.append(
-                        Problem(e.index, "du", f"n={n}: stated {stated}, computed {raw}")
-                    )
-            report.checked_du_range = (lo, du_to)
+                    problems.append(Problem(e.index, "du", f"n={n}: stated {stated}, computed {raw}"))
+        report.checked_du_range = (lo, du_to)
+    report.problems = [p for problems in per_entry for p in problems]
     if required_classes is not None:
         missing = set(required_classes) - classes
         for cid in sorted(missing, key=lambda c: c.text()):

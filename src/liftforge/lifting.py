@@ -63,29 +63,36 @@ def _rotate_seq_array(y: np.ndarray, n: int, c: int) -> np.ndarray:
     return (((y << np.uint32(c)) | (y >> np.uint32(n - c))) & m).astype(np.uint32)
 
 
-def _raw_induced_array(table: int, k: int, n: int) -> np.ndarray:
-    """Materialize F over all 2**n states for a raw k-variable table.
+def _induced_arrays(tables: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Materialize F over all 2**n states for each raw k-variable table of
+    a stack (one row of 2**k bits each), shape (rows, 2**n).
 
     ``_windows`` gives the m = n - k + 1 outputs whose windows do not wrap;
     the state rotated right by c gives outputs c..c+m-1 the same way.  The
     blocks start at c = 0, m, 2m, ..., the last clamped to n - m, so that
-    none wraps and overlapping blocks write equal bits.  States go in the
-    slices ``_take`` uses, so no full-size rotation or gather is held.
+    none wraps and overlapping blocks write equal bits.  States go in
+    slices of at most the ``_take`` bound over the whole stack, so no
+    full-size rotation or gather is held.
     """
     m = n - k + 1
-    lin = _windows(table_to_array(table, k), k, m)
+    lin = _windows(tables, k, m)
     starts = [min(c, n - m) for c in range(m, n, m)]
     size = 1 << n
-    step = 1 << _TAKE_BITS
+    step = max(1, (1 << _TAKE_BITS) // len(lin))
     mask = np.uint32(bitmask(n))
     out = lin.astype(np.uint32)
     for x0 in range(0, size, step):
         x = np.arange(x0, min(x0 + step, size), dtype=np.uint32)
-        acc = out[x0 : x0 + step]
+        acc = out[:, x0 : x0 + step]
         for c in starts:
             rot = (x >> np.uint32(c)) | ((x << np.uint32(n - c)) & mask)
-            acc |= np.take(lin, rot).astype(np.uint32) << np.uint32(c)
+            acc |= np.take(lin, rot, axis=1).astype(np.uint32) << np.uint32(c)
     return out
+
+
+def _raw_induced_array(table: int, k: int, n: int) -> np.ndarray:
+    """F over all 2**n states for one raw k-variable table."""
+    return _induced_arrays(table_to_array(table, k)[None], k, n)[0]
 
 
 @dataclass(frozen=True)

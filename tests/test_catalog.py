@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import liftforge as lf
-from liftforge import catalog
+from liftforge import catalog, diffunif
 from liftforge.catalog import (
     CATALOG_SHA256,
     CatalogError,
@@ -28,7 +28,8 @@ from liftforge.corefn import (
 )
 from liftforge.exprlang import eval_expr, parse_expr
 from liftforge.landscape import is_conserved
-from liftforge.lifting import DEFAULT_ARITY_CAP
+from liftforge.diffunif import LengthRangeError
+from liftforge.lifting import DEFAULT_ARITY_CAP, CapExceededError
 
 
 def test_checksum_pinned():
@@ -114,6 +115,72 @@ def test_du_spot_checks_catalog_rows(catalog_entries):
     by_text = {e.text: e for e in catalog_entries}
     for text, du in spot.items():
         assert by_text[text].stated_du == du
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a rule was built or a DDT counted for a refused DU range")
+
+
+@pytest.mark.parametrize("du_to, error", [(5, LengthRangeError), (13, LengthRangeError), (15, CapExceededError)])
+def test_du_range_is_refused_before_any_rule(monkeypatch, catalog_entries, du_to, error):
+    # n = 5 is below the stated values (nothing would be checked), 13 past
+    # them, 15 past the DU cap
+    monkeypatch.setattr(diffunif, "ddt_max", _unreachable)
+    monkeypatch.setattr(diffunif, "_ddt_maxima", _unreachable)
+    monkeypatch.setattr(catalog, "_ddt_maxima", _unreachable)
+    monkeypatch.setattr(catalog.CatalogEntry, "rule", _unreachable)
+    with pytest.raises(error):
+        verify_catalog(catalog_entries, check_du=True, du_to=du_to)
+
+
+def _per_entry_problems(entries, du_to):
+    """The problems of verify_catalog with check_du, one entry at a time,
+    with one ddt_max call per length."""
+    problems, seen = [], {}
+    for e in entries:
+        r = e.rule()
+        if r.k != 6:
+            problems.append(catalog.Problem(e.index, "diameter", f"got {r.k}"))
+            continue
+        d = lf.degree(r)
+        if d != e.stated_degree:
+            problems.append(catalog.Problem(e.index, "degree", f"stated {e.stated_degree}, computed {d}"))
+        if not lf.is_balanced(r):
+            problems.append(catalog.Problem(e.index, "balance", "table is not balanced"))
+        cid = lf.canonicalize(r)
+        if cid in seen:
+            problems.append(catalog.Problem(e.index, "duplicate-class", f"same class as entry {seen[cid]}"))
+        seen[cid] = e.index
+        verdict = lf.decide_proper(r)
+        if not verdict.proper:
+            problems.append(catalog.Problem(e.index, "not-proper", verdict.to_json()))
+        if e.stated_du is not None:
+            for n in range(6, du_to + 1):
+                raw, _ = diffunif.ddt_max(r, n)
+                if raw != e.stated_du[n - 6]:
+                    problems.append(catalog.Problem(e.index, "du", f"n={n}: stated {e.stated_du[n - 6]}, computed {raw}"))
+    return problems
+
+
+def test_du_problems_keep_the_per_entry_order(catalog_entries):
+    import dataclasses
+
+    def bump(du, *lengths):
+        return tuple(v + 2 if n in lengths else v for n, v in zip(range(6, 13), du))
+
+    broken = list(catalog_entries)
+    e3, e70 = broken[3], broken[70]
+    broken[3] = dataclasses.replace(e3, stated_degree=e3.stated_degree + 1, stated_du=bump(e3.stated_du, 7))
+    broken[70] = dataclasses.replace(e70, stated_du=bump(e70.stated_du, 6, 9))
+    broken[10] = dataclasses.replace(broken[10], stated_du=None)  # not DU-checked
+    broken[20] = dataclasses.replace(broken[20], expr=parse_expr("(0★10)"))  # diameter 3, skipped
+    broken.append(dataclasses.replace(broken[5], index=120))
+    rep = verify_catalog(broken, check_du=True, du_to=10)
+    assert [(p.index, p.kind) for p in rep.problems] == [
+        (3, "degree"), (3, "du"), (20, "diameter"), (70, "du"), (70, "du"), (120, "duplicate-class")
+    ]
+    assert rep.problems == _per_entry_problems(broken, 10)
+    assert rep.checked_du_range == (6, 10)
 
 
 def test_default_generators():

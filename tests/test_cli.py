@@ -232,6 +232,7 @@ def test_du_past_the_cap_fails_before_any_ddt(monkeypatch, capsys):
         raise AssertionError("ddt_max reached past the DU cap")
 
     monkeypatch.setattr(diffunif, "ddt_max", unreachable)
+    monkeypatch.setattr(diffunif, "_ddt_maxima", unreachable)
     assert cli.main(["du", DU_EXPR, "--n", "6..15"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,6 +2,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -137,6 +138,7 @@ def _unreachable_ddt_max(*args, **kwargs):
 
 def test_du_cap_fails_before_any_ddt(monkeypatch):
     monkeypatch.setattr(diffunif, "ddt_max", _unreachable_ddt_max)
+    monkeypatch.setattr(diffunif, "_ddt_maxima", _unreachable_ddt_max)
     with pytest.raises(CapExceededError, match="n <= 14"):
         du_profile(PATT, 6, 15)
     with pytest.raises(CapExceededError, match="n <= 12"):
@@ -159,14 +161,14 @@ def test_du_profile_rejects_an_empty_range():
 def _reference_ddt_max(r, n, restrict_necklaces=True):
     """One full-x bincount per difference; the first a with a strictly
     larger maximum wins, then the first b in its row."""
-    F = lf.induce(r, n).as_array()
-    x = np.arange(1 << n, dtype=np.uint32)
+    F = lf.induce(r, n).as_array().astype(np.intp)
+    x = np.arange(1 << n)
     best, wit = -1, (0, 0)
     diffs = necklace_representatives(n) if restrict_necklaces else range(1, 1 << n)
     for a in diffs:
         if a == 0:
             continue
-        counts = np.bincount(F[x ^ np.uint32(a)] ^ F[x], minlength=1 << n)
+        counts = np.bincount(F[x ^ a] ^ F, minlength=1 << n)
         m = int(counts.max())
         if m > best:
             best, wit = m, (int(a), int(counts.argmax()))
@@ -231,11 +233,14 @@ def test_ddt_kernel_matches_reference_at_the_window_edges():
     _assert_matches_reference(cases)
 
 
-# 1: one row per block; 3 << 7: three rows at n=7 (19 nonzero necklaces,
-# so the last block is ragged), one at n >= 8; 1 << 20: every row in one
-# block.  n = 9 and 10 run the pruned scan (S = 9 and 10), whose window
-# table H comes from Walsh spectra, not from the row kernel, so it does not
-# depend on the block size.
+# _ROW_BLOCK keys per block, over the 2^(n-1) states of a row, and groups
+# of rules that induce at most twice as many states.  1: one row per block
+# and one rule per group; 3 << 7: six rows at n=7 (19 nonzero necklaces,
+# so the last block is ragged) in groups of six rules, one row and one
+# rule at n >= 9; 1 << 20: every row in one block.  n = 9 and 10 run the
+# pruned scan (S = 9 and 10), whose window table H comes from Walsh
+# spectra, not from the row kernel, so it does not depend on the block
+# size.
 @pytest.mark.parametrize("block", [1, 3 << 7, 1 << 20])
 def test_ddt_kernel_block_sizes(monkeypatch, catalog_entries, block):
     monkeypatch.setattr(diffunif, "_ROW_BLOCK", block)
@@ -243,6 +248,54 @@ def test_ddt_kernel_block_sizes(monkeypatch, catalog_entries, block):
     cases = [(_random_rule(rng, k), n) for k in (2, 4, 6) for n in (6, 7, 9)]
     cases += [(catalog_entries[i].rule(), n) for i in (0, 57, 119) for n in (6, 7, 8, 10)]
     _assert_matches_reference(cases)
+
+
+def _mixed_stack():
+    """Rules of every diameter 1..11 (k = 11 is above S), and three more of
+    diameters 3 and 6 so that a group can hold several rules, shuffled."""
+    rng = random.Random(1711)
+    rules = [_rule_of_diameter(rng, k) for k in (*range(1, 12), 3, 6, 6)]
+    rng.shuffle(rules)
+    return rules
+
+
+_MIXED = _mixed_stack()
+
+
+@lru_cache(maxsize=None)
+def _mixed_reference(n, restrict):
+    return [_reference_ddt_max(r, n, restrict) for r in _MIXED if r.k <= n]
+
+
+# the default block runs every length to 12; the small ones, which give
+# one row per block and one rule per group from n = 9 on, stop at 10, the
+# first length of the 10-bit bound
+@pytest.mark.parametrize("block, n_to", [(None, 12), (1, 10), (3 << 7, 10)])
+def test_batched_kernel_matches_reference_on_a_mixed_stack(monkeypatch, block, n_to):
+    if block is not None:
+        monkeypatch.setattr(diffunif, "_ROW_BLOCK", block)
+    for n in range(1, n_to + 1):
+        stack = [r for r in _MIXED if r.k <= n]
+        for restrict in (True, False):
+            got = diffunif._ddt_maxima(stack, n, restrict_necklaces=restrict)
+            assert got == _mixed_reference(n, restrict), (n, restrict)
+
+
+def test_batched_kernel_memory_at_n12(catalog_entries):
+    # with every H cached, the 120-rule stack at n = 12 holds only one
+    # group's induced maps and one block's keys and counts at a time
+    import tracemalloc
+
+    rules = [e.rule() for e in catalog_entries]
+    expect = diffunif._ddt_maxima(rules, 12)
+    tracemalloc.start()
+    try:
+        got = diffunif._ddt_maxima(rules, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expect
+    assert peak < 2 << 20, peak
 
 
 @pytest.mark.long
@@ -314,20 +367,20 @@ def test_row_bound_covers_every_necklace_row(catalog_entries):
         maxima = _row_maxima(r, n)
         for S in (9, 10):
             if r.k <= S <= n:
-                bound = 2 * diffunif._row_bounds(r, n, S)  # half counts to counts
+                bound = 2 * diffunif._row_bounds([r], n, S)[0]  # half counts to counts
                 assert (bound >= maxima).all(), (r.text(), n, S)
 
 
 def test_row_bound_matches_window_reference(catalog_entries):
     for r, n in _bound_cases(catalog_entries)[::4]:
         S = diffunif._window_bits(n)
-        assert (2 * diffunif._row_bounds(r, n, S) == _reference_row_bounds(r, n, S)).all(), (r.text(), n)
+        assert (2 * diffunif._row_bounds([r], n, S)[0] == _reference_row_bounds(r, n, S)).all(), (r.text(), n)
 
 
 def test_row_bound_is_exact_for_the_identity():
     ident = lf.rule_from_table(1, [0, 1])
     for n in (9, 10, 12):
-        assert (2 * diffunif._row_bounds(ident, n, diffunif._window_bits(n)) == 1 << n).all()
+        assert (2 * diffunif._row_bounds([ident], n, diffunif._window_bits(n)) == 1 << n).all()
 
 
 def test_window_width_per_length():
@@ -390,64 +443,66 @@ def test_window_table_memory_is_bounded(k):
         assert again < 256 << 10, (k, S, again)
 
 
-def test_row_bound_prunes_catalog_rows_at_n12(monkeypatch, catalog_entries):
+def _hook_row_count(monkeypatch, n):
+    """The rows the kernel counts at length n, one entry per call of its
+    block counter."""
     counted = []
-    row_counts = diffunif._RowCounter.__call__
+    count_rows = diffunif._count_rows
 
-    def counting(self, a):
-        if self.width == 12:
+    def counting(F, n_, xs, g, a):
+        if n_ == n:
             counted.append(len(a))
-        return row_counts(self, a)
+        return count_rows(F, n_, xs, g, a)
 
-    monkeypatch.setattr(diffunif._RowCounter, "__call__", counting)
+    monkeypatch.setattr(diffunif, "_count_rows", counting)
+    return counted
+
+
+def test_row_bound_prunes_catalog_rows_at_n12(monkeypatch, catalog_entries):
+    counted = _hook_row_count(monkeypatch, 12)
+    rules = [e.rule() for e in catalog_entries]
     ruled_out = 0
-    for e in catalog_entries:
-        r = e.rule()
-        raw, _ = ddt_max(r, 12)
+    for e, r, (raw, _) in zip(catalog_entries, rules, diffunif._ddt_maxima(rules, 12)):
         assert raw == e.stated_du[-1]
-        ruled_out += int((2 * diffunif._row_bounds(r, 12, 10) < raw).sum())
+        ruled_out += int((2 * diffunif._row_bounds([r], 12, 10)[0] < raw).sum())
     rows = len(catalog_entries) * (len(necklace_representatives(12)) - 1)
     assert ruled_out > 0
-    # 572 of 42,120 rows are counted (12,243 with a 9-bit window); an
+    # 581 of 42,120 rows are counted (12,243 with a 9-bit window); an
     # unpruned scan counts them all
     assert sum(counted) < 0.03 * rows
 
 
 def test_first_row_alone_prunes_catalog_rows_at_n9(monkeypatch, catalog_entries):
-    # the first block is one row, so the maximum that prunes the rest is
-    # known after a single row: a = 1 is the witness for most rules
-    counted = []
-    row_counts = diffunif._RowCounter.__call__
-
-    def counting(self, a):
-        if self.width == 9:
-            counted.append(len(a))
-        return row_counts(self, a)
-
-    monkeypatch.setattr(diffunif._RowCounter, "__call__", counting)
-    for e in catalog_entries:
-        r = e.rule()
-        for n in (9, 10):
-            assert ddt_max(r, n) == _reference_ddt_max(r, n), (e.index, n)
-    # 2,177 rows; with a first block of _ROW_BLOCK >> 9 = 64 rows all 7,080
-    # nonzero necklace rows of the 120 rules are counted
+    # row a = 1 of every rule is counted first, and its maximum prunes the
+    # rest: a = 1 is the witness for most rules
+    counted = _hook_row_count(monkeypatch, 9)
+    rules = [e.rule() for e in catalog_entries]
+    for n in (9, 10):
+        for e, r, got in zip(catalog_entries, rules, diffunif._ddt_maxima(rules, n)):
+            assert got == _reference_ddt_max(r, n), (e.index, n)
+    # 2,177 rows; pruned by the bound alone, or by a first block of 32
+    # rows, all 7,080 nonzero necklace rows of the 120 rules are counted
     assert sum(counted) < 2_500
 
 
 # ---------------------------------------------------------------------------
-# the per-thread scratch buffer of the row kernel
+# the per-thread scratch buffer of the build of H, and threads
 
 
-def test_nested_row_counters_keep_their_own_buffers():
-    F = lf.induce(PATT, 9).as_array().astype(np.intp)
-    xs = np.arange(0, 1 << 9, 2, dtype=np.intp)
-    rows = np.array([1, 3], dtype=np.intp)
-    with diffunif._RowCounter(F, xs, 9, 2) as outer:
-        first = outer(rows).copy()
-        with diffunif._RowCounter(F, xs, 9, 2) as inner:
-            assert inner.buf is not outer.buf
-            inner(np.array([5, 7], dtype=np.intp))
-        assert (outer(rows) == first).all()
+def test_nested_scratch_users_keep_their_own_buffers():
+    # a build of H while the thread's buffer is taken allocates its own,
+    # and leaves the taken one as it was
+    r = _rule("(0★110)∘(0★10)")
+    H = diffunif._window_row_max.__wrapped__(r.k, r.table, 10)
+    outer = diffunif._take_scratch(1 << 16)
+    outer[:] = pattern = np.arange(outer.size)
+    try:
+        assert (diffunif._window_row_max.__wrapped__(r.k, r.table, 10) == H).all()
+        assert (outer == pattern).all()
+        inner = diffunif._scratch.buf  # the nested build's buffer, put back
+        assert inner is not None and not np.shares_memory(inner, outer)
+    finally:
+        diffunif._scratch.buf = outer
 
 
 def test_ddt_max_from_threads(catalog_entries):
