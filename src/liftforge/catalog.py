@@ -17,15 +17,16 @@ from .corefn import (
     EquivClassId,
     LiftforgeError,
     Rule,
+    _canon_keys,
+    _class_ids,
     _mobius,
-    _rev_index,
+    _orbit_arrays,
+    _row_tables,
     _take,
     _windows,
     array_to_table,
-    canonicalize,
     degree,
     is_balanced,
-    orbit,
 )
 from .diffunif import DEFAULT_DU_CAP, LengthRangeError, _check_du_cap, _ddt_maxima
 from .exprlang import LiftExpr, eval_expr, parse_expr
@@ -132,9 +133,9 @@ def verify_catalog(
     distinctness of every entry; optionally the stated per-length
     differential uniformities and containment of a set of class ids.
 
-    The DU values are computed for every checked entry at once, one length
-    at a time, and each entry's problems are reported together, in the
-    order of the checks."""
+    The class ids come from one stacked call, the DU values for every
+    checked entry at once, one length at a time, and each entry's problems
+    are reported together, in the order of the checks."""
     if check_du:  # refused before any rule is built
         _check_du_cap(du_to, DEFAULT_DU_CAP)
         if not DU_RANGE[0] <= du_to <= DU_RANGE[1]:
@@ -145,10 +146,12 @@ def verify_catalog(
     classes = set()
     per_entry: list[list[Problem]] = []
     du_checked: list[tuple[list[Problem], CatalogEntry, Rule]] = []
-    for e in entries:
+    rules = [e.rule() for e in entries]
+    six = np.array([r.table_array() for r in rules if r.k == 6], dtype=np.uint8).reshape(-1, 64)
+    cids = iter(_class_ids(six, 6))  # one per diameter-6 entry, in entry order
+    for e, r in zip(entries, rules):
         problems: list[Problem] = []
         per_entry.append(problems)
-        r = e.rule()
         if r.k != 6:
             problems.append(Problem(e.index, "diameter", f"got {r.k}"))
             continue
@@ -157,7 +160,7 @@ def verify_catalog(
             problems.append(Problem(e.index, "degree", f"stated {e.stated_degree}, computed {d}"))
         if not is_balanced(r):
             problems.append(Problem(e.index, "balance", "table is not balanced"))
-        cid = canonicalize(r)
+        cid = next(cids)
         if cid in seen:
             problems.append(Problem(e.index, "duplicate-class", f"same class as entry {seen[cid]}"))
         seen[cid] = e.index
@@ -187,10 +190,12 @@ def verify_catalog(
 def catalog_function_pool(entries: Optional[list[CatalogEntry]] = None) -> list[Rule]:
     """Orbit expansion of the catalog classes (all members are constant-free)."""
     entries = entries if entries is not None else load_catalog()
+    rules = [e.rule() for e in entries]
     seen: dict[int, Rule] = {}
-    for e in entries:
-        for member in orbit(e.rule()):
-            seen.setdefault(member.table, member)
+    for k in sorted({r.k for r in rules}):
+        members = _orbit_arrays(np.stack([r.table_array() for r in rules if r.k == k]), k)[0]
+        for t in _row_tables(members):
+            seen.setdefault(t, Rule(k, t, 0))
     return [seen[t] for t in sorted(seen)]
 
 
@@ -398,38 +403,6 @@ def _gather(tables: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return np.stack([[_take(t, w) for w in windows] for t in tables])
 
 
-def _orbit_arrays(tables: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct orbit members of each row of ``tables`` (n, 2**k), in the
-    order identity, reversal, complement, both, as ``(members, owner, m)``:
-    member j is orbit member m[j] of row owner[j]."""
-    rev = np.take(tables, _rev_index(k), axis=1)
-    cand = np.stack((tables, rev, tables[:, ::-1] ^ 1, rev[:, ::-1] ^ 1), axis=1)
-    same = (cand[:, :, None] == cand[:, None]).all(axis=3)
-    keep = ~np.tril(same, -1).any(axis=2)  # unequal to every earlier candidate
-    owner = np.repeat(np.arange(len(tables)), keep.sum(axis=1))
-    return cand[keep], owner, (np.cumsum(keep, axis=1) - 1)[keep]
-
-
-def _canon_keys(tables: np.ndarray, k: int) -> np.ndarray:
-    """Class key of each row of ``tables`` (n, 2**k): its lexicographically
-    least orbit member, packed eight entries to a byte, first entry in the
-    top bit, so that byte order is lexicographic order."""
-    rev = np.take(tables, _rev_index(k), axis=1)
-    packed = [np.packbits(a, axis=1) for a in (tables, rev, tables[:, ::-1] ^ 1, rev[:, ::-1] ^ 1)]
-    pad = -packed[0].shape[1] % 8
-    words = [(np.pad(a, ((0, 0), (0, pad))) if pad else a).view(">u8") for a in packed]
-    best, best_words = packed[0], words[0]
-    for a, w in zip(packed[1:], words[1:]):
-        less = np.zeros(len(a), dtype=bool)
-        tie = np.ones(len(a), dtype=bool)
-        for c in range(w.shape[1]):
-            less |= tie & (w[:, c] < best_words[:, c])
-            tie &= w[:, c] == best_words[:, c]
-        best = np.where(less[:, None], a, best)
-        best_words = np.where(less[:, None], w, best_words)
-    return best
-
-
 def closure_search(
     max_diameter: int = 8,
     budget: int = 500_000,
@@ -449,9 +422,10 @@ def closure_search(
     Intermediates are memoized by equivalence class: reversal and
     complementation both distribute over composition, so composing a class
     representative (left) with every orbit member of the right operand
-    covers every class reachable from the underlying function pairs.  If
+    covers every class reachable from the underlying function pairs (orbits
+    and class keys from ``corefn._orbit_arrays`` and ``_canon_keys``).  If
     the composition budget runs out the result is a correct lower bound and
-    ``exhausted`` is set.
+    ``exhausted`` is set; a negative budget is refused before anything runs.
 
     Every composition has a place in one sequence: class x, then generator
     class g (g <= x), then g o x before x o g (once if g is x), then the
@@ -492,6 +466,8 @@ def closure_search(
     """
     if max_diameter < 6:
         raise LiftforgeError("intermediate diameter cap must be >= 6")
+    if budget < 0:
+        raise LiftforgeError(f"composition budget must be >= 0, got {budget}")
     gens = generators if generators is not None else default_generators()
 
     ks: list[int] = []  # diameter per discovered class

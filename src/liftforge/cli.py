@@ -147,7 +147,11 @@ def cmd_families(args) -> int:
         if args.k is None or args.j is None or args.set is None:
             print("need either --r or all of --k --j --set", file=sys.stderr)
             return 2
-        members = frozenset(int(v) for v in args.set.split(","))
+        try:
+            members = frozenset(int(v) for v in args.set.split(","))
+        except ValueError:
+            msg = f"bad --set {args.set!r}; expected integers, comma-separated"
+            raise families.InvalidParamsError("subset-syntax", msg) from None
         params = families.symmetric_params(args.k, args.j, members)
         r = families.build_symmetric(params)
         claim = ("symmetric", 1 << params.r_exp, params.j)

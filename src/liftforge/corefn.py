@@ -20,6 +20,12 @@ in blocks of at most 2**22 entries.  Normalization then trims only the end
 variables: ``_end_vars`` scans up from x1 and down from xk and stops at
 the first variable each side depends on.
 
+The group {id, reverse, complement, both} is built once, on (n, 2**k)
+stacks of tables: ``_images``, then ``_orbit_arrays`` and ``_canon_keys``
+(the class key: the lexicographically least image).  ``reverse``,
+``complement``, ``orbit`` and ``canonicalize`` are one-row calls; callers
+with many rules pass the whole stack to ``_class_ids``.
+
 Rules given by a formula (landscapes and their sets, the two families,
 f + x_j) are x_s XOR some cubes of literals; ``cube_table`` writes each
 cube as one slice of the (2,)*K view of the table.  It, ``from_anf`` and
@@ -352,29 +358,44 @@ def _rev_index(k: int) -> np.ndarray:
     return rev
 
 
-def reverse(r: Rule) -> Rule:
-    """f'(x1..xk) = f(xk..x1)."""
-    return Rule(r.k, array_to_table(_take(r.table_array(), _rev_index(r.k))), 0)
+def _images(tables: np.ndarray, k: int) -> np.ndarray:
+    """The four images of each row of ``tables`` (n, 2**k) under the group,
+    shape (n, 4, 2**k): identity, reversal f(xk..x1), complement
+    f(x XOR 1...1) XOR 1 (the table read backwards, negated), and both."""
+    rev = np.take(tables, _rev_index(k), axis=1)
+    return np.stack((tables, rev, tables[:, ::-1] ^ 1, rev[:, ::-1] ^ 1), axis=1)
 
 
-def complement(r: Rule) -> Rule:
-    """f'(x) = f(x XOR 1...1) XOR 1."""
-    arr = r.table_array()[::-1] ^ 1
-    return Rule(r.k, array_to_table(arr), 0)
+def _row_tables(rows: np.ndarray) -> list[int]:
+    """The packed table of each row of bits (``array_to_table`` per row)."""
+    return [int.from_bytes(b.tobytes(), "little") for b in np.packbits(rows, axis=1, bitorder="little")]
 
 
-def orbit(r: Rule) -> tuple[Rule, ...]:
-    """The distinct members of r's orbit under {id, reverse, complement, both}."""
-    seen: dict[int, Rule] = {}
-    for cand in (Rule(r.k, r.table, 0), reverse(r), complement(r), complement(reverse(r))):
-        seen.setdefault(cand.table, cand)
-    return tuple(seen[t] for t in sorted(seen))
+def _orbit_arrays(tables: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct orbit members of each row of ``tables`` (n, 2**k), in the
+    order of ``_images``, as ``(members, owner, m)``: member j is orbit
+    member m[j] of row owner[j]."""
+    cand = _images(tables, k)
+    packed = np.packbits(cand, axis=2)
+    same = (packed[:, :, None] == packed[:, None]).all(axis=3)
+    keep = ~np.tril(same, -1).any(axis=2)  # unequal to every earlier candidate
+    owner = np.repeat(np.arange(len(tables)), keep.sum(axis=1))
+    return cand[keep], owner, (np.cumsum(keep, axis=1) - 1)[keep]
 
 
-def _lex_key(table: int, k: int) -> int:
-    """Key whose integer order equals lexicographic order of (f(0), f(1), ...)."""
-    size = 1 << k
-    return int(f"{table:0{size}b}"[::-1], 2)
+def _canon_keys(tables: np.ndarray, k: int) -> np.ndarray:
+    """Class key of each row of ``tables`` (n, 2**k): its lexicographically
+    least orbit member, packed eight entries to a byte, first entry in the
+    top bit, so that byte order is lexicographic order.  The images are
+    compared a 64-bit word at a time, keeping a mask of those still least."""
+    packed = np.packbits(_images(tables, k), axis=2)
+    pad = -packed.shape[2] % 8
+    words = (np.pad(packed, ((0, 0), (0, 0), (0, pad))) if pad else packed).view(">u8")
+    least = np.ones(words.shape[:2], dtype=bool)
+    for c in range(words.shape[2]):
+        w = np.where(least, words[:, :, c], np.uint64(2**64 - 1))
+        least &= w == w.min(axis=1, keepdims=True)
+    return packed[np.arange(len(tables)), least.argmax(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -392,22 +413,38 @@ class EquivClassId:
         return Rule(self.k, self.canon, 0)
 
 
+def _class_ids(tables: np.ndarray, k: int) -> list[EquivClassId]:
+    """The class id of each row of ``tables`` (n, 2**k), from its key."""
+    return [EquivClassId(k, t) for t in _row_tables(np.unpackbits(_canon_keys(tables, k), axis=1, count=1 << k))]
+
+
+def reverse(r: Rule) -> Rule:
+    """f'(x1..xk) = f(xk..x1)."""
+    return Rule(r.k, _row_tables(_images(r.table_array()[None], r.k)[:, 1])[0], 0)
+
+
+def complement(r: Rule) -> Rule:
+    """f'(x) = f(x XOR 1...1) XOR 1."""
+    return Rule(r.k, _row_tables(_images(r.table_array()[None], r.k)[:, 2])[0], 0)
+
+
+def orbit(r: Rule) -> tuple[Rule, ...]:
+    """The distinct members of r's orbit under {id, reverse, complement, both},
+    in the order of their tables."""
+    members = _orbit_arrays(r.table_array()[None], r.k)[0]
+    return tuple(Rule(r.k, t, 0) for t in sorted(_row_tables(members)))
+
+
 def canonicalize(r: Rule) -> EquivClassId:
-    """Class id: the lexicographically smallest table in the 4-element orbit.
+    """Class id: the lexicographically smallest table (f(0), f(1), ...) in
+    the 4-element orbit.
 
     The catalog and the searches count classes of functions with f(0) = 0:
     a class is an orbit, under {id, reverse, complement, both}, of such
     functions.  The output negation NOT o f is proper exactly when f is,
     but has f(0) = 1 and is left out.  This function itself applies no such
     filter."""
-    best = None
-    best_key = None
-    for cand in orbit(r):
-        key = _lex_key(cand.table, cand.k)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = cand
-    return EquivClassId(best.k, best.table)
+    return _class_ids(r.table_array()[None], r.k)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ does not depend on the BLAS build or its threads.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -167,20 +166,6 @@ def _difference_groups(n: int, restrict: bool) -> tuple[tuple[np.ndarray, np.nda
     return tuple(groups)
 
 
-_scratch = threading.local()  # .buf: a buffer kept from one build of H to the next
-
-
-def _take_scratch(size: int) -> np.ndarray:
-    """The thread's scratch buffer, grown to at least ``size`` entries and
-    taken until the caller puts it back in ``_scratch.buf``; a nested user
-    meanwhile allocates its own."""
-    buf = getattr(_scratch, "buf", None)
-    _scratch.buf = None
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype=np.intp)
-    return buf
-
-
 def _count_rows(F: np.ndarray, n: int, xs: np.ndarray, g: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The largest half count of each DDT row (rule g[j], difference a[j])
     over the states xs, and the first b that reaches it.
@@ -234,20 +219,16 @@ def _window_row_max(k: int, table: int, S: int) -> np.ndarray:
     2^c x 2^S product would wake its thread pool, which costs more than the
     product).  The rest of the transform over u, across the chunks, is an
     in-place butterfly over B, which holds 2^(m+S) floats.  B and the
-    chunk's three arrays of 2^(c+S) floats are views of the thread's
-    scratch buffer, so the build allocates nothing else of their size:
-    9.5 MiB at most, at k = 1 and S = 10."""
+    chunk's three arrays of 2^(c+S) floats are the only arrays of their
+    size: 9.5 MiB at most, at k = 1 and S = 10."""
     m = S - k + 1
     g = _windows(table_to_array(table, k), k, m).astype(np.intp)
     lo = S // 2
     hi = S - lo
     c = min(m, _COMPONENT_BITS)
     Hz_hi, Hz_lo, Hc = _hadamard(hi), _hadamard(lo), _hadamard(c)
-    n_b, n_chunk = 1 << (m + S), 1 << (c + S)
-    buf = _take_scratch(n_b + 3 * n_chunk)
-    space = buf.view(np.float64)
-    B = space[:n_b].reshape(1 << (m - c), 1 << c, 1 << hi, 1 << lo)  # [u_hi, b_lo, w_hi, w_lo]
-    X, W, A = space[n_b : n_b + 3 * n_chunk].reshape(3, 1 << c, 1 << hi, 1 << lo)
+    B = np.empty((1 << (m - c), 1 << c, 1 << hi, 1 << lo))  # [u_hi, b_lo, w_hi, w_lo]
+    X, W, A = np.empty((3, 1 << c, 1 << hi, 1 << lo))
     for j in range(len(B)):
         # X[u_lo, z_hi, z_lo] = (-1)^(u . g(z)) for u = j 2^c + u_lo
         np.take(Hc, g & bitmask(c), axis=1, out=X.reshape(1 << c, 1 << S), mode="clip")
@@ -263,7 +244,6 @@ def _window_row_max(k: int, table: int, S: int) -> np.ndarray:
         y *= -2
         y += x
     T = B.reshape(-1, 1 << S).max(axis=0)  # max over b of 2^(m+S) D(w, b)
-    _scratch.buf = buf
     return (T.astype(np.int64) >> (m + S + 1)).astype(np.uint16)
 
 

@@ -478,12 +478,13 @@ def decide_proper(
     finite scan refutes with the first circular collision found and can only
     report "proper" in the weak sense of no collision up to scan_limit.  It
     builds a 2**n-entry map for each n, so a scan_limit above n_cap raises
-    ``CapExceededError`` before the first one.
+    ``CapExceededError`` before the first one, and one below r.k, which
+    scans no length, raises ``InvalidRuleError`` from ``induce``.
     """
     if method == "finite-scan":
         if scan_limit > n_cap:
             raise CapExceededError(f"scan limit n={scan_limit} above cap {n_cap}")
-        for n in range(r.k, scan_limit + 1):
+        for n in range(min(r.k, scan_limit), scan_limit + 1):
             fm = induce(r, n)
             arr = fm.as_array()
             order = np.argsort(arr, kind="stable")

@@ -37,13 +37,13 @@ import numpy as np
 
 from .corefn import (
     EquivClassId,
-    InvalidRuleError,
     LiftforgeError,
     Rule,
+    _class_ids,
+    _end_vars,
+    _images,
+    _row_tables,
     _windows,
-    canonicalize,
-    reverse,
-    rule_from_table,
     table_to_array,
 )
 
@@ -402,6 +402,15 @@ class Involution6:
     class_id: EquivClassId
 
 
+def _involutions(tabs: np.ndarray, s: int) -> tuple[Involution6, ...]:
+    """The rows of ``tabs`` (a stack of 64-entry uint8 tables, involutive at
+    offset s) that depend on both x1 and x6, with their class ids from one
+    stacked call; the others are involutive but of smaller diameter."""
+    tables = _row_tables(tabs)
+    tight = [i for i, t in enumerate(tables) if _end_vars(t, K6) == (0, K6 - 1)]
+    return tuple(Involution6(Rule(K6, tables[i]), s, c) for i, c in zip(tight, _class_ids(tabs[tight], K6)))
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """One offset's search.  It keeps the scan's counts, not its survivors:
@@ -429,16 +438,7 @@ def complete_search(s: int, include_complemented: bool = False) -> SearchResult:
     tabs = np.unpackbits(np.array(tables, dtype="<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
     if tables and not _is_involution(tabs, s).all():
         raise LiftforgeError("internal: completion fails the exact involution check")
-    out = []
-    for t in tables:
-        try:
-            rule = rule_from_table(K6, t)
-        except InvalidRuleError:
-            continue  # constant table; cannot happen for involutions
-        if rule.k != K6:
-            continue  # involutive but of smaller diameter
-        out.append(Involution6(rule, s, canonicalize(rule)))
-    return SearchResult(s, tuple(out), len(tables), scan.scanned, len(scan.def_masks), searched)
+    return SearchResult(s, _involutions(tabs, s), len(tables), scan.scanned, len(scan.def_masks), searched)
 
 
 @dataclass(frozen=True)
@@ -463,12 +463,10 @@ def search_all(include_complemented: bool = False, jobs: int = 1) -> PooledSearc
     process."""
     by = {s: complete_search(s, include_complemented) for s in (2, 3)}
     for s_src, s_dst in ((3, 4), (2, 5)):
-        revs = []
-        for inv in by[s_src].involutions:
-            rr = reverse(inv.rule)
-            if not involution_rule_check(rr, s_dst):
-                raise LiftforgeError("internal: reversal does not carry the involution")
-            revs.append(Involution6(rr, s_dst, canonicalize(rr)))
-        by[s_dst] = replace(by[s_src], s=s_dst, involutions=tuple(revs))
+        src = np.array([inv.rule.table_array() for inv in by[s_src].involutions], dtype=np.uint8)
+        revs = _images(src.reshape(-1, WORDS), K6)[:, 1]  # the reversals
+        if len(revs) and not _is_involution(revs, s_dst).all():
+            raise LiftforgeError("internal: reversal does not carry the involution")
+        by[s_dst] = replace(by[s_src], s=s_dst, involutions=_involutions(revs, s_dst))
     functions = frozenset(inv.rule.table for res in by.values() for inv in res.involutions)
     return PooledSearch(by, functions, frozenset().union(*(res.class_ids for res in by.values())))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import liftforge as lf
-from liftforge import catalog, diffunif
+from liftforge import catalog, corefn, diffunif
 from liftforge.catalog import (
     CATALOG_SHA256,
     CatalogError,
@@ -422,20 +422,28 @@ def test_default_generator_orbits_compose_by_two_cubes():
             assert np.array_equal(got, _gathered_words(g, x, kg, kx)), (kg, kx)
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_canon_keys_and_orbits_match_rules(k):
+    # the stacked kernel against the reference orbit and a plain
+    # lexicographic min over it
     rng = np.random.default_rng(k)
     tables = rng.integers(0, 2, (40, 1 << k), dtype=np.uint8)
-    tables[0] = tables[0, _rev_index(k)]  # palindromes have smaller orbits
+    # smaller orbits: a palindrome, x1, and a table fixed by complementation
+    tables[0] &= tables[0, _rev_index(k)]
     tables[1] = np.arange(1 << k) & 1
-    members, owner, m = catalog._orbit_arrays(tables, k)
-    keys = catalog._canon_keys(tables, k)
+    tables[2, 1 << (k - 1) :] = tables[2, : 1 << (k - 1)][::-1] ^ 1
+    members, owner, m = corefn._orbit_arrays(tables, k)
+    keys = corefn._canon_keys(tables, k)
+    ids = corefn._class_ids(tables, k)
     for i, row in enumerate(tables):
-        orbit = lf.orbit(lf.Rule(k, array_to_table(row)))
-        mine = [array_to_table(a) for a in members[owner == i]]
-        assert sorted(mine) == [r.table for r in orbit] and m[owner == i].tolist() == list(range(len(mine)))
-        canon = lf.canonicalize(lf.Rule(k, array_to_table(row)))
-        assert array_to_table(np.unpackbits(keys[i], count=1 << k)) == canon.canon
+        ref = _ref_orbit(row, k)
+        mine = members[owner == i]
+        assert [a.tobytes() for a in mine] == [a.tobytes() for a in ref]
+        assert m[owner == i].tolist() == list(range(len(ref)))
+        least = min(ref, key=lambda a: a.tolist())
+        assert np.array_equal(np.unpackbits(keys[i], count=1 << k), least)
+        assert ids[i] == EquivClassId(k, array_to_table(least)) == lf.canonicalize(lf.Rule(k, array_to_table(row)))
+    assert len(_ref_orbit(tables[0], k)) <= 2 and len(_ref_orbit(tables[2], k)) <= 2
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +480,22 @@ def test_block_closure_matches_reference_at_every_budget(small_gens):
     assert at(37) == _reference_closure(6, 37, small_gens)
     for budget in range(1, 251):
         assert closure_search(6, budget=budget, generators=small_gens) == at(budget), budget
+
+
+def test_negative_closure_budget_is_refused_before_the_generators(monkeypatch, small_gens):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generators built for a refused budget")
+
+    monkeypatch.setattr(catalog, "default_generators", unreachable)
+    monkeypatch.setattr(catalog, "_cube_forms", unreachable)
+    with pytest.raises(lf.LiftforgeError, match="budget"):
+        closure_search(6, budget=-5)
+    with pytest.raises(lf.LiftforgeError, match="budget"):
+        closure_search(6, budget=-1, generators=small_gens)
+    # a budget of 0 composes nothing and reports the generator classes
+    monkeypatch.undo()
+    got = closure_search(6, budget=0, generators=small_gens)
+    assert got.exhausted and got.compositions == 0 and got.discovered_classes > 0
 
 
 def test_block_closure_budget_on_a_pair_boundary(small_gens):

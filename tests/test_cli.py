@@ -45,6 +45,12 @@ def test_closure_exhausted_notes_lower_bound(capsys):
     assert "lower bound" in captured.err
 
 
+def test_closure_negative_budget_exits_2(capsys):
+    assert cli.main(["--format", "json", "closure", "--diameter", "6", "--budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "budget" in captured.err
+
+
 def test_closure_honours_the_arity_cap(capsys):
     rc = cli.main(["--format", "json", "--arity-cap", "10", "closure", "--diameter", "6"])
     assert rc == 0
@@ -142,6 +148,13 @@ def test_verify_scan(capsys):
     assert (doc["decision"], doc["method"]) == ("not-proper", "finite-scan")
     assert cli.main(["--format", "json", "verify", "0★10"]) == 0
     assert json.loads(capsys.readouterr().out)["method"] == "pair-graph"
+
+
+def test_verify_scan_below_the_diameter_exits_2(capsys):
+    # an n cap below the diameter leaves no length to scan: refused, not "proper"
+    assert cli.main(["--n-cap", "3", "verify", "--scan", "0★10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "below diameter 4" in captured.err
 
 
 def test_arity_cap_is_a_usage_error(capsys):
@@ -417,6 +430,8 @@ def test_families_order_mismatch_exits_1(capsys, monkeypatch):
         (["--arity-cap", "10", "families", "--r", "3"], "cap is 10"),  # r=3 squares to 11 variables
         (["--arity-cap", "10", "families", "--k", "6", "--j", "3", "--set", "1,6"], "cap is 10"),
         (["--arity-cap", "5", "families", "--r", "3"], "above cap 5"),  # the rule itself has 6
+        (["families", "--k", "6", "--j", "3", "--set", "a"], "bad --set 'a'"),
+        (["families", "--k", "6", "--j", "3", "--set", "1,,6"], "bad --set '1,,6'"),
     ],
 )
 def test_families_usage_errors(capsys, argv, message):

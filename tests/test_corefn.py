@@ -15,7 +15,6 @@ from liftforge.corefn import (
     InvalidRuleError,
     _compose_table,
     _end_vars,
-    _lex_key,
     _take,
     _var_zero_mask,
     _window_blocks,
@@ -117,9 +116,22 @@ def test_palindromic_rule_orbit_smaller_than_group():
     assert len(lf.orbit(lf.rule_from_anf_text("x1"))) == 1
 
 
-def test_lex_key_orders_lexicographically():
-    # table [0,1] must precede [1,0]
-    assert _lex_key(0b10, 1) < _lex_key(0b01, 1)
+def test_canonicalize_picks_the_lexicographically_least_table():
+    # least as the sequence (f(0), f(1), ...), not as the packed integer,
+    # whose top bit is the last entry
+    rng = random.Random(7)
+    orders_differ = 0
+    for k in range(1, 9):
+        for _ in range(30):
+            try:
+                r = rule_from_table(k, rng.getrandbits(1 << k))
+            except InvalidRuleError:
+                continue
+            members = lf.orbit(r)
+            least = min(members, key=lambda m: m.table_array().tolist())
+            assert lf.canonicalize(r) == lf.EquivClassId(r.k, least.table)
+            orders_differ += least.table != min(m.table for m in members)
+    assert orders_differ > 0
 
 
 def test_degree_balance_invariant_under_group():

@@ -387,6 +387,17 @@ def test_finite_scan_past_n_cap_raises_before_any_map(monkeypatch):
     assert lf.decide_proper(PATT, method="finite-scan", scan_limit=10, n_cap=10).proper
 
 
+def test_finite_scan_below_the_diameter_is_refused():
+    # no length to scan: refused by the first induce, where it used to
+    # return "proper" even for the non-proper 1★1
+    r = _rule("1★1")
+    assert r.k == 3 and not lf.decide_proper(r).proper
+    for limit in (2, 0, -1):
+        with pytest.raises(InvalidRuleError, match="below diameter 3"):
+            lf.decide_proper(r, method="finite-scan", scan_limit=limit)
+    assert not lf.decide_proper(r, method="finite-scan", scan_limit=3).proper
+
+
 def test_verify_scan_stays_under_a_small_n_cap(capsys):
     assert cli.main(["--n-cap", "10", "--format", "json", "verify", "--scan", "0★10"]) == 0
     assert json.loads(capsys.readouterr().out) == {"decision": "proper", "method": "finite-scan"}
