@@ -459,7 +459,8 @@ def closure_search(
     Both directions go in chunks of at most ``_GATHER_CHUNK`` bytes and meet
     in one trim on words: a chunk's tight diameters are read from its
     packed words (``_trimmed_windows``), and only the composites of
-    diameter 2..max_diameter are unpacked, cut (``_cut``) and
+    diameter 2..max_diameter are unpacked, cut (``_cut``, as wide as the
+    chunk's widest kept composite, whatever max_diameter is) and
     canonicalized.  Memory stays bounded by the chunk, one block's
     candidates and the generator windows; the classes themselves keep only
     their representatives.
@@ -532,7 +533,8 @@ def closure_search(
             i0, width = _trimmed_windows(words, k)
             keep = np.flatnonzero(valid.ravel() & (index.ravel() < budget) & (width >= 2) & (width <= max_diameter))
             if keep.size:
-                candidates.append((index.ravel()[keep], width[keep], _cut(words, keep, i0, width, max_diameter)))
+                d = int(width[keep].max())
+                candidates.append((index.ravel()[keep], width[keep], _cut(words, keep, i0, width, d)))
 
         for kx, sel, stack, members, member_class, m in groups:
             for kg, (ids, cubes) in gen_forms.items():
@@ -575,17 +577,19 @@ def closure_search(
         else:
             compositions += total
         # add the block's composites in sequence order, each class from its
-        # first occurrence
+        # first occurrence; each chunk's tables are as wide as its widest
+        # composite, so one diameter is gathered from every chunk at a time
         if candidates:
-            index, width, tables = (np.concatenate(a) for a in zip(*candidates))
-            order = np.argsort(index)
-            index, width, tables = index[order], width[order], tables[order]
+            index, width = (np.concatenate(a) for a in list(zip(*candidates))[:2])
             firsts = []
             for k2 in np.flatnonzero(np.bincount(width)).tolist():
                 at = np.flatnonzero(width == k2)
-                keys = _canon_keys(tables[at, : 1 << k2], k2)
+                order = np.argsort(index[at])
+                parts = [t[w == k2, : 1 << k2] for _, w, t in candidates if t.shape[1] >= 1 << k2]
+                tables = np.concatenate(parts)[order]
+                keys = _canon_keys(tables, k2)
                 _, first = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True)
-                firsts.extend(zip(index[at[first]].tolist(), [k2] * len(first), keys[first]))
+                firsts.extend(zip(index[at[order[first]]].tolist(), [k2] * len(first), keys[first]))
             for _, k2, key in sorted(firsts, key=lambda t: t[0]):
                 add(k2, key)
         x = int(block[-1]) + 1

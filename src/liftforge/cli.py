@@ -10,23 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import catalog as catalog_mod
 from . import corefn, diffunif, exprlang, families, landscape, lifting, search6
 
 MISMATCH = 1
-
-
-def _jobs_default() -> int:
-    env = os.environ.get("LIFTFORGE_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _emit(args, doc, text_lines, csv_rows=None) -> None:
@@ -101,7 +90,7 @@ def cmd_landscapes(args) -> int:
     if args.k >= 13 and not args.long:
         print("k >= 13 requires --long", file=sys.stderr)
         return 2
-    res = landscape.enumerate_conserved(args.k, include_list=args.list, jobs=args.jobs)
+    res = landscape.enumerate_conserved(args.k, include_list=args.list)
     doc = res.to_json()
     listing = []
     rows = [["k", "count", "classes"], [args.k, res.count, res.class_count]]
@@ -234,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="liftforge",
         description="local rules of reversible cellular automata: construct, decide, classify, evaluate",
     )
-    p.add_argument(
-        "--jobs", type=int, default=_jobs_default(), help="worker processes for landscapes (env LIFTFORGE_JOBS)"
-    )
     p.add_argument("--n-cap", type=int, default=lifting.DEFAULT_N_CAP, help="circular-length cap for bijectivity scans")
     p.add_argument("--arity-cap", type=int, default=lifting.DEFAULT_ARITY_CAP, help="table-width cap for compositions")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -262,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--stride", type=int, required=True)
     q.set_defaults(fn=cmd_expand)
 
-    q = sub.add_parser("landscapes", help="enumerate conserved landscapes of a diameter")
+    q = sub.add_parser(
+        "landscapes",
+        help="enumerate conserved landscapes of a diameter",
+        description="Count the conserved landscapes of length --k and their classes under reversal and "
+        "complement, in one process; k >= 13 requires --long, and --list stops at k = 15.",
+    )
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--list", action="store_true", help="print one landscape per line")
     q.set_defaults(fn=cmd_landscapes)

@@ -12,11 +12,16 @@ The product is one cube of literals, and a set of landscapes flips x_s on
 the OR of its members' cubes; ``corefn.cube_table`` writes the table (and
 the f + x_j of ``check_shift_product``), refusing a window past
 MAX_DIAMETER before the table exists.
+
+``enumerate_conserved`` lists and counts the conserved landscapes of one
+length in one process, with one kernel per star: the candidates come as
+(defined, ones) bitmask arrays built from two digit tables, the pairing
+criterion filters them, and on the centre star the same pass counts the
+Burnside fixed points that turn the count into a class count.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -26,6 +31,7 @@ from .corefn import (
     LiftforgeError,
     Rule,
     _normalize,
+    _rev_index,
     _windows,
     array_to_table,
     cube_table,
@@ -222,48 +228,69 @@ _ENUM_MAX_K = 18
 # a listing holds one Landscape per entry, about 250 bytes each: k=14 peaks
 # at 724 MiB and the count grows about 3.5x per k, so k=16 would need ~9 GiB
 _LIST_MAX_K = 15
-_CHUNK = 1 << 19
+_CHUNK = 1 << 15  # candidates per block: its few uint32 arrays stay in cache
+
+
+def _digit_table(D: np.ndarray, O: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Extend the (D, O) mask table by one base-3 digit per position, each
+    more significant than the last: digit 0 writes '0', 1 writes '1' and 2
+    leaves '-'."""
+    for p in positions:
+        D = (np.array([1, 1, 0], dtype=D.dtype)[:, None] << p | D).ravel()
+        O = (np.array([0, 1, 0], dtype=O.dtype)[:, None] << p | O).ravel()
+    return D, O
+
+
+def _pairing_ok(D: np.ndarray, O: np.ndarray, k: int, q: int) -> np.ndarray:
+    """``is_conserved`` for every (D, O) candidate with 0-based star q.  The
+    pairs found at offset -t are those at t shifted by t, so one test at
+    t > 0 serves both defined positions q - t and q + t."""
+    Z = D & ~O
+    bad = np.zeros(D.shape, dtype=bool)
+    for t in range(1, max(q, k - 1 - q) + 1):
+        req = sum(1 << p for p in (q - t, q + t) if 0 <= p < k)
+        bad |= ((D & req) != 0) & (((Z & (O >> t)) | (O & (Z >> t))) == 0)
+    return ~bad
 
 
 def _conserved_counts_for_star(k: int, q: int, collect: bool):
     """Count (and optionally collect) conserved landscapes with 0-based star q.
 
-    Candidates are indexed by 2 end bits plus base-3 digits for the interior
-    non-star positions; returns (count, list of (D, O) packed masks).
+    A candidate's index holds the 2 end bits, then one base-3 digit per
+    interior non-star position (see ``_digit_table``).  The candidates are
+    the outer OR of a low table (end bits and the lower half of the digits)
+    and a high table (the other digits), taken a block of high rows at a
+    time, so they come in index order.  Returns (count, (rev, rc) fixed
+    points, list of (D, O) packed masks): the fixed points of reversal and
+    of reversal-plus-complement are counted on the survivors of the centre
+    star (k odd), the only star either maps to itself.
     """
     interior = [p for p in range(1, k - 1) if p != q]
-    n_int = len(interior)
-    total = 4 * 3**n_int
-    ends_mask = 1 | (1 << (k - 1))
-    count = 0
+    half = len(interior) // 2
+    ends = 1 | 1 << (k - 1)
+    lo_D, lo_O = _digit_table(
+        np.full(4, ends, dtype=np.uint32), np.array([0, 1, 1 << (k - 1), ends], dtype=np.uint32), interior[:half]
+    )
+    hi_D, hi_O = _digit_table(np.zeros(1, dtype=np.uint32), np.zeros(1, dtype=np.uint32), interior[half:])
+    centre = 2 * q == k - 1
+    rev = _rev_index(k) if centre else None
+    count = f_rev = f_rc = 0
     survivors = []
-    ts = [p - q for p in range(k) if p != q]
-    for base in range(0, total, _CHUNK):
-        m = min(_CHUNK, total - base)
-        idx = np.arange(base, base + m, dtype=np.int64)
-        D = np.full(m, ends_mask, dtype=np.int64)
-        O = (idx & 1) | (((idx >> 1) & 1) << (k - 1))
-        rest = idx >> 2
-        p3 = 1
-        for p in interior:
-            digit = (rest // p3) % 3
-            p3 *= 3
-            D |= (digit < 2).astype(np.int64) << p
-            O |= (digit == 1).astype(np.int64) << p
-        Z = D & ~O
-        bad = np.zeros(m, dtype=bool)
-        for t in ts:
-            req = ((D >> (q + t)) & 1) == 1
-            if t >= 0:
-                found = (Z & (O >> t)) | (O & (Z >> t))
-            else:
-                found = (Z & (O << -t)) | (O & (Z << -t))
-            bad |= req & (found == 0)
-        good = ~bad
-        count += int(good.sum())
+    rows = max(1, _CHUNK // lo_D.size)
+    for h in range(0, hi_D.size, rows):
+        D = (hi_D[h : h + rows, None] | lo_D).ravel()
+        O = (hi_O[h : h + rows, None] | lo_O).ravel()
+        good = _pairing_ok(D, O, k, q)
+        D, O = D[good], O[good]
+        count += D.size
+        if centre:
+            mirror = rev[D] == D
+            rev_O = rev[O]
+            f_rev += int(np.count_nonzero(mirror & (rev_O == O)))
+            f_rc += int(np.count_nonzero(mirror & (rev_O == D & ~O)))
         if collect:
-            survivors.append(np.stack([D[good], O[good]], axis=1))
-    return count, survivors
+            survivors.append(np.stack([D, O], axis=1))
+    return count, (f_rev, f_rc), survivors
 
 
 def _decode_block(k: int, q: int, block: np.ndarray) -> list[str]:
@@ -274,37 +301,6 @@ def _decode_block(k: int, q: int, block: np.ndarray) -> list[str]:
     codes = np.where(defined == 1, ord("0") + ones, ord(DASH)).astype(np.uint32)
     codes[:, q] = ord(STAR)
     return codes.view(f"<U{k}").ravel().tolist()
-
-
-def _fixed_point_count(k: int, transform: str) -> int:
-    """Conserved landscapes fixed by string reversal ('rev') or by
-    reversal-plus-complement ('rc'); zero for even k (the star cannot sit
-    at the center)."""
-    if k % 2 == 0:
-        return 0
-    q = (k - 1) // 2
-    half = [p for p in range(q + 1, k - 1)]  # mirror determines p < q
-    count = 0
-    end_choices = "01"
-    for last in end_choices:
-        for fill in itertools.product("01-", repeat=len(half)):
-            chars = [None] * k
-            chars[q] = STAR
-            chars[k - 1] = last
-            for p, ch in zip(half, fill):
-                chars[p] = ch
-            for p in range(q):
-                src = chars[k - 1 - p]
-                if transform == "rev":
-                    chars[p] = src
-                else:
-                    chars[p] = {"0": "1", "1": "0", DASH: DASH}[src]
-            if chars[0] not in "01":
-                continue
-            l = Landscape("".join(chars), q + 1)
-            if is_conserved(l):
-                count += 1
-    return count
 
 
 class ListingCapError(LiftforgeError):
@@ -322,13 +318,16 @@ class EnumerationResult:
         return {"k": self.k, "count": self.count, "classes": self.class_count}
 
 
-def enumerate_conserved(k: int, include_list: bool = True, jobs: int = 1) -> EnumerationResult:
+def enumerate_conserved(k: int, include_list: bool = True) -> EnumerationResult:
     """All conserved landscapes of length k with exact orbit-class count.
 
-    Class counting uses the string-level orbit via Burnside (reversal and
-    reversal-plus-complement fixed points; pure complement never fixes a
-    landscape because the defined ends flip), which agrees with rule-level
-    canonicalization; the agreement is exercised by the test-suite on small k.
+    One kernel, ``_conserved_counts_for_star``, runs star by star in this
+    process: it gives each star's count, its listing blocks and, on the
+    centre star, the Burnside fixed points of reversal and of
+    reversal-plus-complement in the same pass (pure complement never fixes
+    a landscape because the defined ends flip).  The class count from
+    Burnside agrees with rule-level canonicalization; the agreement is
+    exercised by the test-suite on small k.
 
     The listing (``include_list``) is capped at k <= 15: above that it could
     not fit in memory, and ``ListingCapError`` is raised before any work.
@@ -340,30 +339,20 @@ def enumerate_conserved(k: int, include_list: bool = True, jobs: int = 1) -> Enu
             f"a listing of the conserved landscapes stops at k <= {_LIST_MAX_K} "
             f"(k={k} would need several GiB); counts go up to k = {_ENUM_MAX_K}"
         )
-    stars = list(range(1, k - 1))
-    count = 0
-    chunks = []
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(stars))) as pool:
-            results = list(pool.map(_conserved_counts_for_star, *zip(*[(k, q, include_list) for q in stars])))
-    else:
-        results = [_conserved_counts_for_star(k, q, include_list) for q in stars]
-    per_star = {}
-    for q, (c, surv) in zip(stars, results):
+    count = fixed = 0
+    blocks = []
+    for q in range(1, k - 1):
+        c, (f_rev, f_rc), survivors = _conserved_counts_for_star(k, q, include_list)
         count += c
-        per_star[q] = surv
-    f_rev = _fixed_point_count(k, "rev")
-    f_rc = _fixed_point_count(k, "rc")
-    assert (count + f_rev + f_rc) % 4 == 0
-    classes = (count + f_rev + f_rc) // 4
+        fixed += f_rev + f_rc
+        blocks.extend((q, block) for block in survivors)
+    assert (count + fixed) % 4 == 0
     landscapes = None
     if include_list:
         landscapes = tuple(
-            Landscape(symbols, q + 1) for q in stars for block in per_star[q] for symbols in _decode_block(k, q, block)
+            Landscape(symbols, q + 1) for q, block in blocks for symbols in _decode_block(k, q, block)
         )
-    return EnumerationResult(k, count, classes, landscapes)
+    return EnumerationResult(k, count, (count + fixed) // 4, landscapes)
 
 
 def conserved_class_representatives(k: int) -> list[Landscape]:

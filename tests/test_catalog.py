@@ -530,6 +530,22 @@ def test_block_closure_independent_of_block_and_chunk(monkeypatch, small_gens, b
         assert closure_search(D, budget=budget, generators=small_gens) == _reference_closure(D, budget, small_gens)
 
 
+def test_cut_is_as_wide_as_the_widest_kept_composite(monkeypatch):
+    # a chunk's tables are cut 2**w wide for its widest kept composite w, not
+    # 2**max_diameter wide
+    cut = catalog._cut
+    widths = []
+
+    def spy(words, keep, i0, width, d):
+        widths.append((d, int(width[keep].max())))
+        return cut(words, keep, i0, width, d)
+
+    monkeypatch.setattr(catalog, "_cut", spy)
+    closure_search(16, budget=2_000)
+    assert widths and all(d == widest for d, widest in widths)
+    assert len({d for d, _ in widths}) > 1 and max(d for d, _ in widths) < 16
+
+
 def test_closure_rejects_small_cap():
     with pytest.raises(lf.LiftforgeError):
         closure_search(5)

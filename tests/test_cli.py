@@ -45,6 +45,19 @@ def test_closure_exhausted_notes_lower_bound(capsys):
     assert "lower bound" in captured.err
 
 
+def test_closure_at_diameter_30_holds_only_the_widths_it_keeps(capsys):
+    tracemalloc.start()
+    try:
+        rc = cli.main(["--format", "json", "closure", "--diameter", "30", "--budget", "100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["max_diameter"], doc["compositions"], doc["exhausted"]) == (30, 100, True)
+    assert peak < 16 << 20
+
+
 def test_closure_negative_budget_exits_2(capsys):
     assert cli.main(["--format", "json", "closure", "--diameter", "6", "--budget", "-5"]) == 2
     captured = capsys.readouterr()
@@ -78,14 +91,6 @@ def test_search6_json_rows(capsys):
     assert len(rows) == 152
     assert len({row["class"] for row in rows}) == 40
     assert {row["s"] for row in rows} == {2, 3, 4, 5}
-
-
-def test_search6_ignores_jobs(capsys):
-    rc = cli.main(["--jobs", "2", "--long", "--format", "json", "search6"])
-    assert rc == 0
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(rows) == 152
-    assert len({row["class"] for row in rows}) == 40
 
 
 def test_search6_text_summary(capsys):

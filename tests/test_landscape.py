@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from liftforge.landscape import (
     InvalidLandscapeError,
     Landscape,
     LandscapeSet,
-    _fixed_point_count,
     canonical_symbols,
     compile_landscape,
     compile_set,
@@ -240,8 +240,9 @@ def test_compile_injective_per_diameter():
 
 
 def test_fixed_point_counts_vanish_for_even_k():
-    assert _fixed_point_count(6, "rev") == 0
-    assert _fixed_point_count(6, "rc") == 0
+    # no star sits at the centre, so neither reversal fixes a landscape
+    for k in (6, 8):
+        assert {landscape._conserved_counts_for_star(k, q, False)[1] for q in range(1, k - 1)} == {(0, 0)}
 
 
 def test_class_representatives():
@@ -275,9 +276,8 @@ def test_listing_cap_raises_before_any_work(monkeypatch):
 
 def test_counting_is_not_capped_by_the_listing_cap(monkeypatch):
     # counts stay allowed up to k=18; the star scans are stubbed out, since
-    # a real k=16 count takes about 25 s
-    monkeypatch.setattr(landscape, "_conserved_counts_for_star", lambda k, q, collect: (0, []))
-    monkeypatch.setattr(landscape, "_fixed_point_count", lambda k, transform: 0)
+    # a real k=18 count takes about 30 s
+    monkeypatch.setattr(landscape, "_conserved_counts_for_star", lambda k, q, collect: (0, (0, 0), []))
     for k in (16, 18):
         assert enumerate_conserved(k, include_list=False).count == 0
 
@@ -319,3 +319,103 @@ def test_compile_set_matches_bit_planes():
         members = rng.sample(pool, rng.randint(1, 4))
         got, ref = compile_set(members), _reference_compile_set(members)
         assert _key(got) == _key(ref), [l.symbols for l in members]
+
+
+# ---------------------------------------------------------------------------
+# the candidate kernel against the per-digit decoder and the string-level
+# fixed points it replaced
+
+
+def _ref_counts_for_star(k, q):
+    """Count and collect the conserved landscapes with 0-based star q,
+    decoding each candidate index digit by digit: 2 end bits, then one
+    base-3 digit per interior non-star position."""
+    interior = [p for p in range(1, k - 1) if p != q]
+    total = 4 * 3 ** len(interior)
+    idx = np.arange(total, dtype=np.int64)
+    D = np.full(total, 1 | (1 << (k - 1)), dtype=np.int64)
+    O = (idx & 1) | (((idx >> 1) & 1) << (k - 1))
+    rest = idx >> 2
+    p3 = 1
+    for p in interior:
+        digit = (rest // p3) % 3
+        p3 *= 3
+        D |= (digit < 2).astype(np.int64) << p
+        O |= (digit == 1).astype(np.int64) << p
+    Z = D & ~O
+    bad = np.zeros(total, dtype=bool)
+    for t in [p - q for p in range(k) if p != q]:
+        req = ((D >> (q + t)) & 1) == 1
+        if t >= 0:
+            found = (Z & (O >> t)) | (O & (Z >> t))
+        else:
+            found = (Z & (O << -t)) | (O & (Z << -t))
+        bad |= req & (found == 0)
+    good = ~bad
+    return int(good.sum()), np.stack([D[good], O[good]], axis=1)
+
+
+def _ref_fixed_point_count(k, transform):
+    """Conserved landscapes fixed by string reversal ('rev') or by
+    reversal-plus-complement ('rc'), built symbol by symbol from the half
+    right of the centre star."""
+    if k % 2 == 0:
+        return 0
+    q = (k - 1) // 2
+    half = list(range(q + 1, k - 1))  # the mirror determines p < q
+    count = 0
+    for last in "01":
+        for fill in itertools.product("01-", repeat=len(half)):
+            chars = [None] * k
+            chars[q] = "★"
+            chars[k - 1] = last
+            for p, ch in zip(half, fill):
+                chars[p] = ch
+            for p in range(q):
+                src = chars[k - 1 - p]
+                chars[p] = src if transform == "rev" else {"0": "1", "1": "0", "-": "-"}[src]
+            if chars[0] in "01" and is_conserved(Landscape("".join(chars), q + 1)):
+                count += 1
+    return count
+
+
+def test_star_kernel_matches_digit_decoder():
+    for k in range(4, 13):
+        for q in range(1, k - 1):
+            count, _, blocks = landscape._conserved_counts_for_star(k, q, True)
+            want, survivors = _ref_counts_for_star(k, q)
+            assert count == want, (k, q)
+            assert np.array_equal(np.concatenate(blocks), survivors), (k, q)
+
+
+def _kernel_fixed_points(k):
+    per_star = [landscape._conserved_counts_for_star(k, q, False)[1] for q in range(1, k - 1)]
+    return tuple(int(sum(f)) for f in zip(*per_star))
+
+
+def test_fixed_points_match_string_reference():
+    for k in range(4, 14):
+        assert _kernel_fixed_points(k) == (_ref_fixed_point_count(k, "rev"), _ref_fixed_point_count(k, "rc")), k
+    assert _kernel_fixed_points(11) == (24, 34)
+    assert _kernel_fixed_points(13) == (90, 168)
+
+
+def test_enumeration_counts_k13_in_bounded_memory():
+    enumerate_conserved(4, include_list=False)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        res = enumerate_conserved(13, include_list=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.count, res.class_count, res.landscapes) == (775_930, 194_047, None)
+    assert peak < 4 << 20
+
+
+@pytest.mark.long
+@pytest.mark.parametrize(
+    "k, want", [(14, (2_724_072, 681_018)), (15, (9_394_778, 2_348_878)), (16, (32_291_160, 8_072_790))]
+)
+def test_enumeration_counts_past_k13(k, want):
+    res = enumerate_conserved(k, include_list=False)
+    assert (res.count, res.class_count) == want
