@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -236,80 +236,31 @@ def default_generators() -> list[Rule]:
 
 
 _CLASS_BLOCK = 64  # known classes extended together
-_GATHER_CHUNK = 1 << 18  # bytes per chunk of composites, gathered or packed
-
-# bit v of a 64-bit word is table entry v; mask i keeps the v whose bit i is 0
-_WORD_SHIFTS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint64)
-_WORD_MASKS = np.array(
-    [
-        0x5555555555555555,
-        0x3333333333333333,
-        0x0F0F0F0F0F0F0F0F,
-        0x00FF00FF00FF00FF,
-        0x0000FFFF0000FFFF,
-        0x00000000FFFFFFFF,
-    ],
-    dtype=np.uint64,
-)
+_GATHER_CHUNK = 1 << 18  # bytes of lane words per chunk of composites
 
 
-def _packed(rows: np.ndarray, k: int) -> np.ndarray:
-    """Raw k-variable table rows (uint8 bits) as uint64 words, table entry v
-    at bit v % 64 of word v // 64; a row of fewer than 64 entries is tiled
-    to 64, so that variables k..5 are dummies."""
-    if k < 6:
-        rows = np.tile(rows, (1, 1 << (6 - k)))
-    return np.packbits(rows, axis=1, bitorder="little").view("<u8")
+def _lane_groups(n: int, k: int) -> Iterator[tuple[int, int, np.dtype]]:
+    """n lanes in consecutive groups ``(start, stop, lane word)``: each word
+    is the narrowest that holds the lanes left, but none whose row of 2**k
+    entries passes a chunk's bytes (uint8, 8 lanes, at least), so that no
+    row is larger than one composite's byte table."""
+    t0 = 0
+    while t0 < n:
+        size = 1
+        while size < 8 and size << 3 < n - t0 and size << (k + 1) <= _GATHER_CHUNK:
+            size <<= 1
+        yield t0, min(n, t0 + (size << 3)), np.dtype(f"u{size}")
+        t0 += size << 3
 
 
-def _depends(words: np.ndarray, i: int) -> np.ndarray:
-    """Whether each row of words (see ``_packed``) depends on variable i: for
-    i < 6 inside the words (entry v against entry v + 2**i, over the v whose
-    bit i is 0), for i >= 6 by comparing the two halves of each run of
-    2**(i - 5) words, which differ only in i."""
-    if i < 6:
-        return (((words >> _WORD_SHIFTS[i]) ^ words) & _WORD_MASKS[i]).any(axis=1)
-    halves = words.reshape(len(words), -1, 2, 1 << (i - 6))
-    return (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))
-
-
-def _first_dependence(words: np.ndarray, order) -> np.ndarray:
-    """The first variable in ``order`` each row of words depends on, or -1:
-    one pass per variable over the rows still open."""
-    first = np.full(len(words), -1)
-    rows = np.arange(len(words))
-    for i in order:
-        dep = _depends(words, i)
-        first[rows[dep]] = i
-        if dep.all():
-            break
-        rows, words = rows[~dep], words[~dep]
-    return first
-
-
-def _trimmed_windows(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest essential variable i0 and tight diameter of each raw
-    k-variable table, given as rows of words (see ``_packed``); the
-    diameter is 0 for a constant table.  Like ``corefn._end_vars``, the
-    scans go up from the lowest and down from the highest variable and stop
-    at the first one each row depends on."""
-    i0 = _first_dependence(words, range(k))
-    width = np.zeros(len(words), dtype=np.intp)
-    live = np.flatnonzero(i0 >= 0)
-    width[live] = _first_dependence(words[live], range(k - 1, -1, -1)) + 1 - i0[live]
-    return np.maximum(i0, 0), width
-
-
-def _cut(words: np.ndarray, keep: np.ndarray, i0: np.ndarray, width: np.ndarray, d: int) -> np.ndarray:
-    """Rows ``keep`` of the raw tables ``words`` (see ``_packed``) cut to
-    their tight windows: entry j of a cut table is entry j << i0 of its
-    row.  The cut tables are uint8 bits, stored 2**d wide, each repeated
-    past its own width."""
-    rows = np.unpackbits(words[keep].view(np.uint8), axis=1, bitorder="little")
-    # holds j < 2**d and every index j << i0 < 2**k
-    dtype = np.uint16 if max(rows.shape[1], 1 << d) <= 1 << 16 else np.uint32
-    j = np.arange(1 << d, dtype=dtype) & ((1 << width[keep]) - 1).astype(dtype)[:, None]
-    return np.take_along_axis(rows, j << i0[keep, None].astype(dtype), axis=1)
+def _lanes(tables: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Up to one lane word's bits of tables (n, 2**k) as one row of 2**k
+    lane words: bit t of entry v is entry v of table t, and the bits past n
+    are 0."""
+    packed = np.packbits(tables, axis=0, bitorder="little")
+    words = np.zeros((tables.shape[1], dtype.itemsize), dtype=np.uint8)
+    words[:, : len(packed)] = packed.T
+    return words.view(dtype).ravel()
 
 
 def _cube_forms(tables: np.ndarray, k: int) -> list[np.ndarray]:
@@ -348,42 +299,25 @@ def _cube_forms(tables: np.ndarray, k: int) -> list[np.ndarray]:
     return out
 
 
-# byte b with every bit doubled, as a little-endian uint16
-_SPREAD = np.packbits(
-    np.repeat(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"), 2, axis=1),
-    axis=1,
-    bitorder="little",
-).view("<u2")[:, 0]
-
-
-def _shift_planes(tables: np.ndarray, kx: int, kg: int) -> np.ndarray:
-    """The literal planes of the tables x (r, 2**kx) over K = kx + kg - 1
-    variables, for ``_compose_cubes``: (2 kg + 2, r, W) uint64 words, W =
-    max(2**K, 64) / 64.  Plane j < kg holds x[(v >> j) & (2**kx - 1)] at bit v
-    (see ``_packed``), plane kg + j its complement, then the zero and the
-    one plane.  Plane j has period 2**(kx + j) in v: x packed to bytes with
-    every bit repeated 2**j times, one doubling (``_SPREAD``) per plane,
-    then tiled."""
-    r = len(tables)
-    n_bytes = max(1 << (kx + kg - 1), 64) >> 3
-    period = np.packbits(np.tile(tables, (1, max(1, 8 >> kx))), axis=1, bitorder="little")
-    planes = np.empty((2 * kg + 2, r, n_bytes >> 3), dtype=np.uint64)
+def _lane_planes(col: np.ndarray, kx: int, kg: int) -> np.ndarray:
+    """The literal planes of the lane row ``col`` of tables x (see
+    ``_lanes``) over K = kx + kg - 1 variables, for ``_compose_cubes``:
+    (2 kg + 2, 2**K) lane words.  Plane j < kg holds x[(v >> j) & (2**kx -
+    1)] at entry v, plane kg + j its complement, then the zero and the one
+    plane."""
+    planes = np.empty((2 * kg + 2, 1 << (kx + kg - 1)), dtype=col.dtype)
     for j in range(kg):
-        if j:
-            period = _SPREAD[period].view(np.uint8)
-        # below 8 entries x was tiled, so cut to the plane: still a multiple of the period
-        width = min(period.shape[1], n_bytes)
-        planes[j].view(np.uint8).reshape(r, -1, width)[:] = period[:, None, :width]
+        planes[j].reshape(-1, 1 << kx, 1 << j)[:] = col[:, None]
     np.invert(planes[:kg], out=planes[kg : 2 * kg])
     planes[2 * kg] = 0
-    planes[2 * kg + 1] = ~np.uint64(0)
+    planes[2 * kg + 1] = np.iinfo(col.dtype).max
     return planes
 
 
 def _compose_cubes(cubes: list[np.ndarray], planes: np.ndarray) -> np.ndarray:
-    """g o x for every cube form g of ``_cube_forms`` and every x of
-    ``_shift_planes``, as (n, r, W) words (see ``_packed``): the XOR over
-    the cubes of the AND of their literal planes."""
+    """g o x for every cube form g of ``_cube_forms`` over the lane planes
+    of ``_lane_planes``, as (n, 2**K) lane words: the XOR over the cubes of
+    the AND of their literal planes."""
     out = None
     for lits in cubes:
         cube = np.take(planes, lits[:, 0], axis=0)
@@ -393,14 +327,58 @@ def _compose_cubes(cubes: list[np.ndarray], planes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather(tables: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Every table row over every window row: ``np.take(tables, windows,
-    axis=1)``.  ``np.take`` copies its indices to intp, so a window row wider
-    than ``_GATHER_CHUNK`` (one row per chunk then) goes by ``corefn._take``
-    in slices."""
-    if windows.shape[1] <= _GATHER_CHUNK:
-        return np.take(tables, windows, axis=1)
-    return np.stack([[_take(t, w) for w in windows] for t in tables])
+def _lane_windows(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest essential variable i0 and tight diameter of every lane of the
+    raw k-variable tables ``cols`` (R, 2**k) lane words, each as (R, lane
+    bits); the diameter is 0 for a constant lane.  Going up, pass i keeps
+    the lanes not constant on some aligned run of 2**(i + 1) entries (a half
+    not constant, or the halves' first entries apart): those that depend on
+    a variable <= i.  Going down, pass j keeps the lanes whose entries u + s
+    2**j differ over s for some u < 2**j: those that depend on a variable >=
+    j.  Each pass halves its array, and counting the passes that keep a lane
+    gives its ends."""
+    r = len(cols)
+    below = np.empty((k, r), dtype=cols.dtype)  # lanes depending on a variable <= i
+    above = np.empty((k, r), dtype=cols.dtype)  # lanes depending on a variable >= j
+    runs = cols[:, 0::2] ^ cols[:, 1::2]
+    np.bitwise_or.reduce(runs, axis=1, out=below[0])
+    for i in range(1, k):
+        s = 1 << i
+        runs = runs[:, 0::2] | runs[:, 1::2]
+        runs |= cols[:, 0 :: 2 * s] ^ cols[:, s :: 2 * s]
+        np.bitwise_or.reduce(runs, axis=1, out=below[i])
+    spread = cols[:, : 1 << (k - 1)] ^ cols[:, 1 << (k - 1) :]
+    np.bitwise_or.reduce(spread, axis=1, out=above[k - 1])
+    for j in range(k - 2, -1, -1):
+        h = 1 << j
+        spread = spread[:, :h] | spread[:, h:]
+        spread |= cols[:, :h] ^ cols[:, h : 2 * h]
+        np.bitwise_or.reduce(spread, axis=1, out=above[j])
+    n_below, n_above = (
+        np.unpackbits(a.view(np.uint8).reshape(k, r, -1), axis=2, bitorder="little").sum(axis=0, dtype=np.intp)
+        for a in (below, above)
+    )
+    return k - n_below, np.maximum(n_below + n_above - k, 0)
+
+
+def _lane_cut(
+    cols: np.ndarray, rows: np.ndarray, lanes: np.ndarray, i0: np.ndarray, width: np.ndarray
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The lanes ``(rows, lanes)`` of ``cols`` (see ``_lane_windows``) cut to
+    their tight windows, one uint8 stack per width w: ``(w, at, tables)``,
+    where row c of ``tables`` (n, 2**w) is the lane ``at[c]`` and its entry
+    j is entry j << i0 of the lane.  A cut lane reads only the byte of each
+    of its entries that holds its bit, by one flat ``np.take`` per width."""
+    size = cols.itemsize
+    flat = cols.view(np.uint8).ravel()
+    base = rows * cols.shape[1] * size + (lanes >> 3)
+    shift = (lanes & 7).astype(np.uint8)
+    out = []
+    for w in np.unique(width).tolist():
+        at = np.flatnonzero(width == w)
+        j = (np.arange(1 << w) * size) << i0[at, None]
+        out.append((w, at, (np.take(flat, j + base[at, None]) >> shift[at, None]) & 1))
+    return out
 
 
 def closure_search(
@@ -436,34 +414,43 @@ def closure_search(
     The work goes in blocks of up to ``_CLASS_BLOCK`` known classes.  The
     composites of a block depend only on the block and the generators, so
     they are all computed first and then added in sequence order, which
-    gives the classes the order a one-at-a-time search gives them.  The two
-    directions compose differently, many pairs at once:
+    gives the classes the order a one-at-a-time search gives them.
+
+    Composites are bitsliced (as in Biham's DES, FSE 1997): a raw
+    K-variable composite is a row of 2**K lane words, and bit t of word v
+    is entry v of composite t, so each word op acts on a whole lane word of
+    composites at once.  The two directions compose differently:
 
     * g o x: g(y) is an XOR of cubes of literals y_j or not y_j, and
       (g o x)(v) is g at y_j = x(v >> j), so g o x is the same XOR of cubes
-      over the packed shift planes of x (bitslicing, as in Biham's DES,
-      FSE 1997).  Each generator representative of one diameter is written
-      once in its fixed-polarity Reed-Muller form with the fewest terms
-      (``_cube_forms``): a conserved landscape is x_s xor one cube, so 2
-      terms for every default generator, and any table is accepted.  Each
-      chunk of the block's orbit members is packed once into its planes
-      (``_shift_planes``), and g o x is then a few word ANDs per pair
-      (``_compose_cubes``).
+      over the shift planes of x.  Each generator representative of one
+      diameter is written once in its fixed-polarity Reed-Muller form with
+      the fewest terms (``_cube_forms``): a conserved landscape is x_s xor
+      one cube, so 2 terms for every default generator, and any table is
+      accepted.  The block's orbit members of one diameter kx go into lane
+      rows of 2**kx words (``_lanes``), each row into its planes
+      (``_lane_planes``: plane j is the row at (v >> j) & (2**kx - 1)), and
+      g o x is then a few word ANDs per generator and entry, for every
+      member of the lane word (``_compose_cubes``).
     * x o g: an arbitrary outer x has no short cube form, so it stays a
-      gather ``np.take(x, windows)`` (``_gather``) of the stacked block
-      representatives of one diameter over the window arrays
-      (``corefn._windows``) of every generator orbit member of one
-      diameter, which are kept for the whole run; the composites are then
-      packed to words (``_packed``).
+      gather: the lane row of the block representatives of one diameter is
+      gathered over the window arrays (``corefn._windows``) of every
+      generator orbit member of one diameter, which are kept for the whole
+      run, so each gathered word gives one composite per lane.
 
-    Both directions go in chunks of at most ``_GATHER_CHUNK`` bytes and meet
-    in one trim on words: a chunk's tight diameters are read from its
-    packed words (``_trimmed_windows``), and only the composites of
-    diameter 2..max_diameter are unpacked, cut (``_cut``, as wide as the
-    chunk's widest kept composite, whatever max_diameter is) and
-    canonicalized.  Memory stays bounded by the chunk, one block's
-    candidates and the generator windows; the classes themselves keep only
-    their representatives.
+    Lane words are the narrowest that hold the lanes left, and past
+    ``_GATHER_CHUNK`` bytes per row narrower still, down to 8 lanes
+    (``_lane_groups``), so no row is larger than one composite's byte
+    table.  Both directions go in chunks of at most ``_GATHER_CHUNK`` bytes
+    (or one row) and meet in one trim and one cut: ``_lane_windows`` finds
+    every lane's tight window in 2K halving passes, and only the lanes of
+    diameter 2..max_diameter are cut to tables exactly as wide as their own
+    windows (``_lane_cut``), whatever max_diameter is.  The cut tables of
+    one diameter are canonicalized once they fill a chunk's bytes, and the
+    block holds only their packed class keys until it adds them.  Memory
+    stays bounded by the chunk, the planes of one lane row, one block's
+    class keys and the generator windows; the classes themselves keep only
+    their packed keys.
     """
     if max_diameter < 6:
         raise LiftforgeError("intermediate diameter cap must be >= 6")
@@ -472,7 +459,7 @@ def closure_search(
     gens = generators if generators is not None else default_generators()
 
     ks: list[int] = []  # diameter per discovered class
-    reps: list[np.ndarray] = []  # canonical representative tables (uint8)
+    reps: list[bytes] = []  # class key of each representative (see ``_canon_keys``)
     known: set[tuple[int, bytes]] = set()
     found: set[EquivClassId] = set()
 
@@ -481,13 +468,17 @@ def closure_search(
         if entry in known:
             return
         known.add(entry)
-        rep = np.unpackbits(key, count=1 << k)
         ks.append(k)
-        reps.append(rep)
+        reps.append(entry[1])
         if k <= 6:
-            rule = Rule(k, array_to_table(rep), 0)
+            rule = Rule(k, array_to_table(np.unpackbits(key, count=1 << k)), 0)
             if degree(rule) >= 2:
                 found.add(EquivClassId(k, rule.table))
+
+    def rep_tables(ids, k: int) -> np.ndarray:
+        """The representative tables of the classes ``ids``, all of diameter k."""
+        keys = np.frombuffer(b"".join(reps[i] for i in ids), dtype=np.uint8).reshape(len(ids), -1)
+        return np.unpackbits(keys, axis=1, count=1 << k)
 
     for g in gens:
         if 1 < g.k <= max_diameter:
@@ -499,7 +490,7 @@ def closure_search(
     orbit_size = np.zeros(n_gen, dtype=np.int64)
     for kg in sorted(set(ks)):
         ids = np.flatnonzero(gen_ks == kg)
-        stack = np.stack([reps[g] for g in ids])
+        stack = rep_tables(ids, kg)
         members, owner, m = _orbit_arrays(stack, kg)
         orbit_size[ids] = np.bincount(owner, minlength=len(ids))
         gen_forms[kg] = (ids, _cube_forms(stack, kg))
@@ -518,7 +509,7 @@ def closure_search(
         n_orbit = np.empty(len(block), dtype=np.int64)
         for kx in sorted(set(bks.tolist())):
             sel = np.flatnonzero(bks == kx)
-            stack = np.stack([reps[i] for i in block[sel]])
+            stack = rep_tables(block[sel], kx)
             members, owner, m = _orbit_arrays(stack, kx)
             n_orbit[sel] = np.bincount(owner, minlength=len(sel))
             groups.append((kx, sel, stack, members, sel[owner], m))
@@ -526,50 +517,54 @@ def closure_search(
         per_class = n_pairs * n_orbit + before[n_pairs] - np.where(block < n_gen, n_orbit, 0)
         start = compositions + np.cumsum(per_class) - per_class  # first index of each class
 
-        candidates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (index, diameter, table)
+        held: dict[int, list] = {}  # width -> cut (index, tables) not yet keyed
+        keyed: dict[int, list] = {}  # width -> (index, class keys)
 
-        def collect(composites: np.ndarray, k: int, index: np.ndarray, valid: np.ndarray) -> None:
-            words = composites.reshape(index.size, -1)
-            i0, width = _trimmed_windows(words, k)
-            keep = np.flatnonzero(valid.ravel() & (index.ravel() < budget) & (width >= 2) & (width <= max_diameter))
-            if keep.size:
-                d = int(width[keep].max())
-                candidates.append((index.ravel()[keep], width[keep], _cut(words, keep, i0, width, d)))
+        def flush(w: int) -> None:
+            index, tables = (np.concatenate(a) for a in zip(*held.pop(w)))
+            keyed.setdefault(w, []).append((index, _canon_keys(tables, w)))
+
+        def collect(cols: np.ndarray, k: int, index: np.ndarray, valid: np.ndarray) -> None:
+            # lanes past index.shape[1] are unused (0)
+            i0, width = (a[:, : index.shape[1]] for a in _lane_windows(cols, k))
+            keep = valid & (index < budget) & (width >= 2) & (width <= max_diameter)
+            rows, lanes = np.nonzero(keep)
+            if rows.size:
+                for w, at, tables in _lane_cut(cols, rows, lanes, i0[keep], width[keep]):
+                    held.setdefault(w, []).append((index[keep][at], tables))
+                    if sum(t.nbytes for _, t in held[w]) >= _GATHER_CHUNK:
+                        flush(w)
 
         for kx, sel, stack, members, member_class, m in groups:
             for kg, (ids, cubes) in gen_forms.items():
                 k = kx + kg - 1
                 if k > arity_cap:
                     continue
-                # g o x: generator cube forms over the block's orbit planes;
-                # the planes and the composites each fill at most a chunk's bytes
-                bits = _GATHER_CHUNK << 3
-                wr = max(1, min(len(members), bits // ((2 * kg + 2) << k)))
-                tr = max(1, bits // (wr << k))
-                for w0 in range(0, len(members), wr):
-                    planes = _shift_planes(members[w0 : w0 + wr], kx, kg)
-                    cls = member_class[w0 : w0 + wr]
-                    for t0 in range(0, len(ids), tr):
-                        g = ids[t0 : t0 + tr, None]
-                        index = start[cls] + g * n_orbit[cls] + before[g] + m[w0 : w0 + wr]
-                        words = _compose_cubes([c[t0 : t0 + tr] for c in cubes], planes)
-                        collect(words, k, index, g < n_pairs[cls])
-                # x o g: block representatives over the generator orbit windows
+                # g o x: generator cube forms over the lane planes of the block's orbit members
+                for w0, w1, dtype in _lane_groups(len(members), k):
+                    planes = _lane_planes(_lanes(members[w0:w1], dtype), kx, kg)
+                    cls = member_class[w0:w1]
+                    n_rows = max(1, _GATHER_CHUNK // (dtype.itemsize << k))  # lane rows per chunk
+                    for t0 in range(0, len(ids), n_rows):
+                        g = ids[t0 : t0 + n_rows, None]
+                        index = start[cls] + g * n_orbit[cls] + before[g] + m[w0:w1]
+                        cols = _compose_cubes([c[t0 : t0 + n_rows] for c in cubes], planes)
+                        collect(cols, k, index, g < n_pairs[cls])
+                # x o g: the block representatives' lane row over the generator orbit windows
                 gmembers, gid, gm = gen_members[kg]
                 windows = gen_windows.get((kg, kx))
                 if windows is None:
                     windows = gen_windows[kg, kx] = _windows(gmembers, kg, kx)
-                # many tables over few window rows: np.take copies the rows to intp
-                tr = max(1, min(len(sel), _GATHER_CHUNK >> k))
-                wr = max(1, _GATHER_CHUNK // (tr << k))
-                for w0 in range(0, len(gmembers), wr):
-                    g = gid[w0 : w0 + wr]
-                    for t0 in range(0, len(sel), tr):
-                        cls = sel[t0 : t0 + tr, None]
-                        index = start[cls] + g * n_orbit[cls] + before[g] + n_orbit[cls] + gm[w0 : w0 + wr]
+                for t0, t1, dtype in _lane_groups(len(sel), k):
+                    col = _lanes(stack[t0:t1], dtype)
+                    cls = sel[t0:t1]
+                    n_rows = max(1, _GATHER_CHUNK // (dtype.itemsize << k))
+                    for w0 in range(0, len(gmembers), n_rows):
+                        g = gid[w0 : w0 + n_rows, None]
+                        index = start[cls] + g * n_orbit[cls] + before[g] + n_orbit[cls] + gm[w0 : w0 + n_rows, None]
                         valid = (g < n_pairs[cls]) & (g != block[cls])
-                        rows = _gather(stack[t0 : t0 + tr], windows[w0 : w0 + wr]).reshape(-1, 1 << k)
-                        collect(_packed(rows, k), k, index, valid)
+                        cols = _take(col, windows[w0 : w0 + n_rows].ravel()).reshape(-1, 1 << k)
+                        collect(cols, k, index, valid)
 
         total = int(per_class.sum())
         if compositions + total > budget:
@@ -577,21 +572,18 @@ def closure_search(
         else:
             compositions += total
         # add the block's composites in sequence order, each class from its
-        # first occurrence; each chunk's tables are as wide as its widest
-        # composite, so one diameter is gathered from every chunk at a time
-        if candidates:
-            index, width = (np.concatenate(a) for a in list(zip(*candidates))[:2])
-            firsts = []
-            for k2 in np.flatnonzero(np.bincount(width)).tolist():
-                at = np.flatnonzero(width == k2)
-                order = np.argsort(index[at])
-                parts = [t[w == k2, : 1 << k2] for _, w, t in candidates if t.shape[1] >= 1 << k2]
-                tables = np.concatenate(parts)[order]
-                keys = _canon_keys(tables, k2)
-                _, first = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True)
-                firsts.extend(zip(index[at[order[first]]].tolist(), [k2] * len(first), keys[first]))
-            for _, k2, key in sorted(firsts, key=lambda t: t[0]):
-                add(k2, key)
+        # first occurrence
+        for w in list(held):
+            flush(w)
+        firsts = []
+        for w, parts in keyed.items():
+            index, keys = (np.concatenate(a) for a in zip(*parts))
+            order = np.argsort(index)
+            _, first = np.unique(keys[order].view(f"V{keys.shape[1]}").ravel(), return_index=True)
+            at = order[first]
+            firsts.extend(zip(index[at].tolist(), [w] * len(at), keys[at]))
+        for _, w, key in sorted(firsts, key=lambda t: t[0]):
+            add(w, key)
         x = int(block[-1]) + 1
     return ClosureResult(max_diameter, frozenset(found), len(ks), compositions, exhausted)
 

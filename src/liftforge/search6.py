@@ -322,14 +322,21 @@ def _propagate(defined, ones, fresh, s: int):
     windows, masks, zeros = _word_planes(s)
     words = _words_in_play(defined, fresh, s)
     m = masks[words, None]
-    cand = ((defined & m) == m) & ((fresh & m) != 0)  # (words, rows)
+    # one (words, rows) uint64 buffer for every wide temporary: a fresh one
+    # each would be mapped and faulted in anew whenever it passes malloc's
+    # mmap threshold
+    forced = defined & m
+    cand = forced == m
+    np.bitwise_and(fresh, m, out=forced)
+    cand &= forced != 0
     # bit x of every row's `ones`, one row per window x; then v bit by bit
     bits = np.unpackbits(ones.view(np.uint8).reshape(-1, 8).T, axis=0, bitorder="little")
     w = np.take(windows, words, axis=0)
     v = np.take(bits, w[:, 0], axis=0)
     for j in range(1, 6):
         v |= np.take(bits, w[:, j], axis=0) << j
-    forced = np.where(cand, np.uint64(1) << v.astype(np.uint64), np.uint64(0))
+    np.left_shift(np.uint64(1), v, out=forced)
+    forced *= cand
     split = np.searchsorted(words, zeros)
     f0 = np.bitwise_or.reduce(forced[:split], axis=0)
     f1 = np.bitwise_or.reduce(forced[split:], axis=0)

@@ -335,49 +335,69 @@ def _embedded_tables(rng, k, n):
     return np.stack(out)
 
 
-def _words(rows, k):
-    """Table rows as uint64 words, entry v at bit v % 64 of word v // 64,
-    tiled to 64 entries below k = 6."""
-    tiled = np.tile(rows, (1, max(1, 64 >> k)))
-    return np.packbits(tiled, axis=1, bitorder="little").view("<u8")
+_LANE_WORDS = [np.dtype(f"u{size}") for size in (1, 2, 4, 8)]
 
 
-@pytest.mark.parametrize("k", range(2, 14))
+def _lane_bits(cols, n):
+    """The first n lanes of lane rows (R, 2**k) as uint8 tables (R, n, 2**k)."""
+    bits = np.unpackbits(cols.view(np.uint8).reshape(*cols.shape, -1), axis=2, bitorder="little")
+    return bits[:, :, :n].transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("k", range(2, 16))
 def test_trimmed_windows_match_end_vars(k):
+    # partial lanes (the bits past the last table are 0) and every lane word
     rng = np.random.default_rng(k)
-    rows = _embedded_tables(rng, k, 60)
-    words = _words(rows, k)
-    assert np.array_equal(catalog._packed(rows, k), words)
-    i0, width = catalog._trimmed_windows(words, k)
-    for row, a, w in zip(rows, i0.tolist(), width.tolist()):
-        ends = _end_vars(array_to_table(row), k)
-        assert (w == 0) if ends is None else (a, w) == (ends[0], ends[1] - ends[0] + 1)
+    for dtype in _LANE_WORDS:
+        for n in sorted({1, 7, min(64, dtype.itemsize * 8)}):
+            rows = [_embedded_tables(rng, k, n) for _ in range(2)]
+            cols = np.stack([catalog._lanes(t, dtype) for t in rows])
+            assert np.array_equal(_lane_bits(cols, n), np.stack(rows))
+            i0, width = catalog._lane_windows(cols, k)
+            assert i0.shape == width.shape == (2, dtype.itemsize * 8)
+            assert (width[:, n:] == 0).all()
+            for r, tables in enumerate(rows):
+                for t, row in enumerate(tables):
+                    ends = _end_vars(array_to_table(row), k)
+                    got = (int(i0[r, t]), int(width[r, t]))
+                    assert got[1] == 0 if ends is None else got == (ends[0], ends[1] - ends[0] + 1), (dtype, n, r, t)
 
 
 @pytest.mark.parametrize("k", [12, 17])
 def test_cut_reads_tight_windows(k):
-    # at k=17 the indices j << i0 of the last two rows pass 2**16
+    # at k=17 the entries j << i0 of the widest cuts pass 2**16
     rng = np.random.default_rng(k)
-    d = 8
-    rows = rng.integers(0, 2, (5, 1 << k), dtype=np.uint8)
-    i0, width = np.array([0, 3, k - 8, k - 5, 1]), np.array([8, 5, 8, 5, 2])
-    keep = np.array([0, 1, 2, 3, 4])[::-1]
-    got = catalog._cut(_words(rows, k), keep, i0, width, d)
-    for r, row in zip(keep, got):
-        want = rows[r, 0 : (1 << width[r]) << i0[r] : 1 << i0[r]]
-        assert np.array_equal(row, np.tile(want, (1 << d) >> width[r])), r
+    for dtype in _LANE_WORDS:
+        cols = rng.integers(0, 256, (3, (1 << k) * dtype.itemsize), dtype=np.uint8).view(dtype)
+        bits = _lane_bits(cols, dtype.itemsize * 8)
+        rows = np.array([2, 0, 1, 2, 0, 1])
+        lanes = np.array([0, 3, 7, dtype.itemsize * 8 - 1, 5, 0])
+        i0, width = np.array([0, 3, k - 8, k - 5, 1, k - 8]), np.array([8, 5, 8, 5, 2, 8])
+        got = catalog._lane_cut(cols, rows, lanes, i0, width)
+        assert [w for w, _, _ in got] == [2, 5, 8]
+        for w, at, tables in got:
+            assert tables.shape == (len(at), 1 << w) and (width[at] == w).all()
+            for c, row in zip(at, tables):
+                want = bits[rows[c], lanes[c], 0 : (1 << w) << i0[c] : 1 << i0[c]]
+                assert np.array_equal(row, want), (dtype, c)
 
 
 # ---------------------------------------------------------------------------
-# g o x from cube forms over shift planes, against the window gather
+# g o x from cube forms over lane planes, against the window gather
 
 
 def _gathered_words(g, x, kg, kx):
-    """g o x for every row of g over every row of x by the window gather,
-    as (len(g), len(x), words)."""
+    """g o x for every row of g over every row of x by the byte window
+    gather, as uint8 tables (len(g), len(x), 2**K)."""
     k = kx + kg - 1
-    rows = np.take(g, _windows(x, kx, kg), axis=1).reshape(-1, 1 << k)
-    return _words(rows, k).reshape(len(g), len(x), -1)
+    return np.take(g, _windows(x, kx, kg), axis=1).reshape(len(g), len(x), 1 << k)
+
+
+def _lane_compose(cubes, x, kx, kg, dtype):
+    """g o x by ``_compose_cubes`` over the lane planes of x, as uint8
+    tables (len(g), len(x), 2**K)."""
+    planes = catalog._lane_planes(catalog._lanes(x, dtype), kx, kg)
+    return _lane_bits(catalog._compose_cubes(cubes, planes), len(x))
 
 
 def _n_terms(cubes, k):
@@ -395,7 +415,6 @@ def _fewest_terms(table, k):
 @pytest.mark.parametrize("kg", range(2, 7))
 @pytest.mark.parametrize("kx", range(2, 9))
 def test_cube_compose_matches_gather(kx, kg):
-    # K = kx + kg - 1 < 6 is tiled to 64 entries, as the trim reads it
     rng = np.random.default_rng(100 * kx + kg)
     g = rng.integers(0, 2, (7, 1 << kg), dtype=np.uint8)
     g[0] = 0  # no cube
@@ -403,8 +422,8 @@ def test_cube_compose_matches_gather(kx, kg):
     g[2] = np.arange(1 << kg) >> (kg - 1) & 1  # one literal
     x = rng.integers(0, 2, (5, 1 << kx), dtype=np.uint8)
     cubes = catalog._cube_forms(g, kg)
-    got = catalog._compose_cubes(cubes, catalog._shift_planes(x, kx, kg))
-    assert np.array_equal(got, _gathered_words(g, x, kg, kx))
+    for dtype in _LANE_WORDS:
+        assert np.array_equal(_lane_compose(cubes, x, kx, kg, dtype), _gathered_words(g, x, kg, kx)), dtype
     assert _n_terms(cubes, kg).tolist() == [_fewest_terms(row, kg) for row in g]
 
 
@@ -418,7 +437,7 @@ def test_default_generator_orbits_compose_by_two_cubes():
         assert (_n_terms(cubes, kg) == 2).all()
         for kx in (2, 5, 8):
             x = rng.integers(0, 2, (3, 1 << kx), dtype=np.uint8)
-            got = catalog._compose_cubes(cubes, catalog._shift_planes(x, kx, kg))
+            got = _lane_compose(cubes, x, kx, kg, np.dtype(np.uint64))
             assert np.array_equal(got, _gathered_words(g, x, kg, kx)), (kg, kx)
 
 
@@ -531,24 +550,42 @@ def test_block_closure_independent_of_block_and_chunk(monkeypatch, small_gens, b
 
 
 def test_cut_is_as_wide_as_the_widest_kept_composite(monkeypatch):
-    # a chunk's tables are cut 2**w wide for its widest kept composite w, not
-    # 2**max_diameter wide
-    cut = catalog._cut
-    widths = []
+    # every cut table is 2**w wide for its own diameter w, not 2**max_diameter
+    # wide, and is canonicalized at that width
+    cut, canon_keys = catalog._lane_cut, catalog._canon_keys
+    widths, keyed = [], []
 
-    def spy(words, keep, i0, width, d):
-        widths.append((d, int(width[keep].max())))
-        return cut(words, keep, i0, width, d)
+    def spy(cols, rows, lanes, i0, width):
+        out = cut(cols, rows, lanes, i0, width)
+        widths.extend((w, tables.shape[1], set(width[at].tolist())) for w, at, tables in out)
+        return out
 
-    monkeypatch.setattr(catalog, "_cut", spy)
+    def keys_spy(tables, k):
+        keyed.append((k, tables.shape[1]))
+        return canon_keys(tables, k)
+
+    monkeypatch.setattr(catalog, "_lane_cut", spy)
+    monkeypatch.setattr(catalog, "_canon_keys", keys_spy)
     closure_search(16, budget=2_000)
-    assert widths and all(d == widest for d, widest in widths)
-    assert len({d for d, _ in widths}) > 1 and max(d for d, _ in widths) < 16
+    assert widths and all(size == 1 << w and ws == {w} for w, size, ws in widths)
+    assert len({w for w, _, _ in widths}) > 1 and max(w for w, _, _ in widths) < 16
+    assert keyed and all(size == 1 << k for k, size in keyed)
 
 
 def test_closure_rejects_small_cap():
     with pytest.raises(lf.LiftforgeError):
         closure_search(5)
+
+
+def test_closure_d8_all_generators_at_300k():
+    # the 90 generators' wide compositions (up to 8 + 6 - 1 = 13 variables)
+    # under a budget cut
+    res = closure_search(8, budget=300_000)
+    assert (res.discovered_classes, res.compositions, res.exhausted) == (6_997, 300_000, True)
+    by_diameter = {}
+    for c in res.found_classes:
+        by_diameter[c.k] = by_diameter.get(c.k, 0) + 1
+    assert by_diameter == {4: 1, 5: 5, 6: 113}
 
 
 @pytest.mark.long

@@ -79,9 +79,11 @@ def test_closure_honours_the_arity_cap(capsys):
     assert res.compositions < closure_search(6).compositions
 
 
-def test_search6_requires_long(capsys):
-    assert cli.main(["search6"]) == 2
-    assert "--long" in capsys.readouterr().err
+def test_search6_runs_without_long(capsys):
+    # the whole search takes a fraction of a second
+    assert cli.main(["search6"]) == 0
+    captured = capsys.readouterr()
+    assert "functions=152 classes=40" in captured.err and "--long" not in captured.err
 
 
 def test_search6_json_rows(capsys):
@@ -198,10 +200,27 @@ def test_landscapes_list_csv(capsys):
     assert [row[0] for row in rows] == [l.symbols.replace("★", "*") for l in listing]
 
 
-def test_landscapes_k13_requires_long(capsys):
-    assert cli.main(["landscapes", "--k", "13"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--long" in captured.err
+def test_landscapes_k13_requires_long(capsys, monkeypatch):
+    # listings past k = 12 and counts past k = 15 need --long
+    _no_enumeration(monkeypatch)
+    for argv in (["landscapes", "--k", "13", "--list"], ["landscapes", "--k", "16"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--long" in captured.err
+
+
+def test_landscapes_counts_to_k15_and_lists_to_k12_without_long(capsys, monkeypatch):
+    calls = []
+    enumerate_conserved = landscape.enumerate_conserved
+
+    def small(k, include_list=False):
+        calls.append((k, include_list))
+        return enumerate_conserved(4, include_list=include_list)
+
+    monkeypatch.setattr(landscape, "enumerate_conserved", small)
+    assert cli.main(["landscapes", "--k", "15"]) == 0
+    assert cli.main(["landscapes", "--k", "12", "--list"]) == 0
+    assert calls == [(15, False), (12, True)]
 
 
 # (0★110)∘(0★10), diameter 5; its DU row is pinned in test_diffunif
