@@ -26,12 +26,11 @@ from .corefn import (
     _windows,
     array_to_table,
     degree,
-    is_balanced,
 )
 from .diffunif import DEFAULT_DU_CAP, LengthRangeError, _check_du_cap, _ddt_maxima
 from .exprlang import LiftExpr, eval_expr, parse_expr
 from .landscape import compile_landscape, enumerate_conserved
-from .lifting import DEFAULT_ARITY_CAP, decide_proper
+from .lifting import DEFAULT_ARITY_CAP, _pair_graph_verdicts
 
 CATALOG_RESOURCE = "appendix_a.tsv"
 CATALOG_SHA256 = "bd0be47ea0d5d69c6ef0b6c5bc139cb653b3bd9f0643b9d23811546a657387bb"
@@ -133,9 +132,12 @@ def verify_catalog(
     distinctness of every entry; optionally the stated per-length
     differential uniformities and containment of a set of class ids.
 
-    The class ids come from one stacked call, the DU values for every
-    checked entry at once, one length at a time, and each entry's problems
-    are reported together, in the order of the checks."""
+    Every check of the diameter-6 entries is one pass over their stack: the
+    class ids and the properness verdicts come from one stacked call each,
+    the degrees from one Moebius transform and a popcount of the monomials,
+    the balance from one count.  The DU values come for every checked entry
+    at once, one length at a time, and each entry's problems are reported
+    together, in the order of the checks."""
     if check_du:  # refused before any rule is built
         _check_du_cap(du_to, DEFAULT_DU_CAP)
         if not DU_RANGE[0] <= du_to <= DU_RANGE[1]:
@@ -147,25 +149,27 @@ def verify_catalog(
     per_entry: list[list[Problem]] = []
     du_checked: list[tuple[list[Problem], CatalogEntry, Rule]] = []
     rules = [e.rule() for e in entries]
-    six = np.array([r.table_array() for r in rules if r.k == 6], dtype=np.uint8).reshape(-1, 64)
-    cids = iter(_class_ids(six, 6))  # one per diameter-6 entry, in entry order
+    six_rules = [r for r in rules if r.k == 6]
+    six = np.array([r.table_array() for r in six_rules], dtype=np.uint8).reshape(-1, 64)
+    degrees = (_mobius(six, 6) * np.bitwise_count(np.arange(64, dtype=np.uint8))).max(axis=1, initial=0).tolist()
+    balance = (np.count_nonzero(six, axis=1) == 32).tolist()
+    # one tuple per diameter-6 entry, in entry order
+    checks = zip(_class_ids(six, 6), degrees, balance, _pair_graph_verdicts(six_rules))
     for e, r in zip(entries, rules):
         problems: list[Problem] = []
         per_entry.append(problems)
         if r.k != 6:
             problems.append(Problem(e.index, "diameter", f"got {r.k}"))
             continue
-        d = degree(r)
+        cid, d, balanced, verdict = next(checks)
         if d != e.stated_degree:
             problems.append(Problem(e.index, "degree", f"stated {e.stated_degree}, computed {d}"))
-        if not is_balanced(r):
+        if not balanced:
             problems.append(Problem(e.index, "balance", "table is not balanced"))
-        cid = next(cids)
         if cid in seen:
             problems.append(Problem(e.index, "duplicate-class", f"same class as entry {seen[cid]}"))
         seen[cid] = e.index
         classes.add(cid)
-        verdict = decide_proper(r)
         if not verdict.proper:
             problems.append(Problem(e.index, "not-proper", verdict.to_json()))
         if check_du and e.stated_du is not None:

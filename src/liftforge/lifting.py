@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -236,20 +236,30 @@ def divisor_check(r: Rule, n: int, m: int, n_cap: int = DEFAULT_N_CAP) -> bool:
 #
 # The nodes on bi-infinite paths are the greatest set in which every node has
 # a successor and a predecessor; it does not depend on the order in which
-# nodes without one are removed.  With H = W/2 the successor of (u, v) under
-# (a, b) is (aH + u//2, bH + v//2), so the successors of all nodes under (a, b)
-# are the block alive[aH:(a+1)H, bH:(b+1)H] with every row and column doubled,
-# read through a (H, 2, H, 2) view of the node array.  The predecessor under
-# (c, d) is (2(u mod H) + c, 2(v mod H) + d): the slice alive[c::2, d::2]
-# repeated twice along each axis, read through a (2, H, 2, H) view.  Each node
-# keeps its live out-edges and in-edges as 4-bit sets (bit 2a+b, bit 2c+d).
-# Dense sweeps recompute both sets from the alive array while they remove many
-# nodes; once a sweep removes less than 1/_PEEL_SHARE of them, a frontier peel
-# takes over: it clears the edge bits that the removed nodes leave behind in
-# their neighbours only, and removes the neighbours whose set became empty.
+# nodes without one are removed.  The kernel decides a stack of R rules of one
+# diameter at once, on an (R, W, W) alive array whose row t is the graph of
+# rule t.  With H = W/2 the successor of (u, v) under (a, b) is
+# (aH + u//2, bH + v//2), so the successors of all nodes of a row under (a, b)
+# are the block alive[t, aH:(a+1)H, bH:(b+1)H] with every row and column
+# doubled, read through an (R, H, 2, H, 2) view of the node array.  The
+# predecessor under (c, d) is (2(u mod H) + c, 2(v mod H) + d): the slice
+# alive[t, c::2, d::2] repeated twice along each axis, read through an
+# (R, 2, H, 2, H) view.  Each node keeps its live out-edges and in-edges as
+# 4-bit sets (bit 2a+b, bit 2c+d).  Dense sweeps recompute both sets from the
+# alive array while they remove many nodes; once a sweep over the whole stack
+# removes less than 1/_PEEL_SHARE of the stack's alive nodes, one frontier
+# peel takes over for the whole stack: it clears the edge bits that the
+# removed nodes leave behind in their neighbours only, and removes the
+# neighbours whose set became empty.  The peel's flat node index is
+# t·W² + u·W + v; a node's neighbours lie in its own row, so each neighbour
+# index keeps the row base dead & ~(W²-1).  Rules go to the kernel by
+# diameter, in stacks of at most _STACK_NODES nodes or of one row (from
+# k = 10 up), so a stack's arrays are never larger than one graph's from
+# k = 10 up, and at most a few MiB below.
 
 _PEEL_SHARE = 8
 _PEEL_CHUNK = 1 << 16
+_STACK_NODES = 1 << 18
 # Bytes per node at the peak of the pair graph: the alive array, the next
 # alive array and the two edge-set arrays, one byte each, plus the removed
 # nodes' indices when the peel starts (8 bytes for each of at most 1/8 of the
@@ -294,51 +304,51 @@ class PropernessVerdict:
 
 
 def _edge_labels(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks whose XOR has bit 2a+b set iff o[a, u] == o[b, v].
+    """Masks whose XOR has bit 2a+b set iff o[..., a, u] == o[..., b, v].
 
-    o[a, u] is the rule output on window u joined with bit a (appended for
-    successors, prepended for predecessors); the first mask is indexed by u,
-    the second by v.
+    o[..., a, u] is the rule output on window u joined with bit a (appended
+    for successors, prepended for predecessors); the first mask is indexed
+    by u, the second by v.
     """
-    o0, o1 = o[0], o[1]
+    o0, o1 = o[..., 0, :], o[..., 1, :]
     return o0 * 3 | o1 * 12, (o0 * 5 | o1 * 10) ^ 15
 
 
 def _alive_edges(g: np.ndarray) -> np.ndarray:
-    """(H, H) 4-bit sets with bit 2a+b = g[a, i, b, j], from a boolean view."""
+    """(R, H, H) 4-bit sets with bit 2a+b = g[t, a, i, b, j], from a boolean view."""
     g = g.view(np.uint8)
-    return g[0, :, 0] | g[0, :, 1] << 1 | g[1, :, 0] << 2 | g[1, :, 1] << 3
+    return g[:, 0, :, 0] | g[:, 0, :, 1] << 1 | g[:, 1, :, 0] << 2 | g[:, 1, :, 1] << 3
 
 
-def _pair_graph_alive(r: Rule) -> np.ndarray:
-    """Boolean (W, W) array of pair-graph nodes lying on bi-infinite paths."""
-    k = r.k
+def _pair_graph_alive(tables: np.ndarray, k: int) -> np.ndarray:
+    """Boolean (R, W, W) array: row t holds the pair-graph nodes of the raw
+    k-variable table ``tables[t]`` that lie on bi-infinite paths."""
+    R = len(tables)
     W = 1 << (k - 1)
     H = W >> 1
-    tab = r.table_array()
-    succ_first, succ_second = _edge_labels(tab.reshape(2, W))  # window u, then bit a
-    pred_first, pred_second = _edge_labels(tab.reshape(W, 2).T)  # bit c, then window u
-    succ_first = succ_first.reshape(H, 2)[:, :, None, None]
-    succ_second = succ_second.reshape(H, 2)[None, None]
-    pred_first = pred_first.reshape(2, H)[:, :, None, None]
-    pred_second = pred_second.reshape(2, H)[None, None]
+    succ_first, succ_second = _edge_labels(tables.reshape(R, 2, W))  # window u, then bit a
+    pred_first, pred_second = _edge_labels(tables.reshape(R, W, 2).transpose(0, 2, 1))  # bit c, then window u
+    succ_first = succ_first.reshape(R, H, 2, 1, 1)
+    succ_second = succ_second.reshape(R, 1, 1, H, 2)
+    pred_first = pred_first.reshape(R, 2, H, 1, 1)
+    pred_second = pred_second.reshape(R, 1, 1, 2, H)
 
-    alive = np.ones((W, W), dtype=bool)
+    alive = np.ones((R, W, W), dtype=bool)
     nxt = np.empty_like(alive)
-    succ = np.empty((W, W), dtype=np.uint8)  # live out-edges (a, b), bit 2a+b
-    pred = np.empty((W, W), dtype=np.uint8)  # live in-edges (c, d), bit 2c+d
-    succ4 = succ.reshape(H, 2, H, 2)  # [i, r, j, s] is node (2i + r, 2j + s)
-    pred4 = pred.reshape(2, H, 2, H)  # [r, i, s, j] is node (rH + i, sH + j)
-    n_alive = W * W
+    succ = np.empty((R, W, W), dtype=np.uint8)  # live out-edges (a, b), bit 2a+b
+    pred = np.empty((R, W, W), dtype=np.uint8)  # live in-edges (c, d), bit 2c+d
+    succ4 = succ.reshape(R, H, 2, H, 2)  # [t, i, r, j, s] is node (2i + r, 2j + s) of row t
+    pred4 = pred.reshape(R, 2, H, 2, H)  # [t, r, i, s, j] is node (rH + i, sH + j) of row t
+    n_alive = alive.size
     while True:
-        # [a, i, b, j] is the successor (aH + i, bH + j) of the nodes (2i + r, 2j + s)
-        blocks = alive.reshape(2, H, 2, H)
+        # [t, a, i, b, j] is the successor (aH + i, bH + j) of the nodes (2i + r, 2j + s)
+        blocks = alive.reshape(R, 2, H, 2, H)
         np.bitwise_xor(succ_first, succ_second, out=succ4)
-        succ4 &= _alive_edges(blocks)[:, None, :, None]
-        # [c, i, d, j] is the predecessor (2i + c, 2j + d) of the nodes (rH + i, sH + j)
-        slices = alive.reshape(H, 2, H, 2).transpose(1, 0, 3, 2)
+        succ4 &= _alive_edges(blocks)[:, :, None, :, None]
+        # [t, c, i, d, j] is the predecessor (2i + c, 2j + d) of the nodes (rH + i, sH + j)
+        slices = alive.reshape(R, H, 2, H, 2).transpose(0, 2, 1, 4, 3)
         np.bitwise_xor(pred_first, pred_second, out=pred4)
-        pred4 &= _alive_edges(slices)[None, :, None, :]
+        pred4 &= _alive_edges(slices)[:, None, :, None, :]
         np.logical_and(succ, pred, out=nxt)
         nxt &= alive
         n_next = np.count_nonzero(nxt)
@@ -359,11 +369,12 @@ def _pair_graph_alive(r: Rule) -> np.ndarray:
 
 def _peel(alive: np.ndarray, succ: np.ndarray, pred: np.ndarray, dead: np.ndarray, k: int) -> None:
     """Remove, in place, every node left without a live successor or
-    predecessor once the nodes ``dead`` (flat indices, already cleared in
-    ``alive``) are gone.  ``succ`` and ``pred`` hold the flat edge sets,
-    which still count ``dead``."""
+    predecessor once the nodes ``dead`` (flat indices t·W² + u·W + v,
+    already cleared in ``alive``) are gone.  ``succ`` and ``pred`` hold the
+    flat edge sets, which still count ``dead``."""
     W = 1 << (k - 1)
     H = W >> 1
+    node = W * W - 1  # the bits of u·W + v; the higher bits are the row base
     succ_offsets = np.array([0, H, H * W, H * W + H])  # aH * W + bH for (a, b) = 00, 01, 10, 11
     pred_offsets = np.array([0, 1, W, W + 1])  # c * W + d for (c, d) = 00, 01, 10, 11
     pending = [dead]
@@ -372,14 +383,16 @@ def _peel(alive: np.ndarray, succ: np.ndarray, pred: np.ndarray, dead: np.ndarra
         if dead.size > _PEEL_CHUNK:  # bounds the neighbour index arrays
             pending.append(dead[_PEEL_CHUNK:])
             dead = dead[:_PEEL_CHUNK]
-        u, v = dead >> (k - 1), dead & (W - 1)
-        # all four successors (aH + u//2, bH + v//2) lose in-edge 2(u mod 2) + v mod 2
-        to_succ = (((u >> 1) * W + (v >> 1))[:, None] + succ_offsets).reshape(-1)
-        keep_bits = (15 ^ (1 << (2 * (u & 1) + (v & 1)))).astype(np.uint8)
+        base = dead & ~node
+        # all four successors (aH + u//2, bH + v//2) lose in-edge 2(u mod 2) + v mod 2;
+        # (u//2)·W + v//2 is u·W + v shifted down by one with bit k-2 (u mod 2) cleared
+        to_succ = ((base | (dead >> 1) & (node >> 1 & ~H))[:, None] + succ_offsets).reshape(-1)
+        keep_bits = (15 ^ (1 << ((dead >> (k - 2) & 2) | dead & 1))).astype(np.uint8)
         np.bitwise_and.at(pred, to_succ, np.repeat(keep_bits, 4))
-        # all four predecessors (2(u mod H) + c, 2(v mod H) + d) lose out-edge 2(u//H) + v//H
-        to_pred = ((2 * W * (u & (H - 1)) + 2 * (v & (H - 1)))[:, None] + pred_offsets).reshape(-1)
-        keep_bits = (15 ^ (1 << (2 * (u >> (k - 2)) + (v >> (k - 2))))).astype(np.uint8)
+        # all four predecessors (2(u mod H) + c, 2(v mod H) + d) lose out-edge 2(u//H) + v//H;
+        # 2(u mod H)·W + 2(v mod H) is u·W + v without its bits 2k-3 and k-2, shifted up by one
+        to_pred = ((base | (dead & (node & ~(H * W | H))) << 1)[:, None] + pred_offsets).reshape(-1)
+        keep_bits = (15 ^ (1 << ((dead >> (2 * k - 4) & 2) | dead >> (k - 2) & 1))).astype(np.uint8)
         np.bitwise_and.at(succ, to_pred, np.repeat(keep_bits, 4))
         cand = np.concatenate([to_succ[pred[to_succ] == 0], to_pred[succ[to_pred] == 0]])
         cand = np.sort(cand[alive[cand]])
@@ -497,20 +510,47 @@ def decide_proper(
         return PropernessVerdict("proper", "finite-scan", None)
     if method != "pair-graph":
         raise LiftforgeError(f"unknown method {method!r}")
-    W = 1 << (r.k - 1)
-    need = _PAIR_GRAPH_BYTES_PER_NODE * W * W
-    if need > _PAIR_GRAPH_MAX_BYTES:
-        raise CapExceededError(
-            f"pair graph of diameter {r.k} needs about {need >> 20} MiB, cap is {_PAIR_GRAPH_MAX_BYTES >> 20} MiB"
-        )
-    if r.k == 1:
-        # single-variable rules: x1 is proper, x1+1 is proper (both bijective)
-        return PropernessVerdict("proper", "pair-graph", None)
-    alive = _pair_graph_alive(r)
-    if np.count_nonzero(alive) == W:  # only the diagonal, the de Bruijn graph
-        return PropernessVerdict("proper", "pair-graph", None)
-    w = _walk_witness(r, alive)
-    return PropernessVerdict("not-proper", "pair-graph", w)
+    return _pair_graph_verdicts([r])[0]
+
+
+def _pair_graph_verdicts(rules: Sequence[Rule]) -> list[PropernessVerdict]:
+    """The pair-graph verdict of each rule, in order (``decide_proper`` for
+    a whole list).  Every rule's graph is checked against the cap before any
+    is built; then the rules go by diameter, in stacks of at most
+    ``_STACK_NODES`` nodes, and a rule that is not proper gets its witness
+    from its own row of the stack's alive array."""
+    by_k: dict[int, list[int]] = {}
+    for i, r in enumerate(rules):
+        by_k.setdefault(r.k, []).append(i)
+    if by_k:
+        k = max(by_k)
+        need = _PAIR_GRAPH_BYTES_PER_NODE << (2 * k - 2)
+        if need > _PAIR_GRAPH_MAX_BYTES:
+            raise CapExceededError(
+                f"pair graph of diameter {k} needs about {need >> 20} MiB, cap is {_PAIR_GRAPH_MAX_BYTES >> 20} MiB"
+            )
+    # proper unless its graph shows otherwise; single-variable rules (x1 and
+    # x1+1, both bijective) have none
+    verdicts = [PropernessVerdict("proper", "pair-graph", None)] * len(rules)
+    for k, idx in by_k.items():
+        if k == 1:
+            continue
+        W = 1 << (k - 1)
+        step = max(1, _STACK_NODES // (W * W))
+        for s in range(0, len(idx), step):
+            part = idx[s : s + step]
+            alive = _pair_graph_alive(np.array([rules[i].table_array() for i in part]), k)
+            # not proper: a node off the diagonal (the de Bruijn graph, always
+            # alive) is alive; the diagonal is cleared for the search only
+            diagonal = alive.reshape(len(part), -1)[:, :: W + 1]
+            diagonal[...] = False
+            off = alive.reshape(len(part), -1).any(axis=1)
+            diagonal[...] = True
+            for j in np.flatnonzero(off):
+                i = part[j]
+                verdicts[i] = PropernessVerdict("not-proper", "pair-graph", _walk_witness(rules[i], alive[j]))
+            del alive, diagonal  # freed before the next stack is built
+    return verdicts
 
 
 def replay_witness(r: Rule, w: Witness) -> bool:

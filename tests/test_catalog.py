@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 import liftforge as lf
-from liftforge import catalog, corefn, diffunif
+from liftforge import catalog, corefn, diffunif, lifting
 from liftforge.catalog import (
     CATALOG_SHA256,
     CatalogError,
@@ -181,6 +182,36 @@ def test_du_problems_keep_the_per_entry_order(catalog_entries):
     ]
     assert rep.problems == _per_entry_problems(broken, 10)
     assert rep.checked_du_range == (6, 10)
+
+
+@dataclasses.dataclass(frozen=True)
+class _TableEntry(catalog.CatalogEntry):
+    """A catalog entry whose rule is given by its table."""
+
+    table: int = 0
+
+    def rule(self):
+        return lf.rule_from_table(6, self.table)
+
+
+def test_stacked_checks_report_what_the_per_entry_checks_do(catalog_entries):
+    # diameter-6 rules that fail the degree, balance and properness checks,
+    # among the catalog's own entries: one pass over the stack per check
+    # gives the problems, witnesses included, of one entry at a time
+    broken = list(catalog_entries)
+    for i, text in ((4, "(0★1111)"), (50, "(10★101)")):  # not proper, of degree 5
+        broken[i] = dataclasses.replace(broken[i], expr=parse_expr(text), stated_degree=5)
+    x1x6 = sum(1 << v for v in range(64) if v & 1 and v & 32)  # x1*x6: degree 2, unbalanced
+    broken[90] = _TableEntry(90, "x1*x6", broken[90].expr, 2, None, False, x1x6)
+    rep = verify_catalog(broken)
+    assert [(p.index, p.kind) for p in rep.problems] == [
+        (4, "not-proper"), (50, "not-proper"), (90, "balance"), (90, "not-proper")
+    ]
+    assert rep.problems == [p for p in _per_entry_problems(broken, 6) if p.kind != "du"]
+    broken[90] = dataclasses.replace(broken[90], stated_degree=3)
+    assert [(p.index, p.kind) for p in verify_catalog(broken).problems][2:] == [
+        (90, "degree"), (90, "balance"), (90, "not-proper")
+    ]
 
 
 def test_default_generators():
@@ -588,7 +619,6 @@ def test_closure_d8_all_generators_at_300k():
     assert by_diameter == {4: 1, 5: 5, 6: 113}
 
 
-@pytest.mark.long
 def test_closure_d7_reproduces_the_catalog(catalog_entries):
     res = closure_search(7, budget=600_000)
     assert not res.exhausted
@@ -604,8 +634,10 @@ def test_closure_d7_reproduces_the_catalog(catalog_entries):
         "5:F0B4F0F0",
         "5:FD02FF00",
     }
-    # composites of proper rules are proper: a check of the pair graph
-    assert all(lf.decide_proper(c.rule()).proper for c in res.found_classes)
+    # composites of proper rules are proper: a check of the pair graph, one
+    # stacked call for all 126 found classes
+    assert len(res.found_classes) == 126
+    assert all(v.proper for v in lifting._pair_graph_verdicts([c.rule() for c in res.found_classes]))
     assert lf.decide_proper(lf.rule_from_text("5:D30EFF00"), method="finite-scan").proper
 
 

@@ -453,31 +453,103 @@ def test_equivalence_preserves_lifting_status():
 
 
 # ---------------------------------------------------------------------------
-# the pair graph against the dense sweep it replaced
+# the stacked pair graph against the per-rule kernel and the dense sweep
+# that came before it
 
 
-def _dense_alive(r):
-    """Reference: dense W x W sweeps with index gathers until nothing changes."""
-    k = r.k
+def _dense_sweep(tab, k, alive):
+    """One dense W x W sweep with index gathers: the nodes of ``alive`` that
+    keep a live successor and a live predecessor."""
     W = 1 << (k - 1)
-    tab = r.table_array()
     u = np.arange(W, dtype=np.uint32)
     outs = (tab[u], tab[u | (1 << (k - 1))])
     succs = ((u >> 1).astype(np.intp), ((u >> 1) | (1 << (k - 2))).astype(np.intp))
     pouts = (tab[(u << 1) & bitmask(k)], tab[((u << 1) | 1) & bitmask(k)])
     pws = (((u << 1) & (W - 1)).astype(np.intp), (((u << 1) | 1) & (W - 1)).astype(np.intp))
+    fwd = np.zeros((W, W), dtype=bool)
+    bwd = np.zeros((W, W), dtype=bool)
+    for a in range(2):
+        for b in range(2):
+            fwd |= (outs[a][:, None] == outs[b][None, :]) & alive[np.ix_(succs[a], succs[b])]
+            bwd |= (pouts[a][:, None] == pouts[b][None, :]) & alive[np.ix_(pws[a], pws[b])]
+    return alive & fwd & bwd
+
+
+def _dense_alive(r):
+    """Reference: dense sweeps until nothing changes."""
+    W = 1 << (r.k - 1)
     alive = np.ones((W, W), dtype=bool)
     while True:
-        fwd = np.zeros((W, W), dtype=bool)
-        bwd = np.zeros((W, W), dtype=bool)
-        for a in range(2):
-            for b in range(2):
-                fwd |= (outs[a][:, None] == outs[b][None, :]) & alive[np.ix_(succs[a], succs[b])]
-                bwd |= (pouts[a][:, None] == pouts[b][None, :]) & alive[np.ix_(pws[a], pws[b])]
-        nxt = alive & fwd & bwd
+        nxt = _dense_sweep(r.table_array(), r.k, alive)
         if nxt.sum() == alive.sum():
             return nxt
         alive = nxt
+
+
+def _reference_alive_edges(g):
+    g = g.view(np.uint8)
+    return g[0, :, 0] | g[0, :, 1] << 1 | g[1, :, 0] << 2 | g[1, :, 1] << 3
+
+
+def _reference_pair_graph_alive(r):
+    """Reference: the per-rule kernel, sweeps on one (W, W) graph and then
+    a peel on its flat indices u * W + v."""
+    k = r.k
+    W = 1 << (k - 1)
+    H = W >> 1
+    tab = r.table_array()
+    succ_first, succ_second = lifting._edge_labels(tab.reshape(2, W))
+    pred_first, pred_second = lifting._edge_labels(tab.reshape(W, 2).T)
+    succ_first = succ_first.reshape(H, 2)[:, :, None, None]
+    succ_second = succ_second.reshape(H, 2)[None, None]
+    pred_first = pred_first.reshape(2, H)[:, :, None, None]
+    pred_second = pred_second.reshape(2, H)[None, None]
+    alive = np.ones((W, W), dtype=bool)
+    nxt = np.empty_like(alive)
+    succ = np.empty((W, W), dtype=np.uint8)
+    pred = np.empty((W, W), dtype=np.uint8)
+    succ4 = succ.reshape(H, 2, H, 2)
+    pred4 = pred.reshape(2, H, 2, H)
+    n_alive = W * W
+    while True:
+        np.bitwise_xor(succ_first, succ_second, out=succ4)
+        succ4 &= _reference_alive_edges(alive.reshape(2, H, 2, H))[:, None, :, None]
+        np.bitwise_xor(pred_first, pred_second, out=pred4)
+        pred4 &= _reference_alive_edges(alive.reshape(H, 2, H, 2).transpose(1, 0, 3, 2))[None, :, None, :]
+        np.logical_and(succ, pred, out=nxt)
+        nxt &= alive
+        n_next = np.count_nonzero(nxt)
+        removed = n_alive - n_next
+        if removed == 0:
+            return nxt
+        if removed * 8 < n_alive:
+            break
+        alive, nxt = nxt, alive
+        n_alive = n_next
+    _reference_peel(nxt.reshape(-1), succ.reshape(-1), pred.reshape(-1), np.flatnonzero(alive != nxt), k)
+    return nxt
+
+
+def _reference_peel(alive, succ, pred, dead, k):
+    W = 1 << (k - 1)
+    H = W >> 1
+    succ_offsets = np.array([0, H, H * W, H * W + H])
+    pred_offsets = np.array([0, 1, W, W + 1])
+    pending = [dead]
+    while pending:
+        dead = pending.pop()
+        u, v = dead >> (k - 1), dead & (W - 1)
+        to_succ = (((u >> 1) * W + (v >> 1))[:, None] + succ_offsets).reshape(-1)
+        keep_bits = (15 ^ (1 << (2 * (u & 1) + (v & 1)))).astype(np.uint8)
+        np.bitwise_and.at(pred, to_succ, np.repeat(keep_bits, 4))
+        to_pred = ((2 * W * (u & (H - 1)) + 2 * (v & (H - 1)))[:, None] + pred_offsets).reshape(-1)
+        keep_bits = (15 ^ (1 << (2 * (u >> (k - 2)) + (v >> (k - 2))))).astype(np.uint8)
+        np.bitwise_and.at(succ, to_pred, np.repeat(keep_bits, 4))
+        cand = np.concatenate([to_succ[pred[to_succ] == 0], to_pred[succ[to_pred] == 0]])
+        cand = np.unique(cand[alive[cand]])
+        if cand.size:
+            alive[cand] = False
+            pending.append(cand)
 
 
 def _balanced_rule(k, rng):
@@ -500,21 +572,51 @@ def _random_rules(seed, ks, per_k):
     return out
 
 
+def _mixed_rules(seed, k, per_k):
+    """Seeded rules of diameter k, shuffled: random tables, balanced and
+    not (almost all of them not proper), and compiled conserved landscapes
+    (all proper; there are none below k = 4)."""
+    rng = np.random.default_rng(seed)
+    rules = []
+    while len(rules) < per_k:
+        table = rng.integers(0, 2, 1 << k, dtype=np.uint8)
+        if len(rules) % 2:
+            table = np.isin(np.arange(1 << k), rng.permutation(1 << k)[: 1 << (k - 1)]).astype(np.uint8)
+        r = lf.rule_from_table(k, table) if table.min() < table.max() else None
+        if r is not None and r.k == k:
+            rules.append(r)
+    listing = lf.enumerate_conserved(k).landscapes if k >= 4 else []
+    picks = rng.choice(len(listing), min(per_k, len(listing)), replace=False) if listing else []
+    rules += [compile_landscape(listing[i]) for i in picks]
+    return [rules[i] for i in rng.permutation(len(rules))]
+
+
+def _table_stack(rules):
+    return np.array([r.table_array() for r in rules])
+
+
 def _assert_matches_reference(rules):
-    """Same alive array as the dense sweep, and the verdict that array gives:
-    proper iff only the diagonal is alive, else a replaying witness walked from
-    the first alive non-diagonal node in row-major order."""
+    """Row by row, the stacked kernel on all rules of one diameter gives the
+    alive array of the per-rule kernel and of the dense sweep, and the
+    stacked verdicts are the one-row verdicts: proper iff only the diagonal
+    is alive, else a replaying witness walked from the first alive
+    non-diagonal node in row-major order.  Returns the count not proper."""
+    refs = [_dense_alive(r) for r in rules]
+    for k in {r.k for r in rules}:
+        rows = [i for i, r in enumerate(rules) if r.k == k]
+        got = lifting._pair_graph_alive(_table_stack([rules[i] for i in rows]), k)
+        assert got.dtype == bool and got.shape == (len(rows),) + refs[rows[0]].shape
+        for i, alive in zip(rows, got):
+            assert np.array_equal(alive, refs[i]), rules[i].text()
+            assert np.array_equal(_reference_pair_graph_alive(rules[i]), refs[i]), rules[i].text()
     not_proper = 0
-    for r in rules:
-        ref = _dense_alive(r)
-        got = lifting._pair_graph_alive(r)
-        assert got.dtype == bool and np.array_equal(got, ref), r.text()
-        v = lf.decide_proper(r)
+    for r, ref, v in zip(rules, refs, lifting._pair_graph_verdicts(rules)):
+        assert v == lf.decide_proper(r), r.text()
         off = ref & ~np.eye(ref.shape[0], dtype=bool)
         assert v.proper == (not off.any()), r.text()
         if not v.proper:
             not_proper += 1
-            assert lifting._first_off_diagonal(got) == tuple(int(i) for i in np.argwhere(off)[0])
+            assert lifting._first_off_diagonal(ref.copy()) == tuple(int(i) for i in np.argwhere(off)[0])
             assert v.witness == lifting._walk_witness(r, ref)
             assert replay_witness(r, v.witness)
     return not_proper
@@ -523,6 +625,14 @@ def _assert_matches_reference(rules):
 def test_pair_graph_matches_dense_sweep_on_random_rules():
     rules = _random_rules(20240811, range(2, 11), 12)
     assert _assert_matches_reference(rules) > len(rules) // 2
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_stacked_pair_graph_matches_per_rule_on_mixed_stacks(k):
+    rules = _mixed_rules(2100 + k, k, 12)
+    assert {r.k for r in rules} == {k}
+    not_proper = _assert_matches_reference(rules)
+    assert 0 < not_proper and (k < 4 or not_proper < len(rules))
 
 
 def test_pair_graph_matches_dense_sweep_on_catalog(catalog_entries):
@@ -550,15 +660,25 @@ def test_pair_graph_matches_dense_sweep_at_k12():
     assert _assert_matches_reference(rules) == 1
 
 
+def test_stacked_verdicts_follow_the_order_of_the_rules():
+    rules = [r for k in range(2, 9) for r in _mixed_rules(2200 + k, k, 6)] + [lf.rule_from_table(1, [1, 0])]
+    verdicts = lifting._pair_graph_verdicts(rules)
+    assert verdicts == [lf.decide_proper(r) for r in rules]
+    perm = np.random.default_rng(2201).permutation(len(rules))
+    assert lifting._pair_graph_verdicts([rules[i] for i in perm]) == [verdicts[i] for i in perm]
+    assert lifting._pair_graph_verdicts([]) == []
+
+
 @pytest.mark.parametrize("share, chunk", [(1, 5), (1 << 40, 1 << 16)])
 def test_pair_graph_sweep_and_peel_branches(monkeypatch, share, chunk):
     # share 1 hands over to the peel after the first sweep that removes
-    # anything, in chunks of 5 nodes; a huge share never hands over
-    peeled = []
+    # anything, in chunks of 5 nodes; a huge share never hands over.  Each
+    # diameter is one stack, so a peel's nodes lie in several rows.
+    peeled_rows = []
     peel = lifting._peel
 
     def spy(alive, succ, pred, dead, k):
-        peeled.append(dead.size)
+        peeled_rows.append(len(np.unique(dead >> (2 * k - 2))))
         return peel(alive, succ, pred, dead, k)
 
     monkeypatch.setattr(lifting, "_PEEL_SHARE", share)
@@ -566,8 +686,114 @@ def test_pair_graph_sweep_and_peel_branches(monkeypatch, share, chunk):
     monkeypatch.setattr(lifting, "_peel", spy)
     rules = _random_rules(7, (3, 5, 6, 7), 6) + [_rule("1★01"), _rule("0★110")]
     _assert_matches_reference(rules)
-    assert bool(peeled) == (share == 1)
-    assert all(n > 0 for n in peeled)
+    assert bool(peeled_rows) == (share == 1)
+    assert all(n > 0 for n in peeled_rows)
+    assert share != 1 or max(peeled_rows) > 1
+
+
+def _lockstep_dead(tables, k):
+    """The nodes the stacked kernel hands to the peel, from lockstep dense
+    sweeps over all rows: those removed by the first sweep that removes
+    some but less than 1/8 of the stack's alive nodes (None if none does)."""
+    W = 1 << (k - 1)
+    alive = np.ones((len(tables), W, W), dtype=bool)
+    while True:
+        nxt = np.array([_dense_sweep(t, k, a) for t, a in zip(tables, alive)])
+        removed = alive.sum() - nxt.sum()
+        if removed == 0:
+            return None
+        if removed * 8 < alive.sum():
+            return np.flatnonzero(alive & ~nxt)
+        alive = nxt
+
+
+def test_peel_hand_over_is_decided_by_the_whole_stack(monkeypatch):
+    # a constant table loses no node in any sweep, so a stack that starts
+    # with one must not stop sweeping, nor hand over, when its first row does
+    k = 7
+    rng = np.random.default_rng(2301)
+    rules = [_balanced_rule(k, rng) for _ in range(5)] + [_rule("0★0-110")]  # the last is proper
+    assert {r.k for r in rules} == {k}
+    tables = np.concatenate([np.zeros((1, 1 << k), dtype=np.uint8), _table_stack(rules)])
+    peeled = []
+    peel = lifting._peel
+
+    def spy(alive, succ, pred, dead, k):
+        peeled.append(dead.copy())
+        return peel(alive, succ, pred, dead, k)
+
+    monkeypatch.setattr(lifting, "_peel", spy)
+    for order in (np.arange(len(tables)), np.roll(np.arange(len(tables)), -1), rng.permutation(len(tables))):
+        peeled.clear()
+        stack = tables[order]
+        got = lifting._pair_graph_alive(stack, k)
+        want = _lockstep_dead(stack, k)
+        assert want is not None and len(peeled) == 1 and np.array_equal(peeled[0], want)
+        assert got[order == 0].all()  # the constant table keeps every node
+        for i, alive in zip(order, got):
+            if i:
+                assert np.array_equal(alive, _dense_alive(rules[i - 1]))
+
+
+def test_stacks_go_by_diameter_in_chunks(monkeypatch, catalog_entries):
+    six = [e.rule() for e in catalog_entries]
+    wide = [_balanced_rule(11, np.random.default_rng(s)) for s in (1, 2)]
+    rules = six[:60] + wide[:1] + [_rule("1★01"), _rule("1★1")] + six[60:] + wide[1:]
+    shapes = []
+    kernel = lifting._pair_graph_alive
+
+    def spy(tables, k):
+        shapes.append(tables.shape)
+        return kernel(tables, k)
+
+    monkeypatch.setattr(lifting, "_pair_graph_alive", spy)
+    verdicts = lifting._pair_graph_verdicts(rules)
+    # the whole catalog is one stack; k = 11 holds one row per stack
+    assert sorted(shapes) == [(1, 8), (1, 16), (1, 2048), (1, 2048), (120, 64)]
+    assert verdicts == [lf.decide_proper(r) for r in rules]
+    shapes.clear()
+    monkeypatch.setattr(lifting, "_STACK_NODES", 7 * 32 * 32)
+    assert lifting._pair_graph_verdicts(six) == verdicts[:60] + verdicts[63:-1]
+    assert [s[0] for s in shapes] == [7] * 17 + [1]
+
+
+def test_stacked_cap_raises_before_any_sweep(monkeypatch, catalog_entries):
+    rules = [e.rule() for e in catalog_entries[:8]] + [_rule(K16)] + [e.rule() for e in catalog_entries[8:16]]
+
+    def refuse(*args):
+        raise AssertionError("the cap must be checked before the first sweep")
+
+    monkeypatch.setattr(lifting, "_pair_graph_alive", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="diameter 16"):
+            lifting._pair_graph_verdicts(rules)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _verdicts_peak(rules):
+    tracemalloc.start()
+    try:
+        verdicts = lifting._pair_graph_verdicts(rules)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return verdicts, peak
+
+
+def test_stack_of_wide_rules_peaks_at_one_graph():
+    # k = 11 graphs have 2**20 nodes each, past the stack bound: the stack
+    # goes one row at a time and frees each graph before the next, so three
+    # rules take the memory of the largest one, with less slack than one
+    # graph's 1 MiB alive array
+    rules = [_balanced_rule(11, np.random.default_rng(s)) for s in (3, 4, 5)]
+    singles = [_verdicts_peak([r]) for r in rules]
+    three, peak_three = _verdicts_peak(rules)
+    assert three == [v for (v,), _ in singles] == [lf.decide_proper(r) for r in rules]
+    assert peak_three < max(peak for _, peak in singles) + (1 << 19)
 
 
 def test_decide_proper_k12_landscape():
