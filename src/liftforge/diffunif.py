@@ -24,11 +24,11 @@ group; rows go in blocks of at most ``_ROW_BLOCK`` keys
 its largest count and the first b that reaches it.  Per rule, the witness
 is the row with the largest count, then the smallest a.
 
-The necklace scan skips the rows that cannot reach the maximum.
-Let S be 9 at n = 9 and 10 at n >= 10, let k <= S be the rule's diameter
-and let g take an S-bit word z to the m = S - k + 1 outputs
-f(z_i..z_{i+k-1}) whose windows fit in it; H[w] is the largest count in
-row w of g's DDT (built once per rule and width).  For n >= S, any m
+The necklace scan skips the rows that cannot reach the maximum.  Let S be
+9 at n = 9 and 10 at n >= 10, let k <= S be the rule's diameter and let g
+take an S-bit word z to the m = S - k + 1 outputs f(z_i..z_{i+k-1}) whose
+windows fit in it; H[w] is the largest count in row w of g's DDT (both
+widths come from one build per rule, below).  For n >= S, any m
 consecutive outputs of F read only the S bits of x under one cyclic
 window, and the same window of a is their input difference, so every count
 in row a is at most 2^(n-S) * H[w] for each of the n cyclic S-bit windows
@@ -42,23 +42,33 @@ its bound is at least M > M1, so the one pass counts it, and in the scan
 the running maximum is below M when its turn comes, so the scan counts it
 too.  The one pass counts a few more rows than the scan (581 against 572
 over the catalog at n = 12) in far fewer calls.  Below n = 9, above
-diameter S, and in the full scan (the reference the tests compare
-against) every row is counted.
+diameter S, and in the full scan (the reference the tests compare against)
+every row is counted.
 
 H comes from Walsh spectra, not from counting (Chabaud and Vaudenay,
-EUROCRYPT 1994).  Let X_u(z) = (-1)^(u.g(z)) for each component u < 2^m,
-and let W_u be its Walsh transform over z.  The transform of W_u^2 is 2^S
-times the autocorrelation of X_u, and the transform of the
-autocorrelations over u is 2^m times the DDT.  So with W^2 squared entry by
-entry, T = H_m W^2 H_S equals 2^(m+S) D(w, b), and H[w] = max_b T >>
-(m + S + 1) in half counts.  The transforms over z are products with two
-Hadamard factors of about S/2 bits.  The transform over u is a product
-with one of c = min(m, 6) bits within each chunk of 2^c components, then a
-butterfly across the chunks.  The matmuls run in float64 on +-1 factors.
-Every partial sum is an integer of magnitude at most 2^(m+2S) <= 2^30:
-|W| <= 2^S, the squares of one W_u sum to 2^2S (Parseval), and a sum over
-u has at most 2^m terms.  So the float sums are exact in any order, and H
-does not depend on the BLAS build or its threads.
+EUROCRYPT 1994), in one build per rule at S = 10.  Let X_u(z) =
+(-1)^(u.g(z)) for each component u < 2^m, and let W_u be its Walsh
+transform over z.  The transform of W_u^2 is 2^S times the autocorrelation
+of X_u, and the transform of the autocorrelations over u is 2^m times the
+DDT.  So with W^2 squared entry by entry, T = 2^-S H_m W^2 H_S equals
+2^m D(w, b), and H[w] = max_b T >> (m + 1) in half counts.  The transforms
+over z are products with two Hadamard factors of about S/2 bits.  The
+transform over u is a product with one of c = min(m, 6) bits within each
+chunk of 2^c components, then a butterfly across the chunks.  The matmuls
+run in float32 on +-1 factors, and every sum is an integer below 2^24, so
+it is exact in any order and H does not depend on the BLAS build or its
+threads: |W| <= 2^S, so W^2 <= 2^2S = 2^20; the squares of one W_u sum to
+2^2S (Parseval), which bounds every signed partial sum of the second
+transform over z; that transform is 2^S times an integer autocorrelation,
+so scaling it by 2^-S is exact; and after the scaling the transform over u
+and the butterfly stay within 2^(m+S) <= 2^20.
+
+The 9-bit table is a marginal of the same build.  The first m - 1 outputs
+of the 10-bit map are the 9-bit map, and they do not read z_9.  So for w
+whose bit 9 is 0, D_9(w, b) = (D_10(w, b||0) + D_10(w, b||1)) / 2, where
+the appended bit is the last output's: the sum of T over that bit, for
+w < 2^9, gives H at S = 9 by its row maxima.  For k = 10 there is no 9-bit
+table.
 """
 
 from __future__ import annotations
@@ -173,16 +183,22 @@ def _count_rows(F: np.ndarray, n: int, xs: np.ndarray, g: np.ndarray, a: np.ndar
     F holds the induced maps of a group of rules end to end, rule g's at
     offset g << n.  Rows go in blocks of at most ``_ROW_BLOCK`` keys
     (row << n) | (F(x xor a) xor F(x)), one ``np.bincount`` per block, so
-    every temporary is of the block's size."""
+    every temporary is of the block's size.  The keys of every block go in
+    one buffer: a fresh one per block lets malloc trim the top of its heap
+    and fault it back in on the next (about 2,000 page faults per catalog
+    round at n = 12)."""
     rows = max(1, _ROW_BLOCK // len(xs))
     Fx = F.reshape(-1, 1 << n)[:, xs]  # F(x) for every rule of the group
     ga = (g << n) | a  # (g << n) | (x xor a) is x xor ga
     half = np.empty(len(a), dtype=np.intp)
     b = np.empty(len(a), dtype=np.intp)
+    block = np.empty((min(rows, len(a)), len(xs)), dtype=np.intp)
     for i in range(0, len(a), rows):
-        keys = np.take(F, xs ^ ga[i : i + rows, None])
-        keys ^= Fx[g[i : i + rows]]
-        r = len(keys)
+        r = min(rows, len(a) - i)
+        keys = block[:r]
+        np.bitwise_xor(xs, ga[i : i + r, None], out=keys)
+        np.take(F, keys, out=keys)
+        keys ^= Fx[g[i : i + r]]
         keys |= np.arange(r, dtype=np.intp)[:, None] << n
         counts = np.bincount(keys.ravel(), minlength=r << n).reshape(r, -1)
         b[i : i + r] = top = counts.argmax(axis=1)
@@ -192,8 +208,8 @@ def _count_rows(F: np.ndarray, n: int, xs: np.ndarray, g: np.ndarray, a: np.ndar
 
 @lru_cache(maxsize=16)
 def _signs(b: int) -> np.ndarray:
-    """(-1)^popcount(y) for y < 2^b, as float64."""
-    s = np.ones(1)
+    """(-1)^popcount(y) for y < 2^b, as float32."""
+    s = np.ones(1, dtype=np.float32)
     for _ in range(b):
         s = np.concatenate([s, -s])
     return s
@@ -207,35 +223,40 @@ def _hadamard(b: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _window_row_max(k: int, table: int, S: int) -> np.ndarray:
-    """H, the largest half count of each DDT row of the window map g, which
-    takes an S-bit word z to the m = S - k + 1 outputs f(z_i..z_{i+k-1})
-    whose windows fit in it; H[0] is the whole half, 2^(S-1).
+def _window_row_max(k: int, table: int) -> dict[int, np.ndarray]:
+    """H by window width S: the largest half count of each DDT row of the
+    window map g, which takes an S-bit word z to the m = S - k + 1 outputs
+    f(z_i..z_{i+k-1}) whose windows fit in it; H[0] is the whole half,
+    2^(S-1).  S = 10 always, and S = 9 for k <= 9.
 
-    Built from the Walsh spectra of g's components (see the module
-    docstring), 2^c of them at a time.  A chunk's transforms over z and its
+    One build at S = 10 from the Walsh spectra of g's components (see the
+    module docstring), 2^c of them at a time; the S = 9 table is its
+    marginal over the last output bit.  A chunk's transforms over z and its
     part of the transform over u are batches of small matmuls, at most 2^17
     multiply-adds each, which OpenBLAS runs on the calling thread (one
     2^c x 2^S product would wake its thread pool, which costs more than the
     product).  The rest of the transform over u, across the chunks, is an
-    in-place butterfly over B, which holds 2^(m+S) floats.  B and the
-    chunk's three arrays of 2^(c+S) floats are the only arrays of their
-    size: 9.5 MiB at most, at k = 1 and S = 10."""
+    in-place butterfly over B, which holds 2^(m+S) floats, and so is the
+    marginal.  B and the chunk's three arrays of 2^(c+S) floats are the
+    only arrays of their size: 4.75 MiB at most, at k = 1."""
+    S = 10
     m = S - k + 1
     g = _windows(table_to_array(table, k), k, m).astype(np.intp)
     lo = S // 2
     hi = S - lo
     c = min(m, _COMPONENT_BITS)
     Hz_hi, Hz_lo, Hc = _hadamard(hi), _hadamard(lo), _hadamard(c)
-    B = np.empty((1 << (m - c), 1 << c, 1 << hi, 1 << lo))  # [u_hi, b_lo, w_hi, w_lo]
-    X, W, A = np.empty((3, 1 << c, 1 << hi, 1 << lo))
+    B = np.empty((1 << (m - c), 1 << c, 1 << hi, 1 << lo), dtype=np.float32)  # [u_hi, b_lo, w_hi, w_lo]
+    X, W, A = np.empty((3, 1 << c, 1 << hi, 1 << lo), dtype=np.float32)
     for j in range(len(B)):
         # X[u_lo, z_hi, z_lo] = (-1)^(u . g(z)) for u = j 2^c + u_lo
         np.take(Hc, g & bitmask(c), axis=1, out=X.reshape(1 << c, 1 << S), mode="clip")
-        X *= _signs(m - c)[j & (g >> c)].reshape(1 << hi, 1 << lo)
+        if j:  # the sign of the outputs above the low c, which is 1 for j = 0
+            X *= _signs(m - c)[j & (g >> c)].reshape(1 << hi, 1 << lo)
         np.matmul(np.matmul(Hz_hi, X, out=W), Hz_lo, out=A)  # the Walsh spectra
         A *= A
-        np.matmul(np.matmul(Hz_hi, A, out=W), Hz_lo, out=A)  # [u_lo, w_hi, w_lo]
+        np.matmul(np.matmul(Hz_hi, A, out=W), Hz_lo, out=A)  # 2^S times the autocorrelations
+        A *= 2.0**-S
         np.matmul(Hc, A.transpose(1, 0, 2), out=B[j].transpose(1, 0, 2))
     for t in range(m - c):  # u_hi to b_hi, one bit at a time: (x, y) -> (x + y, x - y)
         pairs = B.reshape(-1, 2, B.size >> (m - c - t))
@@ -243,8 +264,13 @@ def _window_row_max(k: int, table: int, S: int) -> np.ndarray:
         x += y
         y *= -2
         y += x
-    T = B.reshape(-1, 1 << S).max(axis=0)  # max over b of 2^(m+S) D(w, b)
-    return (T.astype(np.int64) >> (m + S + 1)).astype(np.uint16)
+    T = B.reshape(2, -1, 1 << S)  # 2^m D(w, b) at [last output bit of b, its other bits, w]
+    H = {S: (T.reshape(-1, 1 << S).max(axis=0).astype(np.int64) >> (m + 1)).astype(np.uint16)}
+    if k < S:  # for w < 2^(S-1), 2^(m+1) D_(S-1)(w, b) = T[0, b, w] + T[1, b, w]
+        T = T[:, :, : 1 << (S - 1)]
+        T[0] += T[1]
+        H[S - 1] = (T[0].max(axis=0).astype(np.int64) >> (m + 2)).astype(np.uint16)
+    return H
 
 
 @lru_cache(maxsize=32)
@@ -260,7 +286,7 @@ def _row_bounds(rules: Sequence[Rule], n: int, S: int) -> np.ndarray:
     """An upper bound on the largest half count of each nonzero necklace
     row of the map each rule induces at length n >= S, shape (rules, rows):
     2^(n-S) times the rule's H at the row's tightest S-bit window."""
-    H = np.stack([_window_row_max(r.k, r.table, S) for r in rules])
+    H = np.stack([_window_row_max(r.k, r.table)[S] for r in rules])
     return H[:, _necklace_windows(n, S)].min(axis=1).astype(np.intp) << (n - S)
 
 

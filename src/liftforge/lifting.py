@@ -265,7 +265,22 @@ _STACK_NODES = 1 << 18
 # nodes' indices when the peel starts (8 bytes for each of at most 1/8 of the
 # nodes).
 _PAIR_GRAPH_BYTES_PER_NODE = 5
+# Bytes per removed node of one peel chunk, on top of that: its row base and
+# its four successor and four predecessor indices (72 bytes in intp), the
+# temporaries and edge-bit masks beside them, and the candidates, the few
+# neighbours whose edge set became empty (at most 77 bytes in all, measured
+# with tracemalloc on balanced random rules of diameter 11 and 12).  A chunk
+# holds up to _PEEL_CHUNK nodes whatever the graph's size, so below k = 13
+# this fixed part is a large share of the peak: about 4.7 MiB beside the
+# 5 MiB of a k = 11 graph.
+_PEEL_BYTES_PER_NODE = 96
 _PAIR_GRAPH_MAX_BYTES = 2 << 30
+
+
+def _pair_graph_bytes(k: int) -> int:
+    """An upper bound on the peak bytes of the pair graph of one rule of
+    diameter k (see above)."""
+    return (_PAIR_GRAPH_BYTES_PER_NODE << (2 * k - 2)) + _PEEL_BYTES_PER_NODE * _PEEL_CHUNK
 
 
 @dataclass(frozen=True)
@@ -524,7 +539,7 @@ def _pair_graph_verdicts(rules: Sequence[Rule]) -> list[PropernessVerdict]:
         by_k.setdefault(r.k, []).append(i)
     if by_k:
         k = max(by_k)
-        need = _PAIR_GRAPH_BYTES_PER_NODE << (2 * k - 2)
+        need = _pair_graph_bytes(k)
         if need > _PAIR_GRAPH_MAX_BYTES:
             raise CapExceededError(
                 f"pair graph of diameter {k} needs about {need >> 20} MiB, cap is {_PAIR_GRAPH_MAX_BYTES >> 20} MiB"

@@ -276,6 +276,27 @@ def test_du_past_the_cap_fails_before_any_ddt(monkeypatch, capsys):
     assert captured.err.startswith("error:") and "n <= 14" in captured.err
 
 
+# two Appendix A rows at n = 9..12: a highlighted entry, whose witness at
+# n = 12 has a = 1, and one whose witness has a = 1365.  n = 9 reads the
+# 9-bit window table and n = 10..12 the 10-bit one, both from one build
+@pytest.mark.parametrize(
+    "expr, raw, highlight, a12",
+    [
+        ("(0★10)∘(0★110)∘(01★00)", [72, 144, 288, 576], True, 1),
+        ("(10★111)∘(00★101)∘(01★000)", [224, 464, 728, 1600], False, 1365),
+    ],
+)
+def test_du_prints_stated_catalog_rows(capsys, catalog_entries, expr, raw, highlight, a12):
+    (entry,) = [e for e in catalog_entries if e.text == expr]
+    assert list(entry.stated_du[-4:]) == raw and entry.highlight == highlight
+    diffunif._window_row_max.cache_clear()
+    assert cli.main(["du", expr, "--n", "9..12"]) == 0
+    assert capsys.readouterr().out.splitlines() == [" ".join(map(str, raw))]
+    assert diffunif._window_row_max.cache_info().misses == 1
+    assert cli.main(["--format", "json", "du", expr, "--n", "9..12"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"][-1]["a"] == a12
+
+
 def test_catalog_list(capsys):
     assert cli.main(["catalog", "--list"]) == 0
     lines = capsys.readouterr().out.splitlines()

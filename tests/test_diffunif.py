@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -387,53 +389,163 @@ def test_window_width_per_length():
     assert [diffunif._window_bits(n) for n in (9, 10, 11, 12, 14)] == [9, 10, 10, 10, 10]
 
 
-def _assert_window_table_matches_counts(r, S):
-    got = 2 * diffunif._window_row_max.__wrapped__(r.k, r.table, S).astype(np.int64)
-    assert (got == _reference_window_row_max(r, S)).all(), (r.text(), S)
+def _window_tables(r):
+    """The rule's window tables by width, from a fresh build."""
+    return diffunif._window_row_max.__wrapped__(r.k, r.table)
+
+
+def _widths(r):
+    return [S for S in (9, 10) if r.k <= S]
+
+
+def _assert_window_table_matches_counts(r):
+    tables = _window_tables(r)
+    assert sorted(tables) == _widths(r), r.text()
+    for S, H in tables.items():
+        assert (2 * H.astype(np.int64) == _reference_window_row_max(r, S)).all(), (r.text(), S)
 
 
 def test_window_table_matches_counts_on_random_rules():
-    # every k <= S, at both widths: k = 1..4 at S = 10 build their table in
-    # more than one chunk of 2^6 components
+    # every k <= 10, both widths from the one build where k <= 9: k = 1..4
+    # build it in more than one chunk of 2^6 components
     rng = random.Random(1014)
-    for S in (9, 10):
-        for k in range(1, S + 1):
-            _assert_window_table_matches_counts(_rule_of_diameter(rng, k), S)
+    for k in range(1, 11):
+        _assert_window_table_matches_counts(_rule_of_diameter(rng, k))
 
 
 def test_window_table_matches_counts_on_catalog(catalog_entries):
     for e in catalog_entries:
-        _assert_window_table_matches_counts(e.rule(), 10)
+        _assert_window_table_matches_counts(e.rule())
+
+
+def _affine_rules():
+    """x_1, its negation, x_1 xor x_3 and x_1 xor ... xor x_k for
+    k = 2..10: one Walsh spike of 2^S per component, the largest squares
+    the build sees.  k = 1 gives the widest window map (m = 10 outputs) and
+    the largest B."""
+    rules = [lf.rule_from_table(1, [0, 1]), lf.rule_from_table(1, [1, 0])]
+    rules.append(lf.rule_from_table(3, [bin(x & 5).count("1") & 1 for x in range(8)]))
+    rules += [lf.rule_from_table(k, [bin(x).count("1") & 1 for x in range(1 << k)]) for k in range(2, 11)]
+    assert [r.k for r in rules] == [1, 1, 3, *range(2, 11)]
+    return rules
+
+
+def test_window_table_is_exact_on_affine_rules():
+    # g is affine, so each row of its DDT is one count of 2^S: H = 2^(S-1)
+    for r in _affine_rules():
+        _assert_window_table_matches_counts(r)
+        for S, H in _window_tables(r).items():
+            assert (H == 1 << (S - 1)).all(), (r.text(), S)
+
+
+def _reference_walsh_row_max(k, table, S):
+    """H at one width S from its own build of g's Walsh spectra in float64:
+    one build per width, as before the one float32 build and its marginal."""
+
+    def signs(b):
+        s = np.ones(1)
+        for _ in range(b):
+            s = np.concatenate([s, -s])
+        return s
+
+    def hadamard(b):
+        i = np.arange(1 << b)
+        return signs(b)[i[:, None] & i]
+
+    m = S - k + 1
+    g = np.zeros(1 << S, dtype=np.intp)
+    z = np.arange(1 << S)
+    bits = np.array([(table >> x) & 1 for x in range(1 << k)], dtype=np.intp)
+    for i in range(m):
+        g |= bits[(z >> i) & ((1 << k) - 1)] << i
+    lo = S // 2
+    hi = S - lo
+    c = min(m, 6)
+    Hz_hi, Hz_lo, Hc = hadamard(hi), hadamard(lo), hadamard(c)
+    B = np.empty((1 << (m - c), 1 << c, 1 << hi, 1 << lo))
+    X, W, A = np.empty((3, 1 << c, 1 << hi, 1 << lo))
+    for j in range(len(B)):
+        np.take(Hc, g & ((1 << c) - 1), axis=1, out=X.reshape(1 << c, 1 << S), mode="clip")
+        X *= signs(m - c)[j & (g >> c)].reshape(1 << hi, 1 << lo)
+        np.matmul(np.matmul(Hz_hi, X, out=W), Hz_lo, out=A)
+        A *= A
+        np.matmul(np.matmul(Hz_hi, A, out=W), Hz_lo, out=A)
+        np.matmul(Hc, A.transpose(1, 0, 2), out=B[j].transpose(1, 0, 2))
+    for t in range(m - c):
+        pairs = B.reshape(-1, 2, B.size >> (m - c - t))
+        x, y = pairs[:, 0], pairs[:, 1]
+        x += y
+        y *= -2
+        y += x
+    T = B.reshape(-1, 1 << S).max(axis=0)
+    return (T.astype(np.int64) >> (m + S + 1)).astype(np.uint16)
+
+
+def _assert_window_table_matches_float64(r):
+    tables = _window_tables(r)
+    assert sorted(tables) == _widths(r), r.text()
+    for S, H in tables.items():
+        assert H.dtype == np.uint16 and (H == _reference_walsh_row_max(r.k, r.table, S)).all(), (r.text(), S)
+
+
+def test_window_table_matches_float64_walsh_on_catalog(catalog_entries):
+    for e in catalog_entries:
+        _assert_window_table_matches_float64(e.rule())
+
+
+# 2^6 components per chunk by default; 1 and 2 put every k <= 9 through
+# the butterfly across chunks, and the marginal after it
+@pytest.mark.parametrize("bits", [None, 1, 2])
+def test_window_table_matches_float64_walsh_on_random_rules(monkeypatch, bits):
+    if bits is not None:
+        monkeypatch.setattr(diffunif, "_COMPONENT_BITS", bits)
+    rng = random.Random(2022 + (bits or 0))
+    for k in range(1, 11):
+        for _ in range(2):
+            _assert_window_table_matches_float64(_rule_of_diameter(rng, k))
 
 
 def test_window_table_in_chunks_matches_one_chunk(monkeypatch):
     # the butterfly across chunks against one chunk of all 2^m components
     rng = random.Random(77)
     rules = [_rule_of_diameter(rng, k) for k in (3, 5, 7)]
-    whole = [diffunif._window_row_max.__wrapped__(r.k, r.table, 10) for r in rules]
+    whole = [_window_tables(r) for r in rules]
     for bits in (1, 2):
         monkeypatch.setattr(diffunif, "_COMPONENT_BITS", bits)
-        for r, H in zip(rules, whole):
-            assert (diffunif._window_row_max.__wrapped__(r.k, r.table, 10) == H).all(), (r.text(), bits)
+        for r, tables in zip(rules, whole):
+            got = _window_tables(r)
+            assert sorted(got) == [9, 10] and all((got[S] == tables[S]).all() for S in got), (r.text(), bits)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_window_table_memory_is_bounded(k):
-    # the build holds B (2^(m+S) floats) and three chunk arrays of
-    # 2^(c+S) floats, c = min(m, 6), and little else
+    # one build at S = 10 for both widths: B (2^(m+10) float32s), three
+    # chunk arrays of 2^(c+10) float32s, c = min(m, 6), and little else;
+    # the marginal for S = 9 is summed in place in B
     import tracemalloc
 
     r = _rule_of_diameter(random.Random(k), k)
-    for S in (9, 10):
-        m = S - k + 1
-        scratch = 8 * ((1 << (m + S)) + 3 * (1 << (min(m, 6) + S)))
-        tracemalloc.start()
-        try:
-            diffunif._window_row_max.__wrapped__(r.k, r.table, S)
-            first = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert first < scratch + (256 << 10), (k, S, first)
+    m = 10 - k + 1
+    scratch = 4 * ((1 << (m + 10)) + 3 * (1 << (min(m, 6) + 10)))
+    tracemalloc.start()
+    try:
+        tables = _window_tables(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(tables) == [9, 10]
+    assert peak < scratch + (256 << 10), (k, peak)
+
+
+def test_catalog_builds_one_window_table_per_rule(catalog_entries):
+    # n = 9 reads the 9-bit table and n >= 10 the 10-bit one, both from one
+    # cached build per rule
+    rules = [e.rule() for e in catalog_entries]
+    diffunif._window_row_max.cache_clear()
+    for n in range(9, 13):
+        diffunif._ddt_maxima(rules, n)
+    info = diffunif._window_row_max.cache_info()
+    assert info.misses == info.currsize == len({(r.k, r.table) for r in rules}) == 120
 
 
 def _hook_row_count(monkeypatch, n):
@@ -476,6 +588,25 @@ def test_first_row_alone_prunes_catalog_rows_at_n9(monkeypatch, catalog_entries)
     # 2,177 rows; pruned by the bound alone, or by a first block of 32
     # rows, all 7,080 nonzero necklace rows of the 120 rules are counted
     assert sum(counted) < 2_500
+
+
+def test_catalog_maxima_and_counted_rows_are_pinned(monkeypatch, catalog_entries):
+    # every (raw, (a, b)) of the 120 rules at n = 6..12, by digest, and the
+    # rows the pruned scan counts at n = 9..12, as the float64 window tables
+    # (one build per width) gave them
+    counted = dict.fromkeys(range(6, 13), 0)
+    count_rows = diffunif._count_rows
+
+    def counting(F, n, xs, g, a):
+        counted[n] += len(a)
+        return count_rows(F, n, xs, g, a)
+
+    monkeypatch.setattr(diffunif, "_count_rows", counting)
+    rules = [e.rule() for e in catalog_entries]
+    rows = [[n, diffunif._ddt_maxima(rules, n)] for n in range(6, 13)]
+    digest = "b6c93be00993d94c3db70661350b5f42ce69b563b5873751a3461e6a0bb4d61d"
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+    assert [counted[n] for n in (9, 10, 11, 12)] == [2_177, 322, 327, 581]
 
 
 # ---------------------------------------------------------------------------

@@ -796,6 +796,14 @@ def test_stack_of_wide_rules_peaks_at_one_graph():
     assert peak_three < max(peak for _, peak in singles) + (1 << 19)
 
 
+def test_pair_graph_estimate_covers_a_k11_peak():
+    # below k = 13 the peel's index arrays for one chunk of removed nodes
+    # are a large share of the peak: 5 bytes per node alone fall short
+    for s in (3, 4, 5):
+        _, peak = _verdicts_peak([_balanced_rule(11, np.random.default_rng(s))])
+        assert lifting._PAIR_GRAPH_BYTES_PER_NODE << 20 < peak <= lifting._pair_graph_bytes(11), (s, peak)
+
+
 def test_decide_proper_k12_landscape():
     v = lf.decide_proper(_rule("100000★00001"))
     assert v.proper and v.method == "pair-graph" and v.witness is None
