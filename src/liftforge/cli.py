@@ -126,7 +126,7 @@ def cmd_search6(args) -> int:
 def cmd_families(args) -> int:
     if args.r is not None:
         params = families.ChainFamilyParams(args.r)
-        r = families.build_chain(params, args.arity_cap)
+        r = families.build_chain(params)
         claim = ("chain", args.r, args.r)
         ok = families.verify_order_claim(r, args.r, args.r, args.arity_cap)
     else:

@@ -30,6 +30,17 @@ Rules given by a formula (landscapes and their sets, the two families,
 f + x_j) are x_s XOR some cubes of literals; ``cube_table`` writes each
 cube as one slice of the (2,)*K view of the table.  It, ``from_anf`` and
 ``Rule`` make the one width check, ``_check_diameter``, before any table.
+
+Passes over many tables are bitsliced (as in Biham's DES, FSE 1997): a
+stack of tables of 2**K entries is a row of 2**K lane words (``_lanes``),
+bit t of word v being entry v of table t, so each word op acts on a lane
+word of tables; a uint8 0/1 table is a one-lane row.  ``_lane_groups``
+sizes lane words and chunks of ``_GATHER_CHUNK`` bytes.  ``_gather_lanes``
+composes outer lanes over inner window arrays; an outer g written as an
+XOR of cubes (``_cube_forms``) composes over the shift planes of inner
+lanes (``_lane_planes``, ``_compose_cubes``).  ``_lane_windows`` trims
+every lane, ``_lane_cut`` cuts lanes to tables, and ``_lane_degrees``
+gives every lane's algebraic degree; ``degree`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -457,10 +468,6 @@ class Anf:
 
     monomials: frozenset
 
-    @property
-    def degree(self) -> int:
-        return max((len(m) for m in self.monomials), default=0)
-
     def masks(self) -> list[int]:
         out = []
         for m in self.monomials:
@@ -517,11 +524,187 @@ def from_anf(a: Anf) -> Rule:
 
 def degree(r: Rule) -> int:
     """Algebraic degree of the rule."""
-    return max(m.bit_count() for m in table_to_anf_masks(r.table, r.k))
+    return int(_lane_degrees(r.table_array()[None], r.k)[0, 0])
 
 
 def is_balanced(r: Rule) -> bool:
     return r.table.bit_count() == 1 << (r.k - 1)
+
+
+# ---------------------------------------------------------------------------
+# bitsliced lanes (see the module docstring)
+
+_GATHER_CHUNK = 1 << 18  # bytes of lane words per chunk of composites
+
+
+def _lane_groups(n: int, k: int) -> Iterator[tuple[int, int, np.dtype, int]]:
+    """n lanes in consecutive groups ``(start, stop, lane word, rows)``:
+    each word is the narrowest that holds the lanes left, but none whose
+    row of 2**k entries passes a chunk's bytes (uint8, 8 lanes, at least),
+    so that no row is larger than one composite's byte table; ``rows`` lane
+    rows of 2**k words fill a chunk (at least one)."""
+    t0 = 0
+    while t0 < n:
+        size = 1
+        while size < 8 and size << 3 < n - t0 and size << (k + 1) <= _GATHER_CHUNK:
+            size <<= 1
+        yield t0, min(n, t0 + (size << 3)), np.dtype(f"u{size}"), max(1, _GATHER_CHUNK // (size << k))
+        t0 += size << 3
+
+
+def _lanes(tables: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Up to one lane word's bits of tables (n, 2**k) as one row of 2**k
+    lane words: bit t of entry v is entry v of table t, and the bits past n
+    are 0."""
+    packed = np.packbits(tables, axis=0, bitorder="little")
+    words = np.zeros((tables.shape[1], dtype.itemsize), dtype=np.uint8)
+    words[:, : len(packed)] = packed.T
+    return words.view(dtype).ravel()
+
+
+def _cube_forms(tables: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each row of ``tables`` (n, 2**k) as an XOR of cubes, for ``_compose_cubes``.
+
+    A row's form is its fixed-polarity Reed-Muller form with the fewest
+    terms: with polarity p, f(y) = h(y ^ p) for the ANF h of f(z ^ p), so
+    every monomial of h is a cube of literals y_j (p_j = 0) or not y_j
+    (p_j = 1).  One Moebius transform over the last axis of the (n, 2**k,
+    2**k) array f[y ^ p] gives all polarities at once; past
+    ``_GATHER_CHUNK`` entries it goes in blocks of polarities.
+
+    Entry c of the result gives the c-th cube of every row, smallest first,
+    as an (n, L) array of plane indices: j for y_j, k + j for not y_j, and
+    the padding 2k (the zero plane; a row with fewer cubes) and 2k + 1
+    (the one plane; after a cube's own literals).
+    """
+    n, size = tables.shape
+    zero, one = 2 * k, 2 * k + 1
+    p = np.arange(size)
+    step = max(1, _GATHER_CHUNK // (n << k))  # polarities per block
+    terms = np.concatenate(
+        [_mobius(tables[:, p[q : q + step, None] ^ p], k).sum(axis=2) for q in range(0, size, step)], axis=1
+    )
+    best = terms.argmin(axis=1)
+    anf = _mobius(tables[np.arange(n)[:, None], p ^ best[:, None]], k)
+    forms = [
+        sorted(([j + k * (pol >> j & 1) for j in range(k) if s >> j & 1] for s in np.flatnonzero(f).tolist()), key=len)
+        for f, pol in zip(anf, best.tolist())
+    ]
+    out = []
+    for c in range(max(1, max(map(len, forms)))):
+        slot = [form[c] if c < len(form) else [zero] for form in forms]
+        width = max(1, max(map(len, slot)))
+        out.append(np.array([cube + [one] * (width - len(cube)) for cube in slot], dtype=np.intp))
+    return out
+
+
+def _lane_planes(col: np.ndarray, kx: int, kg: int) -> np.ndarray:
+    """The literal planes of the lane row ``col`` of tables x (see
+    ``_lanes``) over K = kx + kg - 1 variables, for ``_compose_cubes``:
+    (2 kg + 2, 2**K) lane words.  Plane j < kg holds x[(v >> j) & (2**kx -
+    1)] at entry v, plane kg + j its complement, then the zero and the one
+    plane."""
+    planes = np.empty((2 * kg + 2, 1 << (kx + kg - 1)), dtype=col.dtype)
+    for j in range(kg):
+        planes[j].reshape(-1, 1 << kx, 1 << j)[:] = col[:, None]
+    np.invert(planes[:kg], out=planes[kg : 2 * kg])
+    planes[2 * kg] = 0
+    planes[2 * kg + 1] = np.iinfo(col.dtype).max
+    return planes
+
+
+def _compose_cubes(cubes: list[np.ndarray], planes: np.ndarray) -> np.ndarray:
+    """g o x for every cube form g of ``_cube_forms`` over the lane planes
+    of ``_lane_planes``, as (n, 2**K) lane words: the XOR over the cubes of
+    the AND of their literal planes."""
+    out = None
+    for lits in cubes:
+        cube = np.take(planes, lits[:, 0], axis=0)
+        for col in lits.T[1:]:
+            cube &= np.take(planes, col, axis=0)
+        out = cube if out is None else np.bitwise_xor(out, cube, out=out)
+    return out
+
+
+def _gather_lanes(outer: np.ndarray, windows: np.ndarray, k: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """x o g for every table x of ``outer`` and every window row of g
+    (``_windows(g, kg, kx)``, 2**k entries), in chunks ``(x0, x1, g0, cols)``:
+    row c of the lane rows ``cols`` is g0 + c, its lane t is x0 + t."""
+    for x0, x1, dtype, n_rows in _lane_groups(len(outer), k):
+        col = _lanes(outer[x0:x1], dtype)
+        for g0 in range(0, len(windows), n_rows):
+            yield x0, x1, g0, _take(col, windows[g0 : g0 + n_rows].ravel()).reshape(-1, 1 << k)
+
+
+def _lane_windows(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest essential variable i0 and tight diameter of every lane of the
+    raw k-variable tables ``cols`` (R, 2**k) lane words, each as (R, lane
+    bits); the diameter is 0 for a constant lane.  Going up, pass i keeps
+    the lanes not constant on some aligned run of 2**(i + 1) entries (a half
+    not constant, or the halves' first entries apart): those that depend on
+    a variable <= i.  Going down, pass j keeps the lanes whose entries u + s
+    2**j differ over s for some u < 2**j: those that depend on a variable >=
+    j.  Each pass halves its array, and counting the passes that keep a lane
+    gives its ends."""
+    r = len(cols)
+    below = np.empty((k, r), dtype=cols.dtype)  # lanes depending on a variable <= i
+    above = np.empty((k, r), dtype=cols.dtype)  # lanes depending on a variable >= j
+    runs = cols[:, 0::2] ^ cols[:, 1::2]
+    np.bitwise_or.reduce(runs, axis=1, out=below[0])
+    for i in range(1, k):
+        s = 1 << i
+        runs = runs[:, 0::2] | runs[:, 1::2]
+        runs |= cols[:, 0 :: 2 * s] ^ cols[:, s :: 2 * s]
+        np.bitwise_or.reduce(runs, axis=1, out=below[i])
+    spread = cols[:, : 1 << (k - 1)] ^ cols[:, 1 << (k - 1) :]
+    np.bitwise_or.reduce(spread, axis=1, out=above[k - 1])
+    for j in range(k - 2, -1, -1):
+        h = 1 << j
+        spread = spread[:, :h] | spread[:, h:]
+        spread |= cols[:, :h] ^ cols[:, h : 2 * h]
+        np.bitwise_or.reduce(spread, axis=1, out=above[j])
+    n_below, n_above = (
+        np.unpackbits(a.view(np.uint8).reshape(k, r, -1), axis=2, bitorder="little").sum(axis=0, dtype=np.intp)
+        for a in (below, above)
+    )
+    return k - n_below, np.maximum(n_below + n_above - k, 0)
+
+
+def _lane_cut(
+    cols: np.ndarray, rows: np.ndarray, lanes: np.ndarray, i0: np.ndarray, width: np.ndarray
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The lanes ``(rows, lanes)`` of ``cols`` (see ``_lane_windows``) cut to
+    their tight windows, one uint8 stack per width w: ``(w, at, tables)``,
+    where row c of ``tables`` (n, 2**w) is the lane ``at[c]`` and its entry
+    j is entry j << i0 of the lane.  A cut lane reads only the byte of each
+    of its entries that holds its bit, by one flat ``np.take`` per width."""
+    size = cols.itemsize
+    flat = cols.view(np.uint8).ravel()
+    base = rows * cols.shape[1] * size + (lanes >> 3)
+    shift = (lanes & 7).astype(np.uint8)
+    out = []
+    for w in np.unique(width).tolist():
+        at = np.flatnonzero(width == w)
+        j = (np.arange(1 << w) * size) << i0[at, None]
+        out.append((w, at, (np.take(flat, j + base[at, None]) >> shift[at, None]) & 1))
+    return out
+
+
+@lru_cache(maxsize=32)
+def _degree_levels(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2**k monomials in order of degree, and where each degree starts."""
+    order = np.argsort(np.bitwise_count(np.arange(1 << k)), kind="stable")
+    return order, np.searchsorted(np.bitwise_count(order), np.arange(k + 1))
+
+
+def _lane_degrees(cols: np.ndarray, k: int) -> np.ndarray:
+    """Algebraic degree, as (R, lane bits), of every lane of k-variable lane
+    rows ``cols`` (R, 2**k): the top degree whose OR of Moebius coefficient
+    words holds the lane's bit, or 0 (a constant lane)."""
+    order, starts = _degree_levels(k)
+    levels = np.bitwise_or.reduceat(_mobius(cols, k)[:, order], starts, axis=1)
+    bits = np.unpackbits(levels.view(np.uint8).reshape(len(cols), k + 1, -1), axis=2, bitorder="little")
+    return (bits * np.arange(k + 1)[:, None]).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -121,12 +121,6 @@ class DuReport:
     rule_text: str
     entries: tuple[DuEntry, ...]
 
-    def raw_values(self) -> list[int]:
-        return [e.raw for e in self.entries]
-
-    def scaled_values(self) -> list[Fraction]:
-        return [e.scaled for e in self.entries]
-
     @property
     def stabilized(self) -> Optional[bool]:
         """Whether 2^-n * raw was constant over the last three lengths."""
@@ -134,9 +128,6 @@ class DuReport:
             return None
         tail = [Fraction(e.raw, 1 << e.n) for e in self.entries[-3:]]
         return tail[0] == tail[1] == tail[2]
-
-    def running_max(self) -> Fraction:
-        return max(Fraction(e.raw, 1 << e.n) for e in self.entries)
 
     def to_json(self) -> dict:
         return {

@@ -85,7 +85,7 @@ class ChainFamilyParams:
             raise InvalidParamsError("r-range", f"need r >= 2, got {self.r}")
 
 
-def build_chain(params: ChainFamilyParams, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
+def build_chain(params: ChainFamilyParams) -> Rule:
     """The 2r-variable rule whose induced maps satisfy F^(r) = I.
 
     f(x) = x_r + sum_{j=1}^{r-1} (x_j+1)(x_{r+j+1}+1)
@@ -93,8 +93,6 @@ def build_chain(params: ChainFamilyParams, arity_cap: int = DEFAULT_ARITY_CAP) -
     """
     r = params.r
     k = 2 * r
-    if k > arity_cap:
-        raise InvalidParamsError("arity", f"2r = {k} above cap {arity_cap}")
     # each term j is two cubes (x_{j+1..r} all 0, all 1), and term j needs
     # x_{r+j+1} = 0 where every later term needs it 1: the 2(r-1) cubes are
     # disjoint, so their sum is their OR

@@ -382,9 +382,9 @@ def test_trimmed_windows_match_end_vars(k):
     for dtype in _LANE_WORDS:
         for n in sorted({1, 7, min(64, dtype.itemsize * 8)}):
             rows = [_embedded_tables(rng, k, n) for _ in range(2)]
-            cols = np.stack([catalog._lanes(t, dtype) for t in rows])
+            cols = np.stack([corefn._lanes(t, dtype) for t in rows])
             assert np.array_equal(_lane_bits(cols, n), np.stack(rows))
-            i0, width = catalog._lane_windows(cols, k)
+            i0, width = corefn._lane_windows(cols, k)
             assert i0.shape == width.shape == (2, dtype.itemsize * 8)
             assert (width[:, n:] == 0).all()
             for r, tables in enumerate(rows):
@@ -404,7 +404,7 @@ def test_cut_reads_tight_windows(k):
         rows = np.array([2, 0, 1, 2, 0, 1])
         lanes = np.array([0, 3, 7, dtype.itemsize * 8 - 1, 5, 0])
         i0, width = np.array([0, 3, k - 8, k - 5, 1, k - 8]), np.array([8, 5, 8, 5, 2, 8])
-        got = catalog._lane_cut(cols, rows, lanes, i0, width)
+        got = corefn._lane_cut(cols, rows, lanes, i0, width)
         assert [w for w, _, _ in got] == [2, 5, 8]
         for w, at, tables in got:
             assert tables.shape == (len(at), 1 << w) and (width[at] == w).all()
@@ -427,8 +427,8 @@ def _gathered_words(g, x, kg, kx):
 def _lane_compose(cubes, x, kx, kg, dtype):
     """g o x by ``_compose_cubes`` over the lane planes of x, as uint8
     tables (len(g), len(x), 2**K)."""
-    planes = catalog._lane_planes(catalog._lanes(x, dtype), kx, kg)
-    return _lane_bits(catalog._compose_cubes(cubes, planes), len(x))
+    planes = corefn._lane_planes(corefn._lanes(x, dtype), kx, kg)
+    return _lane_bits(corefn._compose_cubes(cubes, planes), len(x))
 
 
 def _n_terms(cubes, k):
@@ -452,7 +452,7 @@ def test_cube_compose_matches_gather(kx, kg):
     g[1] = 1  # one empty cube
     g[2] = np.arange(1 << kg) >> (kg - 1) & 1  # one literal
     x = rng.integers(0, 2, (5, 1 << kx), dtype=np.uint8)
-    cubes = catalog._cube_forms(g, kg)
+    cubes = corefn._cube_forms(g, kg)
     for dtype in _LANE_WORDS:
         assert np.array_equal(_lane_compose(cubes, x, kx, kg, dtype), _gathered_words(g, x, kg, kx)), dtype
     assert _n_terms(cubes, kg).tolist() == [_fewest_terms(row, kg) for row in g]
@@ -464,7 +464,7 @@ def test_default_generator_orbits_compose_by_two_cubes():
     rng = np.random.default_rng(90)
     for kg in (4, 5, 6):
         g = np.stack([table_to_array(t, kg) for k, t in sorted(members) if k == kg])
-        cubes = catalog._cube_forms(g, kg)
+        cubes = corefn._cube_forms(g, kg)
         assert (_n_terms(cubes, kg) == 2).all()
         for kx in (2, 5, 8):
             x = rng.integers(0, 2, (3, 1 << kx), dtype=np.uint8)
@@ -537,7 +537,7 @@ def test_negative_closure_budget_is_refused_before_the_generators(monkeypatch, s
         raise AssertionError("generators built for a refused budget")
 
     monkeypatch.setattr(catalog, "default_generators", unreachable)
-    monkeypatch.setattr(catalog, "_cube_forms", unreachable)
+    monkeypatch.setattr(corefn, "_cube_forms", unreachable)
     with pytest.raises(lf.LiftforgeError, match="budget"):
         closure_search(6, budget=-5)
     with pytest.raises(lf.LiftforgeError, match="budget"):
@@ -574,16 +574,28 @@ def test_block_closure_matches_reference_under_arity_cap(small_gens):
 
 @pytest.mark.parametrize("block, chunk", [(1, 1), (1, 1 << 17), (3, 1 << 9), (1 << 10, 1 << 22)])
 def test_block_closure_independent_of_block_and_chunk(monkeypatch, small_gens, block, chunk):
+    # the chunk is one constant of corefn: every lane group the closure
+    # sizes (both directions) gets its rows per chunk from the patched value
+    default, lane_groups, groups = corefn._GATHER_CHUNK, corefn._lane_groups, []
+
+    def spy(n, k):
+        for group in lane_groups(n, k):
+            groups.append((group[2].itemsize << k, group[3]))
+            yield group
+
     monkeypatch.setattr(catalog, "_CLASS_BLOCK", block)
-    monkeypatch.setattr(catalog, "_GATHER_CHUNK", chunk)
+    monkeypatch.setattr(corefn, "_GATHER_CHUNK", chunk)
+    monkeypatch.setattr(corefn, "_lane_groups", spy)
     for D, budget in ((7, 120_000), (7, 1_000)):
         assert closure_search(D, budget=budget, generators=small_gens) == _reference_closure(D, budget, small_gens)
+    assert groups and all(rows == max(1, chunk // size) for size, rows in groups)
+    assert any(rows != max(1, default // size) for size, rows in groups)
 
 
 def test_cut_is_as_wide_as_the_widest_kept_composite(monkeypatch):
     # every cut table is 2**w wide for its own diameter w, not 2**max_diameter
     # wide, and is canonicalized at that width
-    cut, canon_keys = catalog._lane_cut, catalog._canon_keys
+    cut, canon_keys = corefn._lane_cut, catalog._canon_keys
     widths, keyed = [], []
 
     def spy(cols, rows, lanes, i0, width):
@@ -595,7 +607,7 @@ def test_cut_is_as_wide_as_the_widest_kept_composite(monkeypatch):
         keyed.append((k, tables.shape[1]))
         return canon_keys(tables, k)
 
-    monkeypatch.setattr(catalog, "_lane_cut", spy)
+    monkeypatch.setattr(corefn, "_lane_cut", spy)
     monkeypatch.setattr(catalog, "_canon_keys", keys_spy)
     closure_search(16, budget=2_000)
     assert widths and all(size == 1 << w and ws == {w} for w, size, ws in widths)
@@ -653,11 +665,75 @@ def test_closure_d8_all_generators_at_3m():
     assert by_diameter == {4: 1, 5: 5, 6: 118}
 
 
-@pytest.mark.long
 def test_degree2_probe_finds_nothing():
     probe = degree2_probe()
     assert probe.pool_size == 490
     assert probe.ok, probe.degree2
+
+
+PROBE_HISTOGRAM = {1: 186, 3: 184, 4: 1840, 5: 10300, 6: 21054, 7: 61200, 8: 92864, 9: 51260, 10: 1212}
+
+
+def _composite_degree(ga, fa, kg, kf):
+    """Degree of g o f, one pair at a time: the largest monomial of the
+    composite's raw table, gathered in bytes."""
+    coeff = corefn._mobius(np.take(ga, _windows(fa, kf, kg)), kg + kf - 1)
+    monomials = np.flatnonzero(coeff)
+    return int(np.bitwise_count(monomials).max()) if monomials.size else 0
+
+
+@pytest.fixture(scope="module")
+def probe_degrees():
+    pool = catalog._probe_pool()
+    return pool, catalog._composite_degrees(pool)
+
+
+def test_degree2_probe_histogram_is_pinned():
+    probe = degree2_probe()
+    assert (probe.pool_size, probe.pairs, probe.degree2) == (490, 240_100, ())
+    assert probe.histogram == PROBE_HISTOGRAM
+
+
+def _check_pairs(pool, degrees, pairs):
+    tables = [r.table_array() for r in pool]
+    for g, f in pairs:
+        want = _composite_degree(tables[g], tables[f], pool[g].k, pool[f].k)
+        assert degrees[g, f] == want, (pool[g].text(), pool[f].text())
+
+
+def test_composite_degrees_match_the_per_pair_reference_on_a_sample(probe_degrees):
+    # a seeded sample, a fifth of it with a diameter-4/5 operand on either side
+    pool, degrees = probe_degrees
+    rng = np.random.default_rng(2411)
+    small = np.array([i for i, r in enumerate(pool) if r.k < 6])
+    pairs = rng.integers(0, len(pool), (3_000, 2))
+    pairs[:300, 0] = rng.choice(small, 300)
+    pairs[300:600, 1] = rng.choice(small, 300)
+    _check_pairs(pool, degrees, pairs.tolist())
+    assert dict(zip(*(a.tolist() for a in np.unique(degrees, return_counts=True)))) == PROBE_HISTOGRAM
+
+
+@pytest.mark.long
+def test_composite_degrees_match_the_per_pair_reference_on_every_pair(probe_degrees):
+    pool, degrees = probe_degrees
+    _check_pairs(pool, degrees, [(g, f) for g in range(len(pool)) for f in range(len(pool))])
+
+
+def test_degree2_probe_reports_hits_in_pair_order(monkeypatch):
+    # a pool with degree-2 composites, some of them in one order only (x1
+    # xor x1 x2 is no lifting): hits are (g, f) for g o f, g outer
+    texts = ("x1 ^ x2", "x1 ^ x2*x3", "x1 ^ x2*x3*x4", "x1*x2 ^ x3", "x1 ^ x1*x2", "x2 ^ (x1^1)*x3")
+    pool = [lf.rule_from_anf_text(t) for t in texts]
+    monkeypatch.setattr(catalog, "_probe_pool", lambda entries=None: pool)
+    probe = degree2_probe()
+    tables = [r.table_array() for r in pool]
+    pairs = [(g, f) for g in range(6) for f in range(6)]
+    degrees = {(g, f): _composite_degree(tables[g], tables[f], pool[g].k, pool[f].k) for g, f in pairs}
+    want = tuple((pool[g].text(), pool[f].text()) for (g, f), d in degrees.items() if d == 2)
+    assert len(want) > 3 and any((f, g) not in want for g, f in want)
+    assert probe.degree2 == want
+    assert (probe.pool_size, probe.pairs) == (6, 36)
+    assert probe.histogram == {d: list(degrees.values()).count(d) for d in sorted(set(degrees.values()))}
 
 
 def test_degree2_probe_composition_facts():

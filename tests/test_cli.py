@@ -45,17 +45,35 @@ def test_closure_exhausted_notes_lower_bound(capsys):
     assert "lower bound" in captured.err
 
 
-def test_closure_at_diameter_30_holds_only_the_widths_it_keeps(capsys):
+def test_closure_at_max_diameter_holds_only_the_widths_it_keeps(capsys):
     tracemalloc.start()
     try:
-        rc = cli.main(["--format", "json", "closure", "--diameter", "30", "--budget", "100"])
+        rc = cli.main(["--format", "json", "closure", "--diameter", "24", "--budget", "100"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["max_diameter"], doc["compositions"], doc["exhausted"]) == (30, 100, True)
+    assert (doc["max_diameter"], doc["compositions"], doc["exhausted"]) == (24, 100, True)
     assert peak < 16 << 20
+
+
+def test_closure_past_max_diameter_exits_2_before_the_generators(capsys, monkeypatch):
+    # no class wider than a Rule holds: refused before any generator is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generators built for a refused diameter")
+
+    monkeypatch.setattr(cli.catalog_mod, "default_generators", unreachable)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["--format", "json", "closure", "--diameter", "25", "--budget", "2000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "diameter 25 outside 1..24" in captured.err
+    assert peak < 1 << 20
 
 
 def test_closure_negative_budget_exits_2(capsys):
@@ -474,7 +492,7 @@ def test_families_order_mismatch_exits_1(capsys, monkeypatch):
         (["families", "--r", "7"], "cap is 26"),  # r=7 squares to 27 variables
         (["--arity-cap", "10", "families", "--r", "3"], "cap is 10"),  # r=3 squares to 11 variables
         (["--arity-cap", "10", "families", "--k", "6", "--j", "3", "--set", "1,6"], "cap is 10"),
-        (["--arity-cap", "5", "families", "--r", "3"], "above cap 5"),  # the rule itself has 6
+        (["--arity-cap", "5", "families", "--r", "3"], "cap is 5"),  # the rule itself has 6
         (["families", "--k", "6", "--j", "3", "--set", "a"], "bad --set 'a'"),
         (["families", "--k", "6", "--j", "3", "--set", "1,,6"], "bad --set '1,,6'"),
     ],

@@ -21,6 +21,7 @@ from liftforge.corefn import (
     _normalize,
     _windows,
     anf_masks_to_table,
+    array_to_table,
     cube_table,
     essential_vars,
     rule_from_table,
@@ -83,6 +84,34 @@ def test_degree_examples():
     patt = lf.rule_from_anf_text("x2 ^ (x1^1)*x3*(x4^1)")
     assert lf.degree(patt) == 3
     assert lf.degree(lf.rule_from_anf_text("x1")) == 1
+
+
+def _anf_degree(row, k):
+    """Reference degree of a 0/1 table: its largest ANF monomial, 0 if none."""
+    return max((bin(m).count("1") for m in table_to_anf_masks(array_to_table(row), k)), default=0)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_lane_degrees_match_anf(k):
+    # tables of every degree 0..k (random ANFs with monomials up to d), with
+    # the constants 0 and 1, as lanes of every lane word that holds them and
+    # as byte rows (one lane, bit 0, per row)
+    rng = np.random.default_rng(k)
+    weight = np.bitwise_count(np.arange(1 << k))
+    for n in (1, 8, 9, 64):
+        anf = rng.integers(0, 2, (n, 1 << k), dtype=np.uint8) * (weight <= rng.integers(0, k + 1, (n, 1)))
+        tables = corefn._mobius(anf, k)
+        tables[0] = 0
+        if n > 1:
+            tables[1] = 1
+        want = [_anf_degree(row, k) for row in tables]
+        bytes_got = corefn._lane_degrees(tables, k)
+        assert bytes_got[:, 0].tolist() == want and not bytes_got[:, 1:].any()
+        for dtype in (np.dtype(f"u{size}") for size in (1, 2, 4, 8) if size * 8 >= n):
+            cols = np.stack([corefn._lanes(tables, dtype), corefn._lanes(tables[::-1], dtype)])
+            got = corefn._lane_degrees(cols, k)
+            assert got.shape == (2, dtype.itemsize * 8) and not got[:, n:].any()
+            assert got[0, :n].tolist() == want and got[1, :n].tolist() == want[::-1], (n, dtype)
 
 
 def test_balance():
@@ -357,7 +386,14 @@ WIDE_BUILDERS = {
 
 @pytest.mark.parametrize(
     "name, k",
-    [("cube_table", 25), ("compile_set", 26), ("build_symmetric", 25), ("build_chain", 26), ("from_anf", 25)],
+    [
+        ("cube_table", 25),
+        ("compile_set", 26),
+        ("build_symmetric", 25),
+        ("build_chain", 26),
+        ("build_chain", 28),
+        ("from_anf", 25),
+    ],
 )
 def test_formula_builders_refuse_past_max_diameter_before_allocating(name, k):
     tracemalloc.start()
