@@ -24,10 +24,10 @@ from .corefn import (
     _row_tables,
     _windows,
 )
-from .diffunif import DEFAULT_DU_CAP, LengthRangeError, _check_du_cap, _ddt_maxima
+from .diffunif import LengthRangeError, _check_du_cap, _ddt_maxima
 from .exprlang import LiftExpr, eval_expr, parse_expr
 from .landscape import compile_landscape, enumerate_conserved
-from .lifting import DEFAULT_ARITY_CAP, _pair_graph_verdicts
+from .lifting import ARITY_CAP, _pair_graph_verdicts
 
 CATALOG_RESOURCE = "appendix_a.tsv"
 CATALOG_SHA256 = "bd0be47ea0d5d69c6ef0b6c5bc139cb653b3bd9f0643b9d23811546a657387bb"
@@ -135,7 +135,7 @@ def verify_catalog(
     checked entry at once, one length at a time, and each entry's problems
     are reported together, in the order of the checks."""
     if check_du:  # refused before any rule is built
-        _check_du_cap(du_to, DEFAULT_DU_CAP)
+        _check_du_cap(du_to)
         if not DU_RANGE[0] <= du_to <= DU_RANGE[1]:
             raise LengthRangeError(f"DU values are stated for n = {DU_RANGE[0]}..{DU_RANGE[1]}, got du_to={du_to}")
     entries = entries if entries is not None else load_catalog()
@@ -242,7 +242,6 @@ def closure_search(
     max_diameter: int = 8,
     budget: int = 500_000,
     generators: Optional[list[Rule]] = None,
-    arity_cap: int = DEFAULT_ARITY_CAP,
 ) -> ClosureResult:
     """Chain closure of the generators, collecting its diameter-<=6,
     degree->=2 classes.
@@ -365,7 +364,7 @@ def closure_search(
         for kx, sel, stack, members, member_class, m in groups:
             for kg, (ids, cubes) in gen_forms.items():
                 k = kx + kg - 1
-                if k > arity_cap:
+                if k > ARITY_CAP:
                     continue
                 # g o x: generator cube forms over the lane planes of the block's orbit members
                 for x0, x1, dtype, n_rows in corefn._lane_groups(len(members), k):

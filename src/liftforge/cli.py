@@ -33,8 +33,8 @@ def _emit(args, doc, text_lines, csv_rows=None) -> None:
             print(line)
 
 
-def _expr_rule(text: str, arity_cap: int) -> corefn.Rule:
-    return exprlang.eval_expr(exprlang.parse_expr(text), arity_cap)
+def _expr_rule(text: str) -> corefn.Rule:
+    return exprlang.eval_expr(exprlang.parse_expr(text))
 
 
 def _maybe_ascii(s: str, args) -> str:
@@ -43,7 +43,7 @@ def _maybe_ascii(s: str, args) -> str:
 
 def cmd_parse(args) -> int:
     e = exprlang.parse_expr(args.expr)
-    r = exprlang.eval_expr(e, args.arity_cap)
+    r = exprlang.eval_expr(e)
     doc = {
         "expr": exprlang.print_expr(e, ascii=args.ascii),
         "rule": r.text(),
@@ -58,10 +58,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    r = _expr_rule(args.expr, args.arity_cap)
-    method = "pair-graph" if args.exact else "finite-scan"
-    limit = min(args.n_cap, lifting.DEFAULT_SCAN_LIMIT)
-    verdict = lifting.decide_proper(r, method=method, scan_limit=limit, n_cap=args.n_cap)
+    r = _expr_rule(args.expr)
+    verdict = lifting.decide_proper(r, method="pair-graph" if args.exact else "finite-scan")
     lines, row = [verdict.decision], [verdict.decision, verdict.method, "", "", ""]
     w = verdict.witness
     if w is not None:
@@ -72,15 +70,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    r = _expr_rule("∘".join(f"({e})" for e in args.exprs), args.arity_cap)
+    r = _expr_rule("∘".join(f"({e})" for e in args.exprs))
     doc = {"rule": r.text(), "k": r.k, "shift": r.shift, "anf": corefn.render_anf(corefn.to_anf(r))}
     _emit(args, doc, [f"{k}\t{v}" for k, v in doc.items()])
     return 0
 
 
 def cmd_expand(args) -> int:
-    r = _expr_rule(args.expr, args.arity_cap)
-    out = lifting.expand(r, args.stride, args.arity_cap)
+    out = lifting.expand(_expr_rule(args.expr), args.stride)
     doc = {"rule": out.text(), "k": out.k}
     _emit(args, doc, [f"{k}\t{v}" for k, v in doc.items()])
     return 0
@@ -128,7 +125,7 @@ def cmd_families(args) -> int:
         params = families.ChainFamilyParams(args.r)
         r = families.build_chain(params)
         claim = ("chain", args.r, args.r)
-        ok = families.verify_order_claim(r, args.r, args.r, args.arity_cap)
+        ok = families.verify_order_claim(r, args.r, args.r)
     else:
         if args.k is None or args.j is None or args.set is None:
             print("need either --r or all of --k --j --set", file=sys.stderr)
@@ -141,7 +138,7 @@ def cmd_families(args) -> int:
         params = families.symmetric_params(args.k, args.j, members)
         r = families.build_symmetric(params)
         claim = ("symmetric", 1 << params.r_exp, params.j)
-        ok = families.verify_order_claim(r, 1 << params.r_exp, params.j, args.arity_cap)
+        ok = families.verify_order_claim(r, 1 << params.r_exp, params.j)
     verdict = lifting.decide_proper(r)
     doc = {
         "family": claim[0],
@@ -169,9 +166,8 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def cmd_du(args) -> int:
-    r = _expr_rule(args.expr, args.arity_cap)
     lo, hi = _parse_range(args.n)
-    rep = diffunif.du_profile(r, lo, hi, n_cap=min(args.n_cap, diffunif.DEFAULT_DU_CAP))
+    rep = diffunif.du_profile(_expr_rule(args.expr), lo, hi)
     vals = [e.scaled_str() for e in rep.entries] if args.scaled else [str(e.raw) for e in rep.entries]
     rows = [("n", "raw", "scaled")] + [(e.n, e.raw, e.scaled_str()) for e in rep.entries]
     _emit(args, rep.to_json(), [" ".join(vals)], rows)
@@ -197,7 +193,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    res = catalog_mod.closure_search(args.diameter, budget=args.budget, arity_cap=args.arity_cap)
+    res = catalog_mod.closure_search(args.diameter, budget=args.budget)
     doc = {
         "max_diameter": res.max_diameter,
         "found_classes": res.found_count,
@@ -220,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="liftforge",
         description="local rules of reversible cellular automata: construct, decide, classify, evaluate",
     )
-    p.add_argument("--n-cap", type=int, default=lifting.DEFAULT_N_CAP, help="circular-length cap for bijectivity scans")
-    p.add_argument("--arity-cap", type=int, default=lifting.DEFAULT_ARITY_CAP, help="table-width cap for compositions")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--long", action="store_true", help="enable long-running work")
     p.add_argument("--ascii", action="store_true", help="ASCII output (star as *, compose as o)")

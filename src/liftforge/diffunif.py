@@ -83,7 +83,9 @@ import numpy as np
 from .corefn import LiftforgeError, Rule, _windows, bitmask, table_to_array
 from .lifting import CapExceededError, _induced_arrays
 
-DEFAULT_DU_CAP = 14
+# 14, not N_CAP = 24: the DDT costs its rows times 2**n, and the rows (one
+# per necklace) grow about as fast as 2**n
+DU_CAP = 14
 
 
 class LengthRangeError(LiftforgeError):
@@ -310,7 +312,7 @@ def _group_maxima(rules: Sequence[Rule], k: int, n: int, restrict: bool) -> list
 
 
 def _ddt_maxima(
-    rules: Sequence[Rule], n: int, n_cap: int = DEFAULT_DU_CAP, restrict_necklaces: bool = True
+    rules: Sequence[Rule], n: int, *, restrict_necklaces: bool = True
 ) -> list[tuple[int, tuple[int, int]]]:
     """``ddt_max`` of every rule of a stack at one length n, in order.
 
@@ -318,8 +320,8 @@ def _ddt_maxima(
     2 * ``_ROW_BLOCK`` states in all, and each group is counted in a few
     passes over all of its rules at once."""
     for r in rules:
-        if not r.k <= n <= n_cap:
-            raise CapExceededError(f"need k <= n <= {n_cap}, got n={n}")
+        if not r.k <= n <= DU_CAP:
+            raise CapExceededError(f"need k <= n <= {DU_CAP}, got n={n}")
     out: list = [None] * len(rules)
     by_k: dict[int, list[int]] = {}
     for i, r in enumerate(rules):
@@ -334,32 +336,30 @@ def _ddt_maxima(
     return out
 
 
-def ddt_max(
-    r: Rule, n: int, n_cap: int = DEFAULT_DU_CAP, restrict_necklaces: bool = True
-) -> tuple[int, tuple[int, int]]:
+def ddt_max(r: Rule, n: int, *, restrict_necklaces: bool = True) -> tuple[int, tuple[int, int]]:
     """Maximum DDT entry over nonzero input differences, with a witness."""
-    return _ddt_maxima([r], n, n_cap, restrict_necklaces)[0]
+    return _ddt_maxima([r], n, restrict_necklaces=restrict_necklaces)[0]
 
 
 def scale(n: int, raw: int) -> Fraction:
     return Fraction(raw) * Fraction(1 << 9, 1 << n) if n > 9 else Fraction(raw * (1 << (9 - n)))
 
 
-def _check_du_cap(n_to: int, n_cap: int) -> None:
+def _check_du_cap(n_to: int) -> None:
     """Refuse a length range that runs past the cap before any DDT is built."""
-    if n_to > n_cap:
-        raise CapExceededError(f"need n <= {n_cap}, got n={n_to}")
+    if n_to > DU_CAP:
+        raise CapExceededError(f"need n <= {DU_CAP}, got n={n_to}")
 
 
-def du_profile(r: Rule, n_from: int, n_to: int, n_cap: int = DEFAULT_DU_CAP) -> DuReport:
+def du_profile(r: Rule, n_from: int, n_to: int) -> DuReport:
     """DU entries for n_from..n_to, starting at the rule's diameter."""
     lo = max(n_from, r.k)
     if lo > n_to:
         raise LengthRangeError(f"no length in {n_from}..{n_to} at or above the diameter {r.k}")
-    _check_du_cap(n_to, n_cap)
+    _check_du_cap(n_to)
     entries = []
     for n in range(lo, n_to + 1):
-        raw, wit = ddt_max(r, n, n_cap)
+        raw, wit = ddt_max(r, n)
         entries.append(DuEntry(n, raw, scale(n, raw), wit))
     return DuReport(r.text(), tuple(entries))
 
@@ -399,7 +399,7 @@ class ScaledTable:
         return out
 
 
-def du_scaled_table(rows: Sequence, n_from: int, n_to: int, n_cap: int = DEFAULT_DU_CAP) -> ScaledTable:
+def du_scaled_table(rows: Sequence, n_from: int, n_to: int) -> ScaledTable:
     """Per-length scaled-DU table for expressions or rules.
 
     ``rows`` holds (label, Rule) pairs, bare Rules, or expression trees from
@@ -408,7 +408,7 @@ def du_scaled_table(rows: Sequence, n_from: int, n_to: int, n_cap: int = DEFAULT
     from . import exprlang
     from .corefn import degree as rule_degree
 
-    _check_du_cap(n_to, n_cap)
+    _check_du_cap(n_to)
     labelled = []
     for item in rows:
         if isinstance(item, tuple):
@@ -420,7 +420,7 @@ def du_scaled_table(rows: Sequence, n_from: int, n_to: int, n_cap: int = DEFAULT
     rules = [rule for _, rule in labelled]
     vals: list[list[Optional[Fraction]]] = [[] for _ in rules]
     for n in range(n_from, n_to + 1):
-        found = iter(_ddt_maxima([rule for rule in rules if rule.k <= n], n, n_cap))
+        found = iter(_ddt_maxima([rule for rule in rules if rule.k <= n], n))
         for i, rule in enumerate(rules):
             vals[i].append(scale(n, next(found)[0]) if rule.k <= n else None)
     table_rows = [(label, rule.k, rule_degree(rule), tuple(v)) for (label, rule), v in zip(labelled, vals)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .corefn import LiftforgeError, Rule
 from .landscape import Landscape, compile_landscape, parse_landscape
-from .lifting import DEFAULT_ARITY_CAP, compose_chain
+from .lifting import compose_chain
 
 COMPOSE = "∘"
 
@@ -97,9 +97,9 @@ def parse_expr(text: str) -> LiftExpr:
     return _Parser(text).parse()
 
 
-def eval_expr(e: LiftExpr, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
+def eval_expr(e: LiftExpr) -> Rule:
     """Fold the chain into a single normalized rule (rightmost applied first)."""
-    return compose_chain([compile_landscape(l) for l in e.atoms], arity_cap)
+    return compose_chain([compile_landscape(l) for l in e.atoms])
 
 
 def print_expr(e: LiftExpr, ascii: bool = False) -> str:

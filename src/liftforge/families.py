@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .corefn import LiftforgeError, Rule, _normalize, array_to_table, bitmask, cube_table, is_identity
-from .lifting import DEFAULT_ARITY_CAP, compose
+from .lifting import compose
 
 
 class InvalidParamsError(LiftforgeError):
@@ -107,7 +107,7 @@ def build_chain(params: ChainFamilyParams) -> Rule:
     return rule
 
 
-def verify_order_claim(rule: Rule, power: int, star: int, arity_cap: int = DEFAULT_ARITY_CAP) -> bool:
+def verify_order_claim(rule: Rule, power: int, star: int) -> bool:
     """Exact check that the power-fold iterate is the identity automaton
     under the window convention that centers the rule at position ``star``.
 
@@ -118,7 +118,7 @@ def verify_order_claim(rule: Rule, power: int, star: int, arity_cap: int = DEFAU
         rule = Rule(rule.k, rule.table, 0)
     acc = rule
     for _ in range(power - 1):
-        acc = compose(acc, rule, arity_cap)
+        acc = compose(acc, rule)
     return is_identity(acc) and acc.shift == -power * (star - 1)
 
 

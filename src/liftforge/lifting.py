@@ -39,8 +39,13 @@ from .corefn import (
     table_to_array,
 )
 
-DEFAULT_N_CAP = 24
-DEFAULT_ARITY_CAP = 26
+# a 2**n-state induced map is 64 MiB of uint32 at n = 24
+N_CAP = 24
+# a raw composite of K variables is a 2**K-byte table; 26, not MAX_DIAMETER,
+# because a raw composite past 24 can trim to a Rule of 24 or less: the
+# symmetric member k=12, j=6, S={1,2,11,12} verifies its order through raw
+# widths 25 and 26
+ARITY_CAP = 26
 DEFAULT_SCAN_LIMIT = 16
 
 
@@ -110,6 +115,9 @@ class InducedMap:
 
     @cached_property
     def _array(self) -> np.ndarray:
+        # single points (``__call__``) need no table, so only the table is capped
+        if self.n > N_CAP:
+            raise CapExceededError(f"n={self.n} above cap {N_CAP}")
         out = _raw_induced_array(self.rule.table, self.rule.k, self.n)
         if self.honor_shift:
             out = _rotate_seq_array(out, self.n, self.rule.shift)
@@ -130,8 +138,9 @@ class InducedMap:
         return out
 
     def is_bijective(self) -> bool:
+        arr = self._array  # checks the cap before ``seen`` is allocated
         seen = np.zeros(1 << self.n, dtype=bool)
-        seen[self._array] = True
+        seen[arr] = True
         return bool(seen.all())
 
 
@@ -141,10 +150,8 @@ def induce(r: Rule, n: int, honor_shift: bool = False) -> InducedMap:
     return InducedMap(r, n, honor_shift)
 
 
-def is_lifting(r: Rule, n: int, n_cap: int = DEFAULT_N_CAP) -> bool:
+def is_lifting(r: Rule, n: int) -> bool:
     """True iff the induced map on n-bit circular states is a bijection."""
-    if n > n_cap:
-        raise CapExceededError(f"n={n} above cap {n_cap}")
     return induce(r, n).is_bijective()
 
 
@@ -152,16 +159,16 @@ def is_lifting(r: Rule, n: int, n_cap: int = DEFAULT_N_CAP) -> bool:
 # composition and friends
 
 
-def compose(g: Rule, f: Rule, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
+def compose(g: Rule, f: Rule) -> Rule:
     """The rule of G o F (f applied first), normalized with shift tracked."""
     K = g.k + f.k - 1
-    if K > arity_cap:
-        raise ArityCapError(f"composition needs {K} variables, cap is {arity_cap}")
+    if K > ARITY_CAP:
+        raise ArityCapError(f"composition needs {K} variables, cap is {ARITY_CAP}")
     raw = _compose_table(g.table_array(), g.k, f.table_array(), f.k)
     return _normalize(K, raw, g.shift + f.shift)
 
 
-def compose_chain(rules, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
+def compose_chain(rules) -> Rule:
     """Fold a composition chain (leftmost applied last).
 
     Composition is associative, so adjacent pairs are folded smallest
@@ -172,23 +179,22 @@ def compose_chain(rules, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
         raise InvalidRuleError("empty composition chain")
     while len(items) > 1:
         best = min(range(len(items) - 1), key=lambda i: items[i].k + items[i + 1].k)
-        items[best : best + 2] = [compose(items[best], items[best + 1], arity_cap)]
+        items[best : best + 2] = [compose(items[best], items[best + 1])]
     return items[0]
 
 
-def expand(f: Rule, s: int, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
+def expand(f: Rule, s: int) -> Rule:
     """Spread the rule's window by stride s: f_s(x) = f(x_1, x_{s+1}, ...).
 
     f keeps both end variables, so f_s has tight diameter (k-1)s+1; past
-    MAX_DIAMETER no Rule holds it, whatever ``arity_cap`` allows."""
+    MAX_DIAMETER no Rule holds it."""
     if s < 1:
         raise InvalidRuleError("stride must be >= 1")
     if s == 1:
         return f
     K = (f.k - 1) * s + 1
-    cap = min(arity_cap, MAX_DIAMETER)
-    if K > cap:
-        raise ArityCapError(f"expansion needs {K} variables, cap is {cap}")
+    if K > MAX_DIAMETER:
+        raise ArityCapError(f"expansion needs {K} variables, cap is {MAX_DIAMETER}")
     # variable j of f is bit j*s of the spread window: every s-th axis of its table
     shape = [1] * K
     shape[::s] = [2] * f.k
@@ -196,7 +202,7 @@ def expand(f: Rule, s: int, arity_cap: int = DEFAULT_ARITY_CAP) -> Rule:
     return _normalize(K, array_to_table(spread.reshape(-1)), f.shift)
 
 
-def iterate_order(r: Rule, max_power: int, arity_cap: int = DEFAULT_ARITY_CAP) -> Optional[int]:
+def iterate_order(r: Rule, max_power: int) -> Optional[int]:
     """Smallest m <= max_power whose m-fold self-composition is a pure shift.
 
     The m-fold composite normalizing to the identity rule means F^m acts as
@@ -210,17 +216,17 @@ def iterate_order(r: Rule, max_power: int, arity_cap: int = DEFAULT_ARITY_CAP) -
             return m
         if m == max_power:
             break
-        acc = compose(acc, r, arity_cap)
+        acc = compose(acc, r)
     return None
 
 
-def divisor_check(r: Rule, n: int, m: int, n_cap: int = DEFAULT_N_CAP) -> bool:
+def divisor_check(r: Rule, n: int, m: int) -> bool:
     """Whether 'lifting at n implies lifting at m' held for this rule (m | n)."""
     if n % m != 0 or m < r.k:
         raise InvalidRuleError(f"need m | n and m >= k, got n={n} m={m} k={r.k}")
-    if not is_lifting(r, n, n_cap):
+    if not is_lifting(r, n):
         return True
-    return is_lifting(r, m, n_cap)
+    return is_lifting(r, m)
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +504,19 @@ def decide_proper(
     r: Rule,
     method: str = "pair-graph",
     scan_limit: int = DEFAULT_SCAN_LIMIT,
-    n_cap: int = DEFAULT_N_CAP,
 ) -> PropernessVerdict:
     """Exact properness decision (pair graph) or finite-scan heuristic.
 
     The pair-graph method is exact for all circular lengths at once; the
     finite scan refutes with the first circular collision found and can only
     report "proper" in the weak sense of no collision up to scan_limit.  It
-    builds a 2**n-entry map for each n, so a scan_limit above n_cap raises
+    builds a 2**n-entry map for each n, so a scan_limit above N_CAP raises
     ``CapExceededError`` before the first one, and one below r.k, which
     scans no length, raises ``InvalidRuleError`` from ``induce``.
     """
     if method == "finite-scan":
-        if scan_limit > n_cap:
-            raise CapExceededError(f"scan limit n={scan_limit} above cap {n_cap}")
+        if scan_limit > N_CAP:
+            raise CapExceededError(f"scan limit n={scan_limit} above cap {N_CAP}")
         for n in range(min(r.k, scan_limit), scan_limit + 1):
             fm = induce(r, n)
             arr = fm.as_array()

@@ -8,8 +8,11 @@ import pytest
 
 import liftforge as lf
 from liftforge import cli, diffunif, landscape
-from liftforge.catalog import ClosureResult, closure_search
+from liftforge.catalog import ClosureResult
 from liftforge.exprlang import eval_expr, parse_expr
+
+L14 = "0★----------10"  # landscapes of diameter 14 and 17
+L17 = "0★-------------10"
 
 
 def test_closure_json_reports_every_result_field(capsys):
@@ -80,21 +83,6 @@ def test_closure_negative_budget_exits_2(capsys):
     assert cli.main(["--format", "json", "closure", "--diameter", "6", "--budget", "-5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:") and "budget" in captured.err
-
-
-def test_closure_honours_the_arity_cap(capsys):
-    rc = cli.main(["--format", "json", "--arity-cap", "10", "closure", "--diameter", "6"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    res = closure_search(6, arity_cap=10)
-    assert doc == {
-        "max_diameter": 6,
-        "found_classes": res.found_count,
-        "discovered_classes": res.discovered_classes,
-        "compositions": res.compositions,
-        "exhausted": res.exhausted,
-    }
-    assert res.compositions < closure_search(6).compositions
 
 
 def test_search6_runs_without_long(capsys):
@@ -176,18 +164,19 @@ def test_verify_scan(capsys):
 
 
 def test_verify_scan_below_the_diameter_exits_2(capsys):
-    # an n cap below the diameter leaves no length to scan: refused, not "proper"
-    assert cli.main(["--n-cap", "3", "verify", "--scan", "0★10"]) == 2
+    # the scan limit (16) below the diameter (17) leaves no length to scan:
+    # refused, not "proper"
+    assert cli.main(["verify", "--scan", L17]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "below diameter 4" in captured.err
+    assert captured.out == "" and "below diameter 17" in captured.err
 
 
 def test_arity_cap_is_a_usage_error(capsys):
-    rc = cli.main(["--arity-cap", "8", "compose", "0★110", "0★110", "0★110"])
+    rc = cli.main(["compose", L14, L14])  # 27 variables
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "cap is 8" in captured.err
+    assert captured.err.startswith("error:") and "cap is 26" in captured.err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -433,7 +422,7 @@ def test_parse_ascii(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--arity-cap", "5", "parse", PARSE_EXPR], "cap is 5"),  # the composite has 8 variables
+        (["parse", f"({L14})∘({L14})"], "cap is 26"),  # the composite has 27 variables
         (["parse", "0★1x"], "trailing input"),
     ],
 )
@@ -490,9 +479,9 @@ def test_families_order_mismatch_exits_1(capsys, monkeypatch):
         (["families", "--r", "1"], "r-range"),
         (["families", "--k", "6", "--j", "3", "--set", "1,2"], "asymmetric"),
         (["families", "--r", "7"], "cap is 26"),  # r=7 squares to 27 variables
-        (["--arity-cap", "10", "families", "--r", "3"], "cap is 10"),  # r=3 squares to 11 variables
-        (["--arity-cap", "10", "families", "--k", "6", "--j", "3", "--set", "1,6"], "cap is 10"),
-        (["--arity-cap", "5", "families", "--r", "3"], "cap is 5"),  # the rule itself has 6
+        (["families", "--k", "12", "--j", "6", "--set", "1,12"], "cap is 26"),  # power 8: its sixth power needs 27
+        (["families", "--k", "14", "--j", "7", "--set", "1,14"], "cap is 26"),  # k=14 squares to 27 variables
+        (["families", "--k", "26", "--j", "13", "--set", "1,26"], "outside 1..24"),  # the rule itself is too wide
         (["families", "--k", "6", "--j", "3", "--set", "a"], "bad --set 'a'"),
         (["families", "--k", "6", "--j", "3", "--set", "1,,6"], "bad --set '1,,6'"),
     ],

@@ -100,8 +100,16 @@ def test_stabilization_diagnostic():
 
 
 def test_du_cap():
-    with pytest.raises(CapExceededError):
-        ddt_max(PATT, 15)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="n <= 14, got n=15"):
+            ddt_max(PATT, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     with pytest.raises(CapExceededError):
         ddt_max(_rule("(0★10)"), 3)
 
@@ -143,8 +151,6 @@ def test_du_cap_fails_before_any_ddt(monkeypatch):
     monkeypatch.setattr(diffunif, "_ddt_maxima", _unreachable_ddt_max)
     with pytest.raises(CapExceededError, match="n <= 14"):
         du_profile(PATT, 6, 15)
-    with pytest.raises(CapExceededError, match="n <= 12"):
-        du_profile(PATT, 6, 13, n_cap=12)
     with pytest.raises(CapExceededError, match="n <= 14"):
         du_scaled_table([parse_expr("(0★110)∘(0★10)")], 6, 15)
 
@@ -302,7 +308,7 @@ def test_batched_kernel_memory_at_n12(catalog_entries):
 
 @pytest.mark.long
 def test_pruned_kernel_matches_full_scan_past_n12(catalog_entries):
-    # the bound scales by 2^(n-10); n = 14 is DEFAULT_DU_CAP
+    # the bound scales by 2^(n-10); n = 14 is DU_CAP
     for i in (0, 57, 119):
         r = catalog_entries[i].rule()
         for n in (13, 14):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import liftforge as lf
-from liftforge.corefn import _normalize, array_to_table
+from liftforge import lifting
+from liftforge.corefn import ArityCapError, _normalize, array_to_table
 from liftforge.families import (
     ChainFamilyParams,
     InvalidParamsError,
@@ -91,6 +92,25 @@ def test_symmetric_k11_order_power_4():
     p = symmetric_params(11, 5, {1, 11})
     assert 1 << p.r_exp == 4
     assert verify_order_claim(build_symmetric(p), 4, p.j)
+
+
+def test_symmetric_k12_j6_member_needs_a_raw_width_of_26(monkeypatch):
+    # the arity cap stays above MAX_DIAMETER: this member's iterates pass
+    # through raw composites of 25 and 26 variables that trim back to a Rule
+    p = symmetric_params(12, 6, {1, 2, 11, 12})
+    r, power = build_symmetric(p), 1 << p.r_exp
+    widths, compose_table = [], lifting._compose_table
+
+    def spy(g, gk, f, fk):
+        widths.append(gk + fk - 1)
+        return compose_table(g, gk, f, fk)
+
+    monkeypatch.setattr(lifting, "_compose_table", spy)
+    assert verify_order_claim(r, power, p.j)
+    assert max(widths) == 26
+    monkeypatch.setattr(lifting, "ARITY_CAP", 24)
+    with pytest.raises(ArityCapError, match="needs 25 variables, cap is 24"):
+        verify_order_claim(r, power, p.j)
 
 
 def test_symmetric_second_iterate_identity():

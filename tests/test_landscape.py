@@ -274,6 +274,20 @@ def test_listing_cap_raises_before_any_work(monkeypatch):
     assert issubclass(landscape.ListingCapError, lf.LiftforgeError)
 
 
+def test_enumeration_past_its_caps_is_refused_in_bounded_memory():
+    enumerate_conserved(4, include_list=False)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        with pytest.raises(lf.LiftforgeError, match="4 <= k <= 18"):
+            enumerate_conserved(19, include_list=False)
+        with pytest.raises(landscape.ListingCapError, match="k <= 15"):
+            enumerate_conserved(16, include_list=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_counting_is_not_capped_by_the_listing_cap(monkeypatch):
     # counts stay allowed up to k=18; the star scans are stubbed out, since
     # a real k=18 count takes about 30 s

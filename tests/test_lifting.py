@@ -175,6 +175,40 @@ def test_induce_builds_no_full_size_rotation():
     assert peak < 12 << 20
 
 
+def _refusal_peak(call, error, match):
+    """The tracemalloc peak of a call that must raise ``error``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_induced_map_past_n_cap_is_refused_before_allocating():
+    # at n = 25 the map alone is 128 MiB of uint32
+    fm = lf.induce(lf.rule_from_anf_text("x1 ^ x2*x3"), lifting.N_CAP + 1)
+    for build in (fm.as_array, fm.is_bijective):
+        assert _refusal_peak(build, CapExceededError, "n=25 above cap 24") < 1 << 20
+
+
+def test_replay_witness_past_n_cap_builds_no_map():
+    # single points need no table: the pair-graph witness of x1 ^ x2, repeated
+    # past the cap, still collides, and a pair that does not is still refused
+    w = lf.decide_proper(XOR2).witness
+    reps = lifting.N_CAP // w.n + 1
+    period = sum(1 << (i * w.n) for i in range(reps))  # x * period repeats x reps times
+    tracemalloc.start()
+    try:
+        assert replay_witness(XOR2, lf.Witness(w.n * reps, w.x * period, w.y * period))
+        assert not replay_witness(XOR2, lf.Witness(w.n * reps, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.n * reps > lifting.N_CAP and peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -208,7 +242,11 @@ def test_compose_homomorphism_with_shift():
 def test_compose_arity_cap():
     r = _rule("0★-----------10")  # diameter 15
     with pytest.raises(ArityCapError):
-        lf.compose(r, r, arity_cap=20)
+        lf.compose(r, r)
+    # two diameter-14 rules need 27 variables: a 128 MiB raw table
+    r = _rule("0★----------10")
+    assert r.k == 14
+    assert _refusal_peak(lambda: lf.compose(r, r), ArityCapError, "needs 27 variables, cap is 26") < 1 << 20
 
 
 def test_compose_chain_matches_pairwise():
@@ -379,12 +417,10 @@ def test_finite_scan_past_n_cap_raises_before_any_map(monkeypatch):
         raise AssertionError("the scan cap must be checked before the first induced map")
 
     monkeypatch.setattr(lifting, "induce", refuse)
-    with pytest.raises(CapExceededError, match="n=17 above cap 16"):
-        lf.decide_proper(PATT, method="finite-scan", scan_limit=17, n_cap=16)
     with pytest.raises(CapExceededError, match="n=25 above cap 24"):
         lf.decide_proper(PATT, method="finite-scan", scan_limit=25)
     monkeypatch.undo()
-    assert lf.decide_proper(PATT, method="finite-scan", scan_limit=10, n_cap=10).proper
+    assert lf.decide_proper(PATT, method="finite-scan", scan_limit=10).proper
 
 
 def test_finite_scan_below_the_diameter_is_refused():
@@ -396,11 +432,6 @@ def test_finite_scan_below_the_diameter_is_refused():
         with pytest.raises(InvalidRuleError, match="below diameter 3"):
             lf.decide_proper(r, method="finite-scan", scan_limit=limit)
     assert not lf.decide_proper(r, method="finite-scan", scan_limit=3).proper
-
-
-def test_verify_scan_stays_under_a_small_n_cap(capsys):
-    assert cli.main(["--n-cap", "10", "--format", "json", "verify", "--scan", "0★10"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"decision": "proper", "method": "finite-scan"}
 
 
 def test_finite_scan_agrees_on_random_non_liftings():
