@@ -123,11 +123,10 @@ def verify_catalog(
     entries: Optional[list[CatalogEntry]] = None,
     check_du: bool = False,
     du_to: int = 12,
-    required_classes=None,
 ) -> CatalogReport:
     """Check diameter, degree, properness, balance and pairwise class
     distinctness of every entry; optionally the stated per-length
-    differential uniformities and containment of a set of class ids.
+    differential uniformities.
 
     Every check of the diameter-6 entries is one pass over their stack: the
     class ids, the degrees and the properness verdicts come from one stacked
@@ -141,7 +140,6 @@ def verify_catalog(
     entries = entries if entries is not None else load_catalog()
     report = CatalogReport()
     seen: dict[EquivClassId, int] = {}
-    classes = set()
     per_entry: list[list[Problem]] = []
     du_checked: list[tuple[list[Problem], CatalogEntry, Rule]] = []
     rules = [e.rule() for e in entries]
@@ -165,7 +163,6 @@ def verify_catalog(
         if cid in seen:
             problems.append(Problem(e.index, "duplicate-class", f"same class as entry {seen[cid]}"))
         seen[cid] = e.index
-        classes.add(cid)
         if not verdict.proper:
             problems.append(Problem(e.index, "not-proper", verdict.to_json()))
         if check_du and e.stated_du is not None:
@@ -180,10 +177,6 @@ def verify_catalog(
                     problems.append(Problem(e.index, "du", f"n={n}: stated {stated}, computed {raw}"))
         report.checked_du_range = (lo, du_to)
     report.problems = [p for problems in per_entry for p in problems]
-    if required_classes is not None:
-        missing = set(required_classes) - classes
-        for cid in sorted(missing, key=lambda c: c.text()):
-            report.problems.append(Problem(-1, "missing-class", cid.text()))
     return report
 
 
@@ -438,10 +431,10 @@ class ProbeReport:
         return not self.degree2
 
 
-def _probe_pool(entries: Optional[list[CatalogEntry]] = None) -> list[Rule]:
+def _probe_pool() -> list[Rule]:
     """The probe's universe (see ``PROBE_HEADER``), in order of (k, table)."""
     extra = [compile_landscape(l) for k in (4, 5) for l in enumerate_conserved(k, include_list=True).landscapes]
-    pool = {r.table: r for r in extra} | {r.table: r for r in catalog_function_pool(entries)}
+    pool = {r.table: r for r in extra} | {r.table: r for r in catalog_function_pool()}
     return sorted(pool.values(), key=lambda r: (r.k, r.table))
 
 
@@ -461,11 +454,11 @@ def _composite_degrees(pool: list[Rule]) -> np.ndarray:
     return out
 
 
-def degree2_probe(entries: Optional[list[CatalogEntry]] = None) -> ProbeReport:
+def degree2_probe() -> ProbeReport:
     """Compose every ordered pair from the probe pool and look for an
     algebraic-degree-2 result; the expectation is that none exists.  Hits
     are (g, f) for g o f, in pool order of g, then of f."""
-    pool = _probe_pool(entries)
+    pool = _probe_pool()
     degrees = _composite_degrees(pool)
     hits = tuple((pool[g].text(), pool[f].text()) for g, f in np.argwhere(degrees == 2).tolist())
     histogram = dict(zip(*(a.tolist() for a in np.unique(degrees, return_counts=True))))

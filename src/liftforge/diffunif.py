@@ -81,7 +81,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corefn import LiftforgeError, Rule, _windows, bitmask, table_to_array
-from .lifting import CapExceededError, _induced_arrays
+from .lifting import CapExceededError, _induced_arrays, necklace_representatives, sigma
 
 # 14, not N_CAP = 24: the DDT costs its rows times 2**n, and the rows (one
 # per necklace) grow about as fast as 2**n
@@ -90,19 +90,6 @@ DU_CAP = 14
 
 class LengthRangeError(LiftforgeError):
     """A range of circular lengths that is malformed or holds no length."""
-
-
-@lru_cache(maxsize=32)
-def necklace_representatives(n: int) -> tuple[int, ...]:
-    """Lexicographically-least rotation representatives of n-bit necklaces."""
-    x = np.arange(1 << n, dtype=np.uint32)
-    best = x.copy()
-    m = np.uint32(bitmask(n))
-    for c in range(1, n):
-        rot = ((x >> np.uint32(c)) | (x << np.uint32(n - c))) & m
-        np.minimum(best, rot, out=best)
-    reps = np.nonzero(best == x)[0]
-    return tuple(int(v) for v in reps)
 
 
 @dataclass(frozen=True)
@@ -271,8 +258,7 @@ def _necklace_windows(n: int, S: int) -> np.ndarray:
     """The n cyclic S-bit windows of each nonzero necklace representative,
     shape (n, rows): entry [j, i] holds bits j..j+S-1 of the i-th one."""
     a = np.array(necklace_representatives(n)[1:], dtype=np.intp)
-    j = np.arange(n, dtype=np.intp)[:, None]
-    return ((a >> j) | (a << (n - j))) & bitmask(S)
+    return sigma(a, n, -np.arange(n, dtype=np.intp)[:, None]) & bitmask(S)
 
 
 def _row_bounds(rules: Sequence[Rule], n: int, S: int) -> np.ndarray:
@@ -280,7 +266,8 @@ def _row_bounds(rules: Sequence[Rule], n: int, S: int) -> np.ndarray:
     row of the map each rule induces at length n >= S, shape (rules, rows):
     2^(n-S) times the rule's H at the row's tightest S-bit window."""
     H = np.stack([_window_row_max(r.k, r.table)[S] for r in rules])
-    return H[:, _necklace_windows(n, S)].min(axis=1).astype(np.intp) << (n - S)
+    tightest = H[:, _necklace_windows(n, S)].min(axis=1).astype(np.intp)
+    return np.left_shift(tightest, n - S)
 
 
 def _group_maxima(rules: Sequence[Rule], k: int, n: int, restrict: bool) -> list[tuple[int, tuple[int, int]]]:

@@ -37,6 +37,7 @@ from .corefn import (
     cube_table,
     essential_vars,
 )
+from .lifting import CapExceededError
 
 STAR = "★"
 DASH = "-"
@@ -303,7 +304,7 @@ def _decode_block(k: int, q: int, block: np.ndarray) -> list[str]:
     return codes.view(f"<U{k}").ravel().tolist()
 
 
-class ListingCapError(LiftforgeError):
+class ListingCapError(CapExceededError):
     """A landscape listing was asked for above the length it can hold."""
 
 
@@ -329,11 +330,15 @@ def enumerate_conserved(k: int, include_list: bool = True) -> EnumerationResult:
     Burnside agrees with rule-level canonicalization; the agreement is
     exercised by the test-suite on small k.
 
-    The listing (``include_list``) is capped at k <= 15: above that it could
-    not fit in memory, and ``ListingCapError`` is raised before any work.
+    Counts are capped at k <= 18 and the listing (``include_list``) at
+    k <= 15: above that it could not fit in memory.  Past either cap a
+    ``CapExceededError`` (for the listing, ``ListingCapError``) is raised
+    before any work.
     """
-    if not _ENUM_MIN_K <= k <= _ENUM_MAX_K:
+    if k < _ENUM_MIN_K:
         raise LiftforgeError(f"enumeration supports {_ENUM_MIN_K} <= k <= {_ENUM_MAX_K}")
+    if k > _ENUM_MAX_K:
+        raise CapExceededError(f"enumeration supports {_ENUM_MIN_K} <= k <= {_ENUM_MAX_K}")
     if include_list and k > _LIST_MAX_K:
         raise ListingCapError(
             f"a listing of the conserved landscapes stops at k <= {_LIST_MAX_K} "

@@ -4,21 +4,24 @@ A rule f of diameter k induces, for every circular length n >= k, the
 shift-invariant map F(x)_i = f(x_i, ..., x_{i+k-1}) with indices mod n
 (offset-0 convention).  States are packed integers with x_{i+1} at bit i;
 the cyclic right shift of the sequence is therefore a left bit-rotation.
+``sigma`` is the one rotation of packed circular states in the package, on
+ints and on arrays, and ``necklace_representatives`` (the least rotation of
+each necklace, which ``diffunif`` and ``search6`` read) is built on it.
 
 F is built on the composition kernel: the window array of f over n bits
 (``corefn._windows``) holds the n - k + 1 outputs whose windows do not
-wrap, and each further block of outputs is the same array read at the
-state rotated right by the block's first position.  The spread rule of
-``expand`` is the table of f broadcast along its variables' axes, and
-``check_shift_product`` in :mod:`liftforge.landscape` reads its shifted
-products from one window array as well.
+wrap, and each further block of outputs, from position c on, is the same
+array read at sigma(x, n, -c), the state with bits c.. first.  The spread
+rule of ``expand`` is the table of f broadcast along its variables' axes,
+and ``check_shift_product`` in :mod:`liftforge.landscape` reads its
+shifted products from one window array as well.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,19 +56,25 @@ class CapExceededError(LiftforgeError):
     pass
 
 
-def sigma(x: int, n: int, c: int = 1) -> int:
-    """Cyclic right shift of the sequence by c: (sigma x)_i = x_{i-c}."""
-    c %= n
-    m = bitmask(n)
-    return ((x << c) | (x >> (n - c))) & m
+def sigma(x: int | np.ndarray, n: int, c: int | np.ndarray = 1) -> int | np.ndarray:
+    """Cyclic right shift of the sequence by c: (sigma x)_i = x_{i-c}.
+
+    x is an int or an array of non-negative integers below 2**n, c an int
+    or an integer array broadcasting against x; sigma(x, n, -c) puts bits
+    c.. first."""
+    c = c % n
+    return ((x << c) | (x >> (n - c))) & bitmask(n)
 
 
-def _rotate_seq_array(y: np.ndarray, n: int, c: int) -> np.ndarray:
-    c %= n
-    if c == 0:
-        return y
-    m = np.uint32(bitmask(n))
-    return (((y << np.uint32(c)) | (y >> np.uint32(n - c))) & m).astype(np.uint32)
+@lru_cache(maxsize=32)
+def necklace_representatives(n: int) -> tuple[int, ...]:
+    """Lexicographically-least rotation representatives of n-bit necklaces,
+    in ascending order."""
+    x = np.arange(1 << n, dtype=np.uint32)
+    best = x.copy()
+    for c in range(1, n):
+        np.minimum(best, sigma(x, n, c), out=best)
+    return tuple(np.flatnonzero(best == x).tolist())
 
 
 def _induced_arrays(tables: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -73,7 +82,7 @@ def _induced_arrays(tables: np.ndarray, k: int, n: int) -> np.ndarray:
     a stack (one row of 2**k bits each), shape (rows, 2**n).
 
     ``_windows`` gives the m = n - k + 1 outputs whose windows do not wrap;
-    the state rotated right by c gives outputs c..c+m-1 the same way.  The
+    the state sigma(x, n, -c) gives outputs c..c+m-1 the same way.  The
     blocks start at c = 0, m, 2m, ..., the last clamped to n - m, so that
     none wraps and overlapping blocks write equal bits.  States go in
     slices of at most the ``_take`` bound over the whole stack, so no
@@ -84,14 +93,12 @@ def _induced_arrays(tables: np.ndarray, k: int, n: int) -> np.ndarray:
     starts = [min(c, n - m) for c in range(m, n, m)]
     size = 1 << n
     step = max(1, (1 << _TAKE_BITS) // len(lin))
-    mask = np.uint32(bitmask(n))
     out = lin.astype(np.uint32)
     for x0 in range(0, size, step):
         x = np.arange(x0, min(x0 + step, size), dtype=np.uint32)
         acc = out[:, x0 : x0 + step]
         for c in starts:
-            rot = (x >> np.uint32(c)) | ((x << np.uint32(n - c)) & mask)
-            acc |= np.take(lin, rot, axis=1).astype(np.uint32) << np.uint32(c)
+            acc |= np.take(lin, sigma(x, n, -c), axis=1).astype(np.uint32) << np.uint32(c)
     return out
 
 
@@ -104,24 +111,19 @@ def _raw_induced_array(table: int, k: int, n: int) -> np.ndarray:
 class InducedMap:
     """The circular-length-n map induced by a rule (offset-0 convention).
 
-    With ``honor_shift`` the rule's recorded window shift is applied as a
-    cyclic rotation of the output, recovering the map of whatever raw
-    window the rule was normalized from.
+    The map of the raw window the rule was normalized from is
+    ``sigma(induce(r, n).as_array(), n, r.shift)``.
     """
 
     rule: Rule
     n: int
-    honor_shift: bool = False
 
     @cached_property
     def _array(self) -> np.ndarray:
         # single points (``__call__``) need no table, so only the table is capped
         if self.n > N_CAP:
             raise CapExceededError(f"n={self.n} above cap {N_CAP}")
-        out = _raw_induced_array(self.rule.table, self.rule.k, self.n)
-        if self.honor_shift:
-            out = _rotate_seq_array(out, self.n, self.rule.shift)
-        return out
+        return _raw_induced_array(self.rule.table, self.rule.k, self.n)
 
     def as_array(self) -> np.ndarray:
         return self._array
@@ -131,10 +133,7 @@ class InducedMap:
         n, k = self.n, self.rule.k
         out = 0
         for i in range(n):
-            w = ((x >> i) | (x << (n - i))) & bitmask(n)
-            out |= self.rule.bit(w & bitmask(k)) << i
-        if self.honor_shift:
-            out = sigma(out, n, self.rule.shift)
+            out |= self.rule.bit(sigma(x, n, -i) & bitmask(k)) << i
         return out
 
     def is_bijective(self) -> bool:
@@ -144,10 +143,10 @@ class InducedMap:
         return bool(seen.all())
 
 
-def induce(r: Rule, n: int, honor_shift: bool = False) -> InducedMap:
+def induce(r: Rule, n: int) -> InducedMap:
     if n < r.k:
         raise InvalidRuleError(f"circular length {n} below diameter {r.k}")
-    return InducedMap(r, n, honor_shift)
+    return InducedMap(r, n)
 
 
 def is_lifting(r: Rule, n: int) -> bool:

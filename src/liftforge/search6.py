@@ -46,6 +46,7 @@ from .corefn import (
     _windows,
     table_to_array,
 )
+from .lifting import necklace_representatives, sigma
 
 K6 = 6
 WORDS = 1 << K6
@@ -107,19 +108,18 @@ class NecklaceClass:
 
     @property
     def members(self) -> tuple[int, ...]:
-        p, v = self.p, self.representative
-        return tuple(((v >> c) | (v << (p - c))) & ((1 << p) - 1) for c in range(p))
+        """The p rotations, the c-th with bits c.. of the representative first."""
+        return tuple(sigma(self.representative, self.p, -c) for c in range(self.p))
 
 
 @lru_cache(maxsize=8)
 def primitive_necklace_classes(p: int) -> tuple[NecklaceClass, ...]:
-    mask = (1 << p) - 1
-    out = []
-    for v in range(1 << p):
-        rots = [((v >> c) | (v << (p - c))) & mask for c in range(p)]
-        if len(set(rots)) == p and min(rots) == v:
-            out.append(NecklaceClass(p, v))
-    return tuple(out)
+    """The necklaces of primitive period p, by ascending representative."""
+    return tuple(
+        NecklaceClass(p, v)
+        for v in necklace_representatives(p)
+        if all(sigma(v, p, c) != v for c in range(1, p))
+    )
 
 
 def _pat_bit(pat: int, p: int, t: int) -> int:

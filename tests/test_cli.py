@@ -362,6 +362,16 @@ def test_catalog_du_mismatch_exits_1(capsys, monkeypatch, catalog_entries):
     assert doc["problems"] == [f"entry 0: du: n=6: stated {wrong.stated_du[0]}, computed {entry.stated_du[0]}"]
 
 
+def test_catalog_du_checks_n12_without_long(capsys, monkeypatch, catalog_entries):
+    entry = catalog_entries[0]
+    wrong = dataclasses.replace(entry, stated_du=entry.stated_du[:-1] + (entry.stated_du[-1] + 2,))
+    monkeypatch.setattr(lf.catalog, "load_catalog", lambda: [wrong])
+    assert cli.main(["--format", "json", "catalog", "--du"]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == [
+        f"entry 0: du: n=12: stated {wrong.stated_du[-1]}, computed {entry.stated_du[-1]}"
+    ]
+
+
 def test_catalog_du_mismatch_csv_row(capsys, monkeypatch, catalog_entries):
     entry = catalog_entries[0]
     wrong = dataclasses.replace(entry, stated_du=(entry.stated_du[0] + 2,) + entry.stated_du[1:])

@@ -362,6 +362,18 @@ def _reference_row_bounds(r, n, S):
     return np.array(out)
 
 
+def test_necklace_windows_start_at_bit_j():
+    # entry [j, i] holds bits j..j+S-1 (mod n) of the i-th nonzero representative
+    for n, S in ((9, 9), (12, 10)):
+        reps = necklace_representatives(n)[1:]
+        windows = diffunif._necklace_windows(n, S)
+        assert windows.shape == (n, len(reps))
+        for i, a in enumerate(reps):
+            bits = format(a, f"0{n}b")[::-1]  # bits[t] is bit t of a
+            expect = [int((bits[j:] + bits[:j])[:S][::-1], 2) for j in range(n)]
+            assert windows[:, i].tolist() == expect, (n, a)
+
+
 def _bound_cases(catalog_entries):
     rng = random.Random(9)
     cases = [(_random_rule(rng, k), rng.choice(range(9, 13))) for k in range(1, 10) for _ in range(2)]

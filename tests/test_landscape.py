@@ -25,7 +25,7 @@ from liftforge.landscape import (
     reverse_landscape,
 )
 from liftforge.corefn import _normalize, array_to_table, bitmask, essential_vars
-from liftforge.lifting import compose_chain
+from liftforge.lifting import CapExceededError, compose_chain
 
 
 def test_parse_examples():
@@ -271,14 +271,14 @@ def test_listing_cap_raises_before_any_work(monkeypatch):
     for k in (16, 17, 18):
         with pytest.raises(landscape.ListingCapError):
             enumerate_conserved(k, include_list=True)
-    assert issubclass(landscape.ListingCapError, lf.LiftforgeError)
+    assert issubclass(landscape.ListingCapError, CapExceededError)
 
 
 def test_enumeration_past_its_caps_is_refused_in_bounded_memory():
     enumerate_conserved(4, include_list=False)  # imports and caches outside the trace
     tracemalloc.start()
     try:
-        with pytest.raises(lf.LiftforgeError, match="4 <= k <= 18"):
+        with pytest.raises(CapExceededError, match="4 <= k <= 18") as count_cap:
             enumerate_conserved(19, include_list=False)
         with pytest.raises(landscape.ListingCapError, match="k <= 15"):
             enumerate_conserved(16, include_list=True)
@@ -286,6 +286,11 @@ def test_enumeration_past_its_caps_is_refused_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert type(count_cap.value) is CapExceededError
+    # below the range is a malformed length, not a size cap
+    with pytest.raises(lf.LiftforgeError, match="4 <= k <= 18") as too_short:
+        enumerate_conserved(3, include_list=False)
+    assert not isinstance(too_short.value, CapExceededError)
 
 
 def test_counting_is_not_capped_by_the_listing_cap(monkeypatch):

@@ -14,6 +14,7 @@ from liftforge.lifting import (
     CapExceededError,
     _raw_induced_array,
     compose_chain,
+    necklace_representatives,
     replay_witness,
     sigma,
 )
@@ -80,6 +81,38 @@ def test_shift_invariance_random():
         assert fm(sigma(x, n)) == sigma(fm(x), n)
 
 
+def _bits(x, n):
+    """Bit i of each x at [..., i]."""
+    return (np.asarray(x, dtype=np.int64)[..., None] >> np.arange(n)) & 1
+
+
+def test_sigma_moves_bit_i_minus_c_to_i():
+    # (sigma^c x)_i = x_{i-c} with indices mod n, on ints, on uint32 arrays
+    # and with an array of shifts; np.roll is the reference
+    rng = np.random.default_rng(2501)
+    for n in range(1, 25):
+        xs = rng.integers(0, 1 << n, size=16, dtype=np.uint32)
+        shifts = np.array([-n, -1, 0, 1, n])
+        for c in shifts.tolist():
+            expect = np.roll(_bits(xs, n), c, axis=-1)
+            got = sigma(xs, n, c)
+            assert got.dtype == np.uint32 and np.array_equal(_bits(got, n), expect), (n, c)
+            assert [sigma(int(x), n, c) for x in xs] == got.tolist(), (n, c)
+        per_shift = sigma(xs[:, None], n, shifts)
+        for j, c in enumerate(shifts.tolist()):
+            assert np.array_equal(per_shift[:, j], sigma(xs, n, c)), (n, c)
+
+
+def test_necklace_representatives_are_the_least_rotations():
+    from liftforge import diffunif
+
+    assert diffunif.necklace_representatives is necklace_representatives
+    for n in range(1, 13):
+        words = [format(x, f"0{n}b") for x in range(1 << n)]
+        least = {min(int(w[c:] + w[:c], 2) for c in range(n)) for w in words}
+        assert necklace_representatives(n) == tuple(sorted(least)), n
+
+
 def test_single_point_matches_array():
     fm = lf.induce(PATT, 9)
     arr = fm.as_array()
@@ -100,7 +133,7 @@ def test_normalization_preserves_induced_behavior():
     r = lf.rule_from_table(raw_k, raw_table)
     assert r.k == 4 and r.shift == -1
     raw_map = _raw_induced_array(raw_table, raw_k, n)
-    shifted = lf.induce(r, n, honor_shift=True).as_array()
+    shifted = sigma(lf.induce(r, n).as_array(), n, r.shift)
     assert np.array_equal(raw_map, shifted)
 
 
@@ -141,7 +174,7 @@ def _assert_induced_matches_reference(cases):
     for k, raw, n in cases:
         r = lf.rule_from_table(k, raw)
         assert np.array_equal(lf.induce(r, n).as_array(), _reference_induced(r.table, r.k, n)), (k, raw, n)
-        shifted = lf.induce(r, n, honor_shift=True).as_array()
+        shifted = sigma(lf.induce(r, n).as_array(), n, r.shift)
         assert np.array_equal(shifted, _reference_induced(raw, k, n)), (k, raw, n)
 
 
@@ -233,9 +266,9 @@ def test_compose_homomorphism_with_shift():
         g, f = rng.choice(pool), rng.choice(pool)
         c = lf.compose(g, f)
         n = rng.randint(max(c.k, g.k, f.k), 12)
-        lhs = lf.induce(c, n, honor_shift=True).as_array()
-        fg = lf.induce(f, n, honor_shift=True).as_array()
-        gg = lf.induce(g, n, honor_shift=True).as_array()
+        lhs = sigma(lf.induce(c, n).as_array(), n, c.shift)
+        fg = sigma(lf.induce(f, n).as_array(), n, f.shift)
+        gg = sigma(lf.induce(g, n).as_array(), n, g.shift)
         assert np.array_equal(lhs, gg[fg])
 
 

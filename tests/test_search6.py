@@ -37,6 +37,25 @@ def test_necklace_members():
     assert sorted(c.members) == [0b001, 0b010, 0b100]
 
 
+def _reference_primitive_classes(p):
+    """(representative, members) of each necklace of primitive period p, by
+    one scan of all 2^p words: the c-th member is the word rotated right by c."""
+    mask = (1 << p) - 1
+    out = []
+    for v in range(1 << p):
+        rots = tuple(((v >> c) | (v << (p - c))) & mask for c in range(p))
+        if len(set(rots)) == p and min(rots) == v:
+            out.append((v, rots))
+    return out
+
+
+def test_primitive_necklace_classes_match_the_word_scan():
+    for p in range(1, 11):
+        classes = primitive_necklace_classes(p)
+        assert all(c.p == p for c in classes)
+        assert [(c.representative, c.members) for c in classes] == _reference_primitive_classes(p), p
+
+
 def test_period_mapping_counts():
     assert [count_period_mappings(p) for p in (1, 2, 3, 4, 5)] == [2, 2, 4, 32, 3076]
 
