@@ -131,7 +131,7 @@ def verify_catalog(
     Every check of the diameter-6 entries is one pass over their stack: the
     class ids, the degrees and the properness verdicts come from one stacked
     call each, the balance from one count.  The DU values come for every
-    checked entry at once, one length at a time, and each entry's problems
+    checked entry and every length from one call, and each entry's problems
     are reported together, in the order of the checks."""
     if check_du:  # refused before any rule is built
         _check_du_cap(du_to)
@@ -169,10 +169,8 @@ def verify_catalog(
             du_checked.append((problems, e, r))
     if du_checked:
         lo = DU_RANGE[0]
-        rules = [r for _, _, r in du_checked]
-        for n in range(lo, du_to + 1):
-            for (problems, e, _), (raw, _) in zip(du_checked, _ddt_maxima(rules, n)):
-                stated = e.stated_du[n - lo]
+        for (problems, e, _), found in zip(du_checked, _ddt_maxima([r for _, _, r in du_checked], lo, du_to)):
+            for n, ((raw, _), stated) in enumerate(zip(found, e.stated_du), lo):
                 if raw != stated:
                     problems.append(Problem(e.index, "du", f"n={n}: stated {stated}, computed {raw}"))
         report.checked_du_range = (lo, du_to)

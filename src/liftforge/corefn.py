@@ -95,22 +95,16 @@ def array_to_table(arr: np.ndarray) -> int:
 
 @lru_cache(maxsize=64)
 def _var_zero_mask(i: int, k: int) -> int:
-    """Bitmask over table indices v (k-bit) selecting those with bit i == 0."""
-    if k >= 3:
-        # repeat a byte pattern: linear in 2**k, where the division below is
-        # quadratic in it
-        if i < 3:
-            pattern = (b"\x55", b"\x33", b"\x0f")[i]
-        else:
-            half = 1 << (i - 3)
-            pattern = b"\xff" * half + b"\x00" * half
-        return int.from_bytes(pattern * ((1 << (k - 3)) // len(pattern)), "little")
-    block = bitmask(1 << i)
-    period = 1 << (i + 1)
-    size = 1 << k
-    reps = (1 << size) - 1
-    reps //= (1 << period) - 1  # 0..010..01 pattern, one 1 per period
-    return block * reps
+    """Bitmask over table indices v (k-bit) selecting those with bit i == 0:
+    a byte pattern repeated and cut to 2**k bits, linear in 2**k where the
+    division formula (2**2**i - 1) * (2**2**k - 1) // (2**2**(i+1) - 1) is
+    quadratic in it."""
+    if i < 3:
+        pattern = (b"\x55", b"\x33", b"\x0f")[i]
+    else:
+        half = 1 << (i - 3)
+        pattern = b"\xff" * half + b"\x00" * half
+    return int.from_bytes(pattern * max(1, ((1 << k) >> 3) // len(pattern)), "little") & bitmask(1 << k)
 
 
 def _depends_on(table: int, k: int, i: int) -> bool:
@@ -302,6 +296,8 @@ def _normalize(k: int, table: int, shift: int = 0) -> Rule:
         raise InvalidRuleError("constant rule: diameter undefined")
     i0, j0 = ends
     k2 = j0 - i0 + 1
+    if k2 > MAX_DIAMETER:  # only a raw composite is wider than a Rule
+        raise ArityCapError(f"tight diameter {k2}, cap is {MAX_DIAMETER}")
     if k2 == k:
         return Rule(k, table, shift)
     if i0 == 0:

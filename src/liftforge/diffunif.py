@@ -15,35 +15,37 @@ set bit.
 The witness is the smallest difference a whose row reaches the overall
 maximum, with the smallest b in that row.
 
-One kernel serves every caller: it takes a stack of rules and one length
-n, and ``ddt_max`` is its one-rule call.  The rules go by diameter, in
-groups whose induced maps, built by one stacked window gather, hold at
-most 2 * ``_ROW_BLOCK`` states in all.  A row is a pair (rule, a) of the
-group; rows go in blocks of at most ``_ROW_BLOCK`` keys
-(row << n) | d(x), each counted by one ``np.bincount``, and each row keeps
-its largest count and the first b that reaches it.  Per rule, the witness
-is the row with the largest count, then the smallest a.
+One kernel serves every caller: it takes a stack of rules and a range of
+lengths n, and ``ddt_max`` is its one-rule, one-length call.  Each
+diameter's rules are stacked once; at each n the stack goes in groups
+whose induced maps, built by one stacked window gather, hold at most
+2 * ``_ROW_BLOCK`` states in all.  A row is a pair (rule, a) of the group;
+rows go in blocks of at most ``_ROW_BLOCK`` keys (row << n) | d(x), each
+counted by one ``np.bincount``, and each row keeps its largest count and
+the first b that reaches it.  Per rule, the witness is the row with the
+largest count, then the smallest a.
 
-The necklace scan skips the rows that cannot reach the maximum.  Let S be
-9 at n = 9 and 10 at n >= 10, let k <= S be the rule's diameter and let g
+The necklace scan skips the rows that cannot reach the maximum.  Let S be 9
+at n = 9 and 10 at n >= 10, let k <= S be the rule's diameter and let g
 take an S-bit word z to the m = S - k + 1 outputs f(z_i..z_{i+k-1}) whose
 windows fit in it; H[w] is the largest count in row w of g's DDT (both
-widths come from one build per rule, below).  For n >= S, any m
-consecutive outputs of F read only the S bits of x under one cyclic
-window, and the same window of a is their input difference, so every count
-in row a is at most 2^(n-S) * H[w] for each of the n cyclic S-bit windows
-w of a; the bound takes the least.  Row a = 1 of every rule of a group is
-counted first; then, in one pass, every row whose bound exceeds its rule's
-first-row maximum M1.  This gives the witness of a scan in ascending a
-that skips each row whose bound is no more than its running maximum.  Both
-find the overall maximum M, as no skipped row's bound exceeds it.  Let a*
-be the smallest a whose row reaches M: if M = M1 it is a = 1; otherwise
-its bound is at least M > M1, so the one pass counts it, and in the scan
-the running maximum is below M when its turn comes, so the scan counts it
-too.  The one pass counts a few more rows than the scan (581 against 572
-over the catalog at n = 12) in far fewer calls.  Below n = 9, above
-diameter S, and in the full scan (the reference the tests compare against)
-every row is counted.
+widths come from one build per rule, below).  For n >= S, any m consecutive
+outputs of F read only the S bits of x under one cyclic window, and the
+same window of a is their input difference, so every count in row a is at
+most 2^(n-S) * H[w] for each of the n cyclic S-bit windows w of a; the
+bound takes the least.  Each call builds a rule's H at the first n of its
+range that the bound serves, for the rest of the range.  Row a = 1 of every
+rule of a group is counted first; then, in one pass, every row whose bound
+exceeds its rule's first-row maximum M1.  This gives the witness of a scan
+in ascending a that skips each row whose bound is no more than its running
+maximum.  Both find the overall maximum M, as no skipped row's bound
+exceeds it.  Let a* be the smallest a whose row reaches M: if M = M1 it is
+a = 1; otherwise its bound is at least M > M1, so the one pass counts it,
+and in the scan the running maximum is below M when its turn comes, so the
+scan counts it too.  The one pass counts a few more rows than the scan (581
+against 572 over the catalog at n = 12) in far fewer calls.  Below n = 9,
+above diameter S, and in the full scan (the reference the tests compare
+against) every row is counted.
 
 H comes from Walsh spectra, not from counting (Chabaud and Vaudenay,
 EUROCRYPT 1994), in one build per rule at S = 10.  Let X_u(z) =
@@ -202,12 +204,12 @@ def _hadamard(b: int) -> np.ndarray:
     return _signs(b)[i[:, None] & i]
 
 
-@lru_cache(maxsize=128)
 def _window_row_max(k: int, table: int) -> dict[int, np.ndarray]:
     """H by window width S: the largest half count of each DDT row of the
     window map g, which takes an S-bit word z to the m = S - k + 1 outputs
     f(z_i..z_{i+k-1}) whose windows fit in it; H[0] is the whole half,
-    2^(S-1).  S = 10 always, and S = 9 for k <= 9.
+    2^(S-1).  S = 10 always, and S = 9 for k <= 9.  Not cached: each
+    ``_ddt_maxima`` call builds it once per rule.
 
     One build at S = 10 from the Walsh spectra of g's components (see the
     module docstring), 2^c of them at a time; the S = 9 table is its
@@ -261,35 +263,35 @@ def _necklace_windows(n: int, S: int) -> np.ndarray:
     return sigma(a, n, -np.arange(n, dtype=np.intp)[:, None]) & bitmask(S)
 
 
-def _row_bounds(rules: Sequence[Rule], n: int, S: int) -> np.ndarray:
+def _row_bounds(H: np.ndarray, n: int) -> np.ndarray:
     """An upper bound on the largest half count of each nonzero necklace
-    row of the map each rule induces at length n >= S, shape (rules, rows):
-    2^(n-S) times the rule's H at the row's tightest S-bit window."""
-    H = np.stack([_window_row_max(r.k, r.table)[S] for r in rules])
+    row at n >= S of the rules whose S-bit window tables are the rows of H,
+    shape (rules, rows): 2^(n-S) times H at the row's tightest window."""
+    S = H.shape[1].bit_length() - 1
     tightest = H[:, _necklace_windows(n, S)].min(axis=1).astype(np.intp)
     return np.left_shift(tightest, n - S)
 
 
-def _group_maxima(rules: Sequence[Rule], k: int, n: int, restrict: bool) -> list[tuple[int, tuple[int, int]]]:
-    """``ddt_max`` of each rule of a group of one diameter k, counted over
-    the whole group at once (see the module docstring)."""
-    tables = np.stack([table_to_array(r.table, k) for r in rules])
+def _group_maxima(tables: np.ndarray, H: Optional[np.ndarray], n: int, restrict: bool) -> list[tuple[int, tuple[int, int]]]:
+    """``ddt_max`` of each rule of a group of one diameter, by its table
+    stack, counted over the whole group at once; the rows of H, the group's
+    window tables, prune the necklace scan where given."""
+    k = tables.shape[1].bit_length() - 1
     # intp throughout: np.take and np.bincount cast other index dtypes on every call
     F = _induced_arrays(tables, k, n).astype(np.intp).ravel()
-    every = np.arange(len(rules), dtype=np.intp)
-    S = _window_bits(n)
-    if restrict and k <= S <= n:
+    every = np.arange(len(tables), dtype=np.intp)
+    if H is not None:
         ((xs, diffs),) = _difference_groups(n, True)  # the representatives are odd
         first = np.ones_like(every)  # row a = 1 of every rule
         half, b = _count_rows(F, n, xs, every, first)
-        g, i = np.nonzero(_row_bounds(rules, n, S)[:, 1:] > half[:, None])
+        g, i = np.nonzero(_row_bounds(H, n)[:, 1:] > half[:, None])
         more = _count_rows(F, n, xs, g, diffs[i + 1])
         g, a = np.concatenate([every, g]), np.concatenate([first, diffs[i + 1]])
         half, b = np.concatenate([half, more[0]]), np.concatenate([b, more[1]])
     else:
         parts = []
         for xs, diffs in _difference_groups(n, restrict):
-            g, a = np.repeat(every, len(diffs)), np.tile(diffs, len(rules))
+            g, a = np.repeat(every, len(diffs)), np.tile(diffs, len(tables))
             parts.append((g, a, *_count_rows(F, n, xs, g, a)))
         g, a, half, b = (np.concatenate(p) for p in zip(*parts))
     # per rule, the largest count, then the smallest a; b is the first in a's row
@@ -298,44 +300,50 @@ def _group_maxima(rules: Sequence[Rule], k: int, n: int, restrict: bool) -> list
     return [(2 * int(half[j]), (int(a[j]), int(b[j]))) for j in best]
 
 
-def _ddt_maxima(
-    rules: Sequence[Rule], n: int, *, restrict_necklaces: bool = True
-) -> list[tuple[int, tuple[int, int]]]:
-    """``ddt_max`` of every rule of a stack at one length n, in order.
+def _check_du_cap(n_to: int) -> None:
+    """Refuse a length range that runs past the cap before any DDT is built."""
+    if n_to > DU_CAP:
+        raise CapExceededError(f"need n <= {DU_CAP}, got n={n_to}")
 
-    The rules go by diameter, in groups whose induced maps hold at most
-    2 * ``_ROW_BLOCK`` states in all, and each group is counted in a few
-    passes over all of its rules at once."""
-    for r in rules:
-        if not r.k <= n <= DU_CAP:
-            raise CapExceededError(f"need k <= n <= {DU_CAP}, got n={n}")
-    out: list = [None] * len(rules)
+
+def _ddt_maxima(
+    rules: Sequence[Rule], n_from: int, n_to: int, *, restrict_necklaces: bool = True
+) -> list[list[Optional[tuple[int, tuple[int, int]]]]]:
+    """``ddt_max`` of every rule of a stack at n_from..n_to: one list per
+    rule, in order, with None at the lengths below its diameter.  Each
+    diameter is stacked once and each rule's window tables built once (see
+    the module docstring)."""
+    _check_du_cap(n_to)
+    out: list[list] = [[None] * (n_to - n_from + 1) for _ in rules]
     by_k: dict[int, list[int]] = {}
     for i, r in enumerate(rules):
         by_k.setdefault(r.k, []).append(i)
-    size = max(1, (2 * _ROW_BLOCK) >> n)
     for k, idx in by_k.items():
-        for j in range(0, len(idx), size):
-            part = idx[j : j + size]
-            out_part = _group_maxima([rules[i] for i in part], k, n, restrict_necklaces)
-            for i, res in zip(part, out_part):
-                out[i] = res
+        tables = np.stack([table_to_array(rules[i].table, k) for i in idx])
+        H: list[dict[int, np.ndarray]] = []
+        for n in range(max(n_from, k), n_to + 1):
+            S = _window_bits(n)
+            prune = restrict_necklaces and k <= S <= n
+            if prune and not H:
+                H = [_window_row_max(k, rules[i].table) for i in idx]
+            size = max(1, (2 * _ROW_BLOCK) >> n)
+            for j in range(0, len(idx), size):
+                part = slice(j, j + size)
+                Hp = np.stack([h[S] for h in H[part]]) if prune else None
+                for i, res in zip(idx[part], _group_maxima(tables[part], Hp, n, restrict_necklaces)):
+                    out[i][n - n_from] = res
     return out
 
 
 def ddt_max(r: Rule, n: int, *, restrict_necklaces: bool = True) -> tuple[int, tuple[int, int]]:
     """Maximum DDT entry over nonzero input differences, with a witness."""
-    return _ddt_maxima([r], n, restrict_necklaces=restrict_necklaces)[0]
+    if n < r.k:
+        raise CapExceededError(f"need k <= n, got k={r.k}, n={n}")
+    return _ddt_maxima([r], n, n, restrict_necklaces=restrict_necklaces)[0][0]
 
 
 def scale(n: int, raw: int) -> Fraction:
     return Fraction(raw) * Fraction(1 << 9, 1 << n) if n > 9 else Fraction(raw * (1 << (9 - n)))
-
-
-def _check_du_cap(n_to: int) -> None:
-    """Refuse a length range that runs past the cap before any DDT is built."""
-    if n_to > DU_CAP:
-        raise CapExceededError(f"need n <= {DU_CAP}, got n={n_to}")
 
 
 def du_profile(r: Rule, n_from: int, n_to: int) -> DuReport:
@@ -344,11 +352,8 @@ def du_profile(r: Rule, n_from: int, n_to: int) -> DuReport:
     if lo > n_to:
         raise LengthRangeError(f"no length in {n_from}..{n_to} at or above the diameter {r.k}")
     _check_du_cap(n_to)
-    entries = []
-    for n in range(lo, n_to + 1):
-        raw, wit = ddt_max(r, n)
-        entries.append(DuEntry(n, raw, scale(n, raw), wit))
-    return DuReport(r.text(), tuple(entries))
+    (found,) = _ddt_maxima([r], lo, n_to)
+    return DuReport(r.text(), tuple(DuEntry(n, raw, scale(n, raw), wit) for n, (raw, wit) in enumerate(found, lo)))
 
 
 @dataclass(frozen=True)
@@ -404,11 +409,9 @@ def du_scaled_table(rows: Sequence, n_from: int, n_to: int) -> ScaledTable:
             labelled.append((item.text(), item))
         else:
             labelled.append((exprlang.print_expr(item), exprlang.eval_expr(item)))
-    rules = [rule for _, rule in labelled]
-    vals: list[list[Optional[Fraction]]] = [[] for _ in rules]
-    for n in range(n_from, n_to + 1):
-        found = iter(_ddt_maxima([rule for rule in rules if rule.k <= n], n))
-        for i, rule in enumerate(rules):
-            vals[i].append(scale(n, next(found)[0]) if rule.k <= n else None)
-    table_rows = [(label, rule.k, rule_degree(rule), tuple(v)) for (label, rule), v in zip(labelled, vals)]
+    found = _ddt_maxima([rule for _, rule in labelled], n_from, n_to)
+    table_rows = [
+        (label, rule.k, rule_degree(rule), tuple(None if m is None else scale(n, m[0]) for n, m in enumerate(row, n_from)))
+        for (label, rule), row in zip(labelled, found)
+    ]
     return ScaledTable(n_from, n_to, tuple(table_rows))

@@ -293,13 +293,14 @@ def test_du_past_the_cap_fails_before_any_ddt(monkeypatch, capsys):
         ("(10★111)∘(00★101)∘(01★000)", [224, 464, 728, 1600], False, 1365),
     ],
 )
-def test_du_prints_stated_catalog_rows(capsys, catalog_entries, expr, raw, highlight, a12):
+def test_du_prints_stated_catalog_rows(monkeypatch, capsys, catalog_entries, expr, raw, highlight, a12):
     (entry,) = [e for e in catalog_entries if e.text == expr]
     assert list(entry.stated_du[-4:]) == raw and entry.highlight == highlight
-    diffunif._window_row_max.cache_clear()
+    builds, window_row_max = [], diffunif._window_row_max
+    monkeypatch.setattr(diffunif, "_window_row_max", lambda k, t: builds.append(t) or window_row_max(k, t))
     assert cli.main(["du", expr, "--n", "9..12"]) == 0
     assert capsys.readouterr().out.splitlines() == [" ".join(map(str, raw))]
-    assert diffunif._window_row_max.cache_info().misses == 1
+    assert builds == [entry.rule().table]
     assert cli.main(["--format", "json", "du", expr, "--n", "9..12"]) == 0
     assert json.loads(capsys.readouterr().out)["entries"][-1]["a"] == a12
 

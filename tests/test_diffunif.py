@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import liftforge as lf
-from liftforge import diffunif
+from liftforge import catalog, diffunif
 from liftforge.diffunif import (
     LengthRangeError,
     ddt_max,
@@ -272,7 +272,8 @@ _MIXED = _mixed_stack()
 
 @lru_cache(maxsize=None)
 def _mixed_reference(n, restrict):
-    return [_reference_ddt_max(r, n, restrict) for r in _MIXED if r.k <= n]
+    """One row of the reference per rule, None below its diameter."""
+    return [_reference_ddt_max(r, n, restrict) if r.k <= n else None for r in _MIXED]
 
 
 # the default block runs every length to 12; the small ones, which give
@@ -282,23 +283,50 @@ def _mixed_reference(n, restrict):
 def test_batched_kernel_matches_reference_on_a_mixed_stack(monkeypatch, block, n_to):
     if block is not None:
         monkeypatch.setattr(diffunif, "_ROW_BLOCK", block)
-    for n in range(1, n_to + 1):
-        stack = [r for r in _MIXED if r.k <= n]
-        for restrict in (True, False):
-            got = diffunif._ddt_maxima(stack, n, restrict_necklaces=restrict)
-            assert got == _mixed_reference(n, restrict), (n, restrict)
+    for restrict in (True, False):
+        got = diffunif._ddt_maxima(_MIXED, 1, n_to, restrict_necklaces=restrict)
+        for n in range(1, n_to + 1):
+            assert [row[n - 1] for row in got] == _mixed_reference(n, restrict), (n, restrict)
+
+
+@lru_cache(maxsize=None)
+def _mixed_ddt_max(n, restrict):
+    return [ddt_max(r, n, restrict_necklaces=restrict) if r.k <= n else None for r in _MIXED]
+
+
+# ranges that start below and above the first pruned length 9 and end
+# above and below the diameters of the stack, so that a rule's window
+# tables are built at the first length of the range or later, and None
+# ends inside the range or fills it
+@pytest.mark.parametrize("lo, hi", [(1, 12), (4, 9), (6, 6), (10, 11)])
+def test_length_range_matches_ddt_max_row_by_row(lo, hi):
+    for restrict in (True, False):
+        got = diffunif._ddt_maxima(_MIXED, lo, hi, restrict_necklaces=restrict)
+        assert len(got) == len(_MIXED)
+        for i, (r, row) in enumerate(zip(_MIXED, got)):
+            assert len(row) == hi - lo + 1
+            for n, found in enumerate(row, lo):
+                assert (found is None) == (n < r.k), (r.text(), n)
+                assert found == _mixed_ddt_max(n, restrict)[i], (r.text(), n, restrict)
+
+
+def test_length_range_past_the_cap_or_empty():
+    with pytest.raises(CapExceededError, match="n <= 14, got n=15"):
+        diffunif._ddt_maxima(_MIXED, 6, 15)
+    assert diffunif._ddt_maxima(_MIXED, 9, 8) == [[] for _ in _MIXED]
 
 
 def test_batched_kernel_memory_at_n12(catalog_entries):
-    # with every H cached, the 120-rule stack at n = 12 holds only one
-    # group's induced maps and one block's keys and counts at a time
+    # the 120-rule stack at n = 12 holds its 120 window tables, one
+    # table's build, one group's induced maps and one block's keys and
+    # counts at a time; the first call fills the per-length caches
     import tracemalloc
 
     rules = [e.rule() for e in catalog_entries]
-    expect = diffunif._ddt_maxima(rules, 12)
+    expect = diffunif._ddt_maxima(rules, 12, 12)
     tracemalloc.start()
     try:
-        got = diffunif._ddt_maxima(rules, 12)
+        got = diffunif._ddt_maxima(rules, 12, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,6 +379,11 @@ def _reference_window_row_max(r, S):
     return np.array([1 << S] + [int(np.bincount(g[z ^ w] ^ g).max()) for w in range(1, 1 << S)])
 
 
+def _row_bounds(r, n, S):
+    """The kernel's row bound of one rule at width S, in full counts."""
+    return 2 * diffunif._row_bounds(diffunif._window_row_max(r.k, r.table)[S][None], n)[0]
+
+
 def _reference_row_bounds(r, n, S):
     """2^(n-S) times the least, over the n cyclic S-bit windows w of a, of
     the largest count in row w of g's DDT."""
@@ -387,20 +420,19 @@ def test_row_bound_covers_every_necklace_row(catalog_entries):
         maxima = _row_maxima(r, n)
         for S in (9, 10):
             if r.k <= S <= n:
-                bound = 2 * diffunif._row_bounds([r], n, S)[0]  # half counts to counts
-                assert (bound >= maxima).all(), (r.text(), n, S)
+                assert (_row_bounds(r, n, S) >= maxima).all(), (r.text(), n, S)
 
 
 def test_row_bound_matches_window_reference(catalog_entries):
     for r, n in _bound_cases(catalog_entries)[::4]:
         S = diffunif._window_bits(n)
-        assert (2 * diffunif._row_bounds([r], n, S)[0] == _reference_row_bounds(r, n, S)).all(), (r.text(), n)
+        assert (_row_bounds(r, n, S) == _reference_row_bounds(r, n, S)).all(), (r.text(), n)
 
 
 def test_row_bound_is_exact_for_the_identity():
     ident = lf.rule_from_table(1, [0, 1])
     for n in (9, 10, 12):
-        assert (2 * diffunif._row_bounds([ident], n, diffunif._window_bits(n)) == 1 << n).all()
+        assert (_row_bounds(ident, n, diffunif._window_bits(n)) == 1 << n).all()
 
 
 def test_window_width_per_length():
@@ -408,8 +440,8 @@ def test_window_width_per_length():
 
 
 def _window_tables(r):
-    """The rule's window tables by width, from a fresh build."""
-    return diffunif._window_row_max.__wrapped__(r.k, r.table)
+    """The rule's window tables by width."""
+    return diffunif._window_row_max(r.k, r.table)
 
 
 def _widths(r):
@@ -555,15 +587,34 @@ def test_window_table_memory_is_bounded(k):
     assert peak < scratch + (256 << 10), (k, peak)
 
 
-def test_catalog_builds_one_window_table_per_rule(catalog_entries):
+def _count_window_builds(monkeypatch):
+    """The (k, table) of every window-table build, in call order."""
+    builds, window_row_max = [], diffunif._window_row_max
+
+    def counting(k, table):
+        builds.append((k, table))
+        return window_row_max(k, table)
+
+    monkeypatch.setattr(diffunif, "_window_row_max", counting)
+    return builds
+
+
+def test_catalog_builds_one_window_table_per_rule(monkeypatch, catalog_entries):
     # n = 9 reads the 9-bit table and n >= 10 the 10-bit one, both from one
-    # cached build per rule
+    # build per rule in the pass over n = 9..12
+    builds = _count_window_builds(monkeypatch)
     rules = [e.rule() for e in catalog_entries]
-    diffunif._window_row_max.cache_clear()
-    for n in range(9, 13):
-        diffunif._ddt_maxima(rules, n)
-    info = diffunif._window_row_max.cache_info()
-    assert info.misses == info.currsize == len({(r.k, r.table) for r in rules}) == 120
+    diffunif._ddt_maxima(rules, 9, 12)
+    assert len(builds) == len(set(builds)) == len({(r.k, r.table) for r in rules}) == 120
+
+
+def test_function_pool_builds_one_window_table_per_rule(monkeypatch, catalog_entries):
+    # 472 rules, more than any per-process cache of the catalog's size
+    # would hold: still one build per rule over the four pruned lengths
+    pool = catalog.catalog_function_pool(catalog_entries)
+    builds = _count_window_builds(monkeypatch)
+    du_scaled_table(pool, 9, 12)
+    assert len(builds) == len(set(builds)) == len(pool) == 472
 
 
 def _hook_row_count(monkeypatch, n):
@@ -585,9 +636,9 @@ def test_row_bound_prunes_catalog_rows_at_n12(monkeypatch, catalog_entries):
     counted = _hook_row_count(monkeypatch, 12)
     rules = [e.rule() for e in catalog_entries]
     ruled_out = 0
-    for e, r, (raw, _) in zip(catalog_entries, rules, diffunif._ddt_maxima(rules, 12)):
+    for e, r, ((raw, _),) in zip(catalog_entries, rules, diffunif._ddt_maxima(rules, 12, 12)):
         assert raw == e.stated_du[-1]
-        ruled_out += int((2 * diffunif._row_bounds([r], 12, 10)[0] < raw).sum())
+        ruled_out += int((_row_bounds(r, 12, 10) < raw).sum())
     rows = len(catalog_entries) * (len(necklace_representatives(12)) - 1)
     assert ruled_out > 0
     # 581 of 42,120 rows are counted (12,243 with a 9-bit window); an
@@ -600,9 +651,8 @@ def test_first_row_alone_prunes_catalog_rows_at_n9(monkeypatch, catalog_entries)
     # rest: a = 1 is the witness for most rules
     counted = _hook_row_count(monkeypatch, 9)
     rules = [e.rule() for e in catalog_entries]
-    for n in (9, 10):
-        for e, r, got in zip(catalog_entries, rules, diffunif._ddt_maxima(rules, n)):
-            assert got == _reference_ddt_max(r, n), (e.index, n)
+    for e, r, got in zip(catalog_entries, rules, diffunif._ddt_maxima(rules, 9, 10)):
+        assert got == [_reference_ddt_max(r, n) for n in (9, 10)], e.index
     # 2,177 rows; pruned by the bound alone, or by a first block of 32
     # rows, all 7,080 nonzero necklace rows of the 120 rules are counted
     assert sum(counted) < 2_500
@@ -621,7 +671,8 @@ def test_catalog_maxima_and_counted_rows_are_pinned(monkeypatch, catalog_entries
 
     monkeypatch.setattr(diffunif, "_count_rows", counting)
     rules = [e.rule() for e in catalog_entries]
-    rows = [[n, diffunif._ddt_maxima(rules, n)] for n in range(6, 13)]
+    found = diffunif._ddt_maxima(rules, 6, 12)
+    rows = [[n, [row[n - 6] for row in found]] for n in range(6, 13)]
     digest = "b6c93be00993d94c3db70661350b5f42ce69b563b5873751a3461e6a0bb4d61d"
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
     assert [counted[n] for n in (9, 10, 11, 12)] == [2_177, 322, 327, 581]

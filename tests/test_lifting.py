@@ -280,6 +280,11 @@ def test_compose_arity_cap():
     r = _rule("0★----------10")
     assert r.k == 14
     assert _refusal_peak(lambda: lf.compose(r, r), ArityCapError, "needs 27 variables, cap is 26") < 1 << 20
+    # 25 raw variables pass the arity cap, but x13 cancels and x1 ^ x25
+    # keeps them all: a tight diameter no Rule holds
+    r = lf.rule_from_anf_text("x1 ^ x13")
+    with pytest.raises(ArityCapError, match="tight diameter 25, cap is 24"):
+        lf.compose(r, r)
 
 
 def test_compose_chain_matches_pairwise():
