@@ -679,7 +679,7 @@ def _lane_cut(
     base = rows * cols.shape[1] * size + (lanes >> 3)
     shift = (lanes & 7).astype(np.uint8)
     out = []
-    for w in np.unique(width).tolist():
+    for w in np.flatnonzero(np.bincount(width)).tolist():
         at = np.flatnonzero(width == w)
         j = (np.arange(1 << w) * size) << i0[at, None]
         out.append((w, at, (np.take(flat, j + base[at, None]) >> shift[at, None]) & 1))

@@ -82,7 +82,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corefn import LiftforgeError, Rule, _windows, bitmask, table_to_array
+from .corefn import LiftforgeError, Rule, _lane_degrees, _windows, bitmask, table_to_array
 from .lifting import CapExceededError, _induced_arrays, necklace_representatives, sigma
 
 # 14, not N_CAP = 24: the DDT costs its rows times 2**n, and the rows (one
@@ -306,6 +306,16 @@ def _check_du_cap(n_to: int) -> None:
         raise CapExceededError(f"need n <= {DU_CAP}, got n={n_to}")
 
 
+def _diameter_stacks(rules: Sequence[Rule]):
+    """(k, indices, uint8 table stack of shape (len(indices), 2**k)) for each
+    diameter of ``rules``, in order of first appearance."""
+    by_k: dict[int, list[int]] = {}
+    for i, r in enumerate(rules):
+        by_k.setdefault(r.k, []).append(i)
+    for k, idx in by_k.items():
+        yield k, idx, np.stack([table_to_array(rules[i].table, k) for i in idx])
+
+
 def _ddt_maxima(
     rules: Sequence[Rule], n_from: int, n_to: int, *, restrict_necklaces: bool = True
 ) -> list[list[Optional[tuple[int, tuple[int, int]]]]]:
@@ -315,11 +325,7 @@ def _ddt_maxima(
     the module docstring)."""
     _check_du_cap(n_to)
     out: list[list] = [[None] * (n_to - n_from + 1) for _ in rules]
-    by_k: dict[int, list[int]] = {}
-    for i, r in enumerate(rules):
-        by_k.setdefault(r.k, []).append(i)
-    for k, idx in by_k.items():
-        tables = np.stack([table_to_array(rules[i].table, k) for i in idx])
+    for k, idx, tables in _diameter_stacks(rules):
         H: list[dict[int, np.ndarray]] = []
         for n in range(max(n_from, k), n_to + 1):
             S = _window_bits(n)
@@ -398,7 +404,6 @@ def du_scaled_table(rows: Sequence, n_from: int, n_to: int) -> ScaledTable:
     :mod:`liftforge.exprlang`.
     """
     from . import exprlang
-    from .corefn import degree as rule_degree
 
     _check_du_cap(n_to)
     labelled = []
@@ -409,9 +414,13 @@ def du_scaled_table(rows: Sequence, n_from: int, n_to: int) -> ScaledTable:
             labelled.append((item.text(), item))
         else:
             labelled.append((exprlang.print_expr(item), exprlang.eval_expr(item)))
-    found = _ddt_maxima([rule for _, rule in labelled], n_from, n_to)
+    rules = [rule for _, rule in labelled]
+    found = _ddt_maxima(rules, n_from, n_to)
+    degrees: dict[int, int] = {}
+    for k, idx, tables in _diameter_stacks(rules):
+        degrees.update(zip(idx, _lane_degrees(tables, k)[:, 0].tolist()))
     table_rows = [
-        (label, rule.k, rule_degree(rule), tuple(None if m is None else scale(n, m[0]) for n, m in enumerate(row, n_from)))
-        for (label, rule), row in zip(labelled, found)
+        (label, rule.k, degrees[i], tuple(None if m is None else scale(n, m[0]) for n, m in enumerate(row, n_from)))
+        for i, ((label, rule), row) in enumerate(zip(labelled, found))
     ]
     return ScaledTable(n_from, n_to, tuple(table_rows))

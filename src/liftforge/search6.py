@@ -7,10 +7,12 @@ involutive assignment of rotation classes (with a rotation alignment per
 swapped pair, and an optional half-period flip on fixed classes when p is
 even).  Each combined assignment pins the rule on the 44 windows that occur
 in such sequences; scanning the combinations and discarding value
-collisions leaves a few thousand partial tables.  The scan is array passes:
-each period's class maps become two uint64 mask arrays, the p1..p4 prefixes
-one broadcast of those, and the p5 collision test a broadcast of prefix
-blocks against every p5 map.
+collisions leaves a few thousand partial tables.  The scan tables are built
+by broadcasting: every map of a period pins the same windows, and each
+map's ones mask is indexed from one broadcast of every class's windows
+against every (target class, rotation) pinning.  The p1..p4 prefixes are one
+broadcast of those, and the p5 collision test one sorted join of the
+prefixes and the p5 maps on the windows both pin.
 
 The partial tables are then completed by unit propagation of the involution
 identity f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1} over the 2,048
@@ -122,10 +124,6 @@ def primitive_necklace_classes(p: int) -> tuple[NecklaceClass, ...]:
     )
 
 
-def _pat_bit(pat: int, p: int, t: int) -> int:
-    return (pat >> (t % p)) & 1
-
-
 def _matchings(items: list[int]):
     """All partitions of items into disjoint pairs plus leftovers."""
     if not items:
@@ -173,41 +171,31 @@ def _class_map_options(p: int, fix_all_zero: bool) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=512)
-def _triple_masks(p: int, src: int, dst: int, c: int, s: int) -> tuple[int, int]:
-    """(defined, ones) masks over the windows pinned by mapping class src to
-    class dst with rotation c."""
-    classes = primitive_necklace_classes(p)
-    pat = classes[src].representative
-    tgt = classes[dst].representative
-    def_mask = 0
-    ones = 0
-    for a in range(p):
-        w = 0
-        for u in range(K6):
-            w |= _pat_bit(pat, p, a + u) << u
-        val = _pat_bit(tgt, p, a + s - 1 - c)
-        if (def_mask >> w) & 1:
-            if ((ones >> w) & 1) != val:
-                raise LiftforgeError("internal: self-conflicting class map")
-        def_mask |= 1 << w
-        ones |= val << w
-    return def_mask, ones
+def _period_masks(p: int, s: int, fix_all_zero: bool) -> tuple[np.uint64, np.ndarray]:
+    """The 64-bit mask of the windows pinned by the class maps of period p,
+    and each map's ones mask, a uint64 array in option order.  A map sends
+    every class somewhere, so every map pins the same windows: all p windows
+    of every class.
 
-
-def _period_masks(p: int, s: int, fix_all_zero: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(defined, ones) masks over the 64 windows pinned by each class map of
-    period p, as two uint64 arrays in option order."""
-    r = len(primitive_necklace_classes(p))
-    triples = np.array(
-        [[[_triple_masks(p, a, b, c, s) for c in range(p)] for b in range(r)] for a in range(r)], dtype=np.uint64
-    )
-    opts = _class_map_options(p, fix_all_zero)
-    d, o = np.moveaxis(triples[np.arange(r), opts[..., 0], opts[..., 1]], -1, 0)  # (maps, r) each
-    ones = np.bitwise_or.reduce(o, axis=1)
-    if np.any(d & ~o & ones[:, None]):
+    Window a of a class is bits a..a+5 of its periodic sequence; mapping it
+    to class dst with rotation c pins that window to bit a+s-1-c of dst.  So
+    ``win`` holds every class's p windows and ``pinned[src, dst, c]`` the
+    ones mask of every (class, target class, rotation) triple."""
+    reps = np.array([c.representative for c in primitive_necklace_classes(p)])
+    a, u = np.arange(p), np.arange(K6)
+    win = (((reps[:, None, None] >> (a[:, None] + u) % p) & 1) << u).sum(axis=2)  # (classes, phases)
+    bit = np.uint64(1) << win.astype(np.uint64)
+    defined = np.bitwise_or.reduce(bit, axis=1)
+    if np.any(np.bitwise_count(defined) != p):  # two phases of one class share a window
         raise LiftforgeError("internal: self-conflicting class map")
-    return np.bitwise_or.reduce(d, axis=1), ones
+    vals = (reps[:, None, None] >> (a - a[:, None] + s - 1) % p) & 1  # (target classes, rotations, phases)
+    pinned = np.bitwise_or.reduce(vals.astype(np.uint64) * bit[:, None, None], axis=3)  # (classes, targets, rotations)
+    opts = _class_map_options(p, fix_all_zero)
+    o = pinned[np.arange(len(reps)), opts[..., 0], opts[..., 1]]  # (maps, classes)
+    ones = np.bitwise_or.reduce(o, axis=1)
+    if np.any(defined & ~o & ones[:, None]):
+        raise LiftforgeError("internal: self-conflicting class map")
+    return np.bitwise_or.reduce(defined), ones
 
 
 def short_period_words() -> int:
@@ -240,9 +228,6 @@ class AssignmentScan:
         return np.stack((self.def_masks, self.ones_masks), axis=1)
 
 
-_SCAN_BLOCK = 1 << 15  # entries of one p5 collision temporary, prefixes times p5 maps
-
-
 def _outer_or(arrays) -> np.ndarray:
     """OR of one entry from each array, for every combination, the first
     array varying slowest."""
@@ -257,31 +242,31 @@ def enumerate_periodic_assignments(s: int, include_complemented: bool = False) -
 
     By default the all-zero sequence is pinned to itself (f(0) = 0);
     ``include_complemented`` also scans the swapped branch.  A prefix (maps
-    for p = 1..4) collides when one period's defined zero is another's one;
-    the p5 maps are tested against blocks of the other prefixes.
+    for p = 1..4) collides when one period's defined zero is another's one.
+    A prefix and a p5 map agree when their ones match on the windows both
+    pin, so the survivors are one sorted join of the prefixes and the p5
+    maps on those bits, prefix by prefix and each prefix's p5 maps in order.
     """
     if s not in (2, 3):
         raise LiftforgeError("direct scan supports s in {2, 3}; s=4,5 follow by reversal")
     per_p = [_period_masks(p, s, p == 1 and not include_complemented) for p in range(1, MAX_P + 1)]
     (d5, v5), prefix = per_p[-1], per_p[:-1]
-    pre_d = _outer_or([d for d, _ in prefix])
+    pre_d = np.bitwise_or.reduce([d for d, _ in prefix])
     pre_v = _outer_or([v for _, v in prefix])
     ok = (_outer_or([d & ~v for d, v in prefix]) & pre_v) == 0
-    pre_d, pre_v = pre_d[ok, None], pre_v[ok, None]
-    rows = max(1, _SCAN_BLOCK // len(d5))
-    defs, ones = [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.uint64)]
-    for lo in range(0, len(pre_d), rows):
-        bd, bv = pre_d[lo : lo + rows], pre_v[lo : lo + rows]
-        clash = bv ^ v5
-        clash &= bd
-        clash &= d5
-        i, j = np.nonzero(clash == 0)
-        defs.append(bd[i, 0] | d5[j])
-        ones.append(bv[i, 0] | v5[j])
-    def_masks, ones_masks = np.concatenate(defs), np.concatenate(ones)
-    collisions = {"prefix": int(np.count_nonzero(~ok)) * len(d5), "p5": len(pre_d) * len(d5) - len(def_masks)}
-    fixed = int(def_masks[0]).bit_count() if len(def_masks) else 0
-    return AssignmentScan(s, len(ok) * len(d5), def_masks, ones_masks, fixed, collisions)
+    pre_v = pre_v[ok]
+    both = pre_d & d5
+    key = v5 & both
+    order = np.argsort(key, kind="stable")
+    lo, hi = (np.searchsorted(key[order], pre_v & both, side) for side in ("left", "right"))
+    n = hi - lo  # the p5 maps each prefix meets without a collision
+    # entry t of prefix i's run is p5 map order[lo[i] + t - (its run's start)]
+    j = order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    ones_masks = np.repeat(pre_v, n) | v5[j]
+    def_masks = np.full(len(ones_masks), pre_d | d5)
+    collisions = {"prefix": int(np.count_nonzero(~ok)) * len(v5), "p5": len(pre_v) * len(v5) - len(ones_masks)}
+    fixed = int(pre_d | d5).bit_count() if len(ones_masks) else 0
+    return AssignmentScan(s, len(ok) * len(v5), def_masks, ones_masks, fixed, collisions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -618,6 +621,26 @@ def test_cut_is_as_wide_as_the_widest_kept_composite(monkeypatch):
 def test_closure_rejects_small_cap():
     with pytest.raises(lf.LiftforgeError):
         closure_search(5)
+
+
+_MEASURED_PATHS = """
+import sys
+import liftforge
+from liftforge import catalog, search6
+before = set(sys.modules)
+search6.search_all()
+catalog.closure_search(6, generators=catalog.default_generators())
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_measured_paths_import_no_numpy_module_on_first_use():
+    # a module imported on first use is paid again by every fresh process
+    # that reaches it; np.unique, for one, imports numpy.ma that way
+    src = os.path.dirname(os.path.dirname(lf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _MEASURED_PATHS], env=env, capture_output=True, text=True, check=True)
+    assert [m for m in run.stdout.split() if m.split(".")[0] == "numpy"] == []
 
 
 def test_closure_d8_all_generators_at_300k():

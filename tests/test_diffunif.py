@@ -617,6 +617,15 @@ def test_function_pool_builds_one_window_table_per_rule(monkeypatch, catalog_ent
     assert len(builds) == len(set(builds)) == len(pool) == 472
 
 
+def test_scaled_table_degrees_match_degree_on_a_mixed_stack(catalog_entries):
+    # one stacked degree pass per diameter, read back in row order
+    rules = catalog.catalog_function_pool(catalog_entries) + [r for r in _MIXED if r.k <= 9]
+    random.Random(27).shuffle(rules)
+    assert len({r.k for r in rules}) == 9
+    tbl = du_scaled_table(rules, 9, 9)
+    assert [(k, deg) for _, k, deg, _ in tbl.rows] == [(r.k, lf.degree(r)) for r in rules]
+
+
 def _hook_row_count(monkeypatch, n):
     """The rows the kernel counts at length n, one entry per call of its
     block counter."""

@@ -141,10 +141,26 @@ def _ref_class_map_options(p, fix_all_zero):
     return tuple(options)
 
 
+@functools.lru_cache(maxsize=None)
+def _ref_triple_masks(p, src, dst, c, s):
+    """(defined, ones) masks over the windows pinned by mapping class src to
+    class dst with rotation c, one window a = bits a..a+5 of src at a time."""
+    classes = primitive_necklace_classes(p)
+    pat, tgt = classes[src].representative, classes[dst].representative
+    def_mask = ones = 0
+    for a in range(p):
+        w = sum(((pat >> ((a + u) % p)) & 1) << u for u in range(6))
+        val = (tgt >> ((a + s - 1 - c) % p)) & 1
+        assert not (def_mask >> w) & 1
+        def_mask |= 1 << w
+        ones |= val << w
+    return def_mask, ones
+
+
 def _ref_forced_masks(p, option, s):
     def_mask = ones = 0
     for src, dst, c in option:
-        d, o = search6._triple_masks(p, src, dst, c, s)
+        d, o = _ref_triple_masks(p, src, dst, c, s)
         assert not (def_mask & d) & (ones ^ o)
         def_mask |= d
         ones |= o
@@ -191,6 +207,25 @@ def test_class_map_options_match_reference():
             assert got == list(_ref_class_map_options(p, fix))
 
 
+def test_period_masks_match_reference():
+    for p in range(1, 6):
+        for s in (2, 3):
+            for fix in (False, True):
+                d, o = search6._period_masks(p, s, fix)
+                assert d.dtype == o.dtype == np.uint64
+                want = [_ref_forced_masks(p, option, s) for option in _ref_class_map_options(p, fix)]
+                assert [(int(d), v) for v in o.tolist()] == want, (p, s, fix)
+
+
+def test_period_masks_refuse_a_non_primitive_class(monkeypatch):
+    # 0101 has period 2: its windows at phases 0 and 2 coincide
+    classes = primitive_necklace_classes(4)
+    patched = (*classes[:-1], NecklaceClass(4, 0b0101))
+    monkeypatch.setattr(search6, "primitive_necklace_classes", lambda p: patched)
+    with pytest.raises(lf.LiftforgeError, match="self-conflicting class map"):
+        search6._period_masks(4, 2, False)
+
+
 @pytest.mark.parametrize(
     "s, complemented, p5_collisions",
     [(2, False, 783_160), (3, False, 782_892), (2, True, 1_566_320)],
@@ -208,7 +243,7 @@ def test_assignment_scan_matches_reference(s, complemented, p5_collisions):
 
 
 def test_assignment_scan_allocation_bound():
-    enumerate_periodic_assignments(3)  # the cached class maps and triple masks are not counted
+    enumerate_periodic_assignments(3)  # the cached class maps are not counted
     tracemalloc.start()
     try:
         scan = enumerate_periodic_assignments(3)
