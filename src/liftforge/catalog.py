@@ -20,6 +20,7 @@ from .corefn import (
     Rule,
     _canon_keys,
     _class_ids,
+    _diameter_stacks,
     _orbit_arrays,
     _row_tables,
     _windows,
@@ -131,8 +132,8 @@ def verify_catalog(
     Every check of the diameter-6 entries is one pass over their stack: the
     class ids, the degrees and the properness verdicts come from one stacked
     call each, the balance from one count.  The DU values come for every
-    checked entry and every length from one call, and each entry's problems
-    are reported together, in the order of the checks."""
+    checked row of the stack and every length from one call, and each
+    entry's problems are reported together, in the order of the checks."""
     if check_du:  # refused before any rule is built
         _check_du_cap(du_to)
         if not DU_RANGE[0] <= du_to <= DU_RANGE[1]:
@@ -141,21 +142,20 @@ def verify_catalog(
     report = CatalogReport()
     seen: dict[EquivClassId, int] = {}
     per_entry: list[list[Problem]] = []
-    du_checked: list[tuple[list[Problem], CatalogEntry, Rule]] = []
+    du_checked: list[tuple[list[Problem], CatalogEntry, int]] = []  # with its row of ``six``
     rules = [e.rule() for e in entries]
-    six_rules = [r for r in rules if r.k == 6]
-    six = np.array([r.table_array() for r in six_rules], dtype=np.uint8).reshape(-1, 64)
+    six = np.array([r.table_array() for r in rules if r.k == 6], dtype=np.uint8).reshape(-1, 64)
     degrees = corefn._lane_degrees(six, 6)[:, 0].tolist()
     balance = (np.count_nonzero(six, axis=1) == 32).tolist()
     # one tuple per diameter-6 entry, in entry order
-    checks = zip(_class_ids(six, 6), degrees, balance, _pair_graph_verdicts(six_rules))
+    checks = enumerate(zip(_class_ids(six, 6), degrees, balance, _pair_graph_verdicts(six, 6)))
     for e, r in zip(entries, rules):
         problems: list[Problem] = []
         per_entry.append(problems)
         if r.k != 6:
             problems.append(Problem(e.index, "diameter", f"got {r.k}"))
             continue
-        cid, d, balanced, verdict = next(checks)
+        row, (cid, d, balanced, verdict) = next(checks)
         if d != e.stated_degree:
             problems.append(Problem(e.index, "degree", f"stated {e.stated_degree}, computed {d}"))
         if not balanced:
@@ -166,10 +166,11 @@ def verify_catalog(
         if not verdict.proper:
             problems.append(Problem(e.index, "not-proper", verdict.to_json()))
         if check_du and e.stated_du is not None:
-            du_checked.append((problems, e, r))
+            du_checked.append((problems, e, row))
     if du_checked:
         lo = DU_RANGE[0]
-        for (problems, e, _), found in zip(du_checked, _ddt_maxima([r for _, _, r in du_checked], lo, du_to)):
+        du_rows = six[[row for _, _, row in du_checked]]
+        for (problems, e, _), found in zip(du_checked, _ddt_maxima(du_rows, 6, lo, du_to)):
             for n, ((raw, _), stated) in enumerate(zip(found, e.stated_du), lo):
                 if raw != stated:
                     problems.append(Problem(e.index, "du", f"n={n}: stated {stated}, computed {raw}"))
@@ -181,13 +182,11 @@ def verify_catalog(
 def catalog_function_pool(entries: Optional[list[CatalogEntry]] = None) -> list[Rule]:
     """Orbit expansion of the catalog classes (all members are constant-free)."""
     entries = entries if entries is not None else load_catalog()
-    rules = [e.rule() for e in entries]
-    seen: dict[int, Rule] = {}
-    for k in sorted({r.k for r in rules}):
-        members = _orbit_arrays(np.stack([r.table_array() for r in rules if r.k == k]), k)[0]
-        for t in _row_tables(members):
-            seen.setdefault(t, Rule(k, t, 0))
-    return [seen[t] for t in sorted(seen)]
+    seen: dict[tuple[int, int], Rule] = {}
+    for k, _, stack in _diameter_stacks([e.rule() for e in entries]):
+        for t in _row_tables(_orbit_arrays(stack, k)[0]):
+            seen.setdefault((k, t), Rule(k, t, 0))
+    return [seen[key] for key in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +430,7 @@ class ProbeReport:
 
 def _probe_pool() -> list[Rule]:
     """The probe's universe (see ``PROBE_HEADER``), in order of (k, table)."""
-    extra = [compile_landscape(l) for k in (4, 5) for l in enumerate_conserved(k, include_list=True).landscapes]
+    extra = [r for r in default_generators() if r.k < 6]
     pool = {r.table: r for r in extra} | {r.table: r for r in catalog_function_pool()}
     return sorted(pool.values(), key=lambda r: (r.k, r.table))
 
@@ -441,11 +440,9 @@ def _composite_degrees(pool: list[Rule]) -> np.ndarray:
     tables g of one diameter are the lanes of ``_gather_lanes`` over the
     window rows of the tables f of one diameter."""
     out = np.empty((len(pool), len(pool)), dtype=np.intp)
-    ks = np.array([r.k for r in pool])
-    at = {k: np.flatnonzero(ks == k) for k in set(ks.tolist())}
-    stacks = {k: (i, np.stack([pool[j].table_array() for j in i])) for k, i in at.items()}
-    for kg, (gi, outer) in stacks.items():
-        for kf, (fi, inner) in stacks.items():
+    stacks = list(_diameter_stacks(pool))
+    for kg, gi, outer in stacks:
+        for kf, fi, inner in stacks:
             k = kg + kf - 1
             for g0, g1, f0, cols in corefn._gather_lanes(outer, _windows(inner, kf, kg), k):
                 out[np.ix_(gi[g0:g1], fi[f0 : f0 + len(cols)])] = corefn._lane_degrees(cols, k)[:, : g1 - g0].T

@@ -26,6 +26,12 @@ stacks of tables: ``_images``, then ``_orbit_arrays`` and ``_canon_keys``
 ``complement``, ``orbit`` and ``canonicalize`` are one-row calls; callers
 with many rules pass the whole stack to ``_class_ids``.
 
+Every batch kernel (these, ``_lane_degrees``, and the induced maps,
+pair-graph verdicts and DDT maxima of ``lifting`` and ``diffunif``) takes
+one diameter's raw tables, not necessarily tight, as a (R, 2**k) uint8
+stack and k.  One-rule calls pass ``r.table_array()[None]``, and
+``_diameter_stacks`` is the one place where a list of rules becomes stacks.
+
 Rules given by a formula (landscapes and their sets, the two families,
 f + x_j) are x_s XOR some cubes of literals; ``cube_table`` writes each
 cube as one slice of the (2,)*K view of the table.  It, ``from_anf`` and
@@ -63,7 +69,11 @@ class InvalidRuleError(LiftforgeError):
     pass
 
 
-class ArityCapError(LiftforgeError):
+class CapExceededError(LiftforgeError):
+    """A size cap: the work asked for would outgrow a module constant."""
+
+
+class ArityCapError(CapExceededError):
     """An operation would need a truth table wider than the configured cap."""
 
 
@@ -331,6 +341,16 @@ def rule_from_table(k: int, table) -> Rule:
     return _normalize(k, t)
 
 
+def _diameter_stacks(rules) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """(k, indices, uint8 table stack of shape (len(indices), 2**k)) for each
+    diameter of ``rules``, in order of first appearance."""
+    by_k: dict[int, list[int]] = {}
+    for i, r in enumerate(rules):
+        by_k.setdefault(r.k, []).append(i)
+    for k, idx in by_k.items():
+        yield k, idx, np.stack([rules[i].table_array() for i in idx])
+
+
 def rule_to_text(r: Rule) -> str:
     digits = max(1, (1 << r.k) // 4)
     return f"{r.k}:{r.table:0{digits}X}"
@@ -413,8 +433,7 @@ class EquivClassId:
     canon: int
 
     def text(self) -> str:
-        digits = max(1, (1 << self.k) // 4)
-        return f"{self.k}:{self.canon:0{digits}X}"
+        return rule_to_text(self.rule())
 
     def rule(self) -> Rule:
         return Rule(self.k, self.canon, 0)

@@ -15,11 +15,10 @@ set bit.
 The witness is the smallest difference a whose row reaches the overall
 maximum, with the smallest b in that row.
 
-One kernel serves every caller: it takes a stack of rules and a range of
-lengths n, and ``ddt_max`` is its one-rule, one-length call.  Each
-diameter's rules are stacked once; at each n the stack goes in groups
-whose induced maps, built by one stacked window gather, hold at most
-2 * ``_ROW_BLOCK`` states in all.  A row is a pair (rule, a) of the group;
+One kernel serves every caller: it takes one diameter's table stack and a
+range of lengths n, and ``ddt_max`` is its one-row, one-length call.  At
+each n the stack goes in groups whose induced maps, built by one stacked
+window gather, hold at most 2 * ``_ROW_BLOCK`` states in all.  A row is a pair (rule, a) of the group;
 rows go in blocks of at most ``_ROW_BLOCK`` keys (row << n) | d(x), each
 counted by one ``np.bincount``, and each row keeps its largest count and
 the first b that reaches it.  Per rule, the witness is the row with the
@@ -82,7 +81,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corefn import LiftforgeError, Rule, _lane_degrees, _windows, bitmask, table_to_array
+from .corefn import LiftforgeError, Rule, _diameter_stacks, _lane_degrees, _windows, bitmask
 from .lifting import CapExceededError, _induced_arrays, necklace_representatives, sigma
 
 # 14, not N_CAP = 24: the DDT costs its rows times 2**n, and the rows (one
@@ -102,9 +101,7 @@ class DuEntry:
     witness: tuple[int, int]  # (a, b) achieving the max
 
     def scaled_str(self) -> str:
-        if self.scaled.denominator == 1:
-            return str(self.scaled.numerator)
-        return f"{self.scaled.numerator}/{self.scaled.denominator}"
+        return str(self.scaled)
 
 
 @dataclass(frozen=True)
@@ -204,12 +201,12 @@ def _hadamard(b: int) -> np.ndarray:
     return _signs(b)[i[:, None] & i]
 
 
-def _window_row_max(k: int, table: int) -> dict[int, np.ndarray]:
+def _window_row_max(k: int, table: np.ndarray) -> dict[int, np.ndarray]:
     """H by window width S: the largest half count of each DDT row of the
-    window map g, which takes an S-bit word z to the m = S - k + 1 outputs
-    f(z_i..z_{i+k-1}) whose windows fit in it; H[0] is the whole half,
-    2^(S-1).  S = 10 always, and S = 9 for k <= 9.  Not cached: each
-    ``_ddt_maxima`` call builds it once per rule.
+    window map g of the table row f, which takes an S-bit word z to the
+    m = S - k + 1 outputs f(z_i..z_{i+k-1}) whose windows fit in it; H[0]
+    is the whole half, 2^(S-1).  S = 10 always, and S = 9 for k <= 9.  Not
+    cached: each ``_ddt_maxima`` call builds it once per row.
 
     One build at S = 10 from the Walsh spectra of g's components (see the
     module docstring), 2^c of them at a time; the S = 9 table is its
@@ -223,7 +220,7 @@ def _window_row_max(k: int, table: int) -> dict[int, np.ndarray]:
     only arrays of their size: 4.75 MiB at most, at k = 1."""
     S = 10
     m = S - k + 1
-    g = _windows(table_to_array(table, k), k, m).astype(np.intp)
+    g = _windows(table, k, m).astype(np.intp)
     lo = S // 2
     hi = S - lo
     c = min(m, _COMPONENT_BITS)
@@ -306,46 +303,33 @@ def _check_du_cap(n_to: int) -> None:
         raise CapExceededError(f"need n <= {DU_CAP}, got n={n_to}")
 
 
-def _diameter_stacks(rules: Sequence[Rule]):
-    """(k, indices, uint8 table stack of shape (len(indices), 2**k)) for each
-    diameter of ``rules``, in order of first appearance."""
-    by_k: dict[int, list[int]] = {}
-    for i, r in enumerate(rules):
-        by_k.setdefault(r.k, []).append(i)
-    for k, idx in by_k.items():
-        yield k, idx, np.stack([table_to_array(rules[i].table, k) for i in idx])
-
-
 def _ddt_maxima(
-    rules: Sequence[Rule], n_from: int, n_to: int, *, restrict_necklaces: bool = True
+    tables: np.ndarray, k: int, n_from: int, n_to: int, *, restrict_necklaces: bool = True
 ) -> list[list[Optional[tuple[int, tuple[int, int]]]]]:
-    """``ddt_max`` of every rule of a stack at n_from..n_to: one list per
-    rule, in order, with None at the lengths below its diameter.  Each
-    diameter is stacked once and each rule's window tables built once (see
-    the module docstring)."""
+    """``ddt_max`` of every raw k-variable table of a stack at n_from..n_to:
+    one list per row, in order, with None at the lengths below k.  Each
+    row's window tables are built once (see the module docstring)."""
     _check_du_cap(n_to)
-    out: list[list] = [[None] * (n_to - n_from + 1) for _ in rules]
-    for k, idx, tables in _diameter_stacks(rules):
-        H: list[dict[int, np.ndarray]] = []
-        for n in range(max(n_from, k), n_to + 1):
-            S = _window_bits(n)
-            prune = restrict_necklaces and k <= S <= n
-            if prune and not H:
-                H = [_window_row_max(k, rules[i].table) for i in idx]
-            size = max(1, (2 * _ROW_BLOCK) >> n)
-            for j in range(0, len(idx), size):
-                part = slice(j, j + size)
-                Hp = np.stack([h[S] for h in H[part]]) if prune else None
-                for i, res in zip(idx[part], _group_maxima(tables[part], Hp, n, restrict_necklaces)):
-                    out[i][n - n_from] = res
+    out: list[list] = [[None] * (n_to - n_from + 1) for _ in range(len(tables))]
+    H: list[dict[int, np.ndarray]] = []
+    for n in range(max(n_from, k), n_to + 1):
+        S = _window_bits(n)
+        prune = restrict_necklaces and k <= S <= n
+        if prune and not H:
+            H = [_window_row_max(k, t) for t in tables]
+        size = max(1, (2 * _ROW_BLOCK) >> n)
+        for j in range(0, len(tables), size):
+            Hp = np.stack([h[S] for h in H[j : j + size]]) if prune else None
+            for row, res in zip(out[j : j + size], _group_maxima(tables[j : j + size], Hp, n, restrict_necklaces)):
+                row[n - n_from] = res
     return out
 
 
 def ddt_max(r: Rule, n: int, *, restrict_necklaces: bool = True) -> tuple[int, tuple[int, int]]:
     """Maximum DDT entry over nonzero input differences, with a witness."""
     if n < r.k:
-        raise CapExceededError(f"need k <= n, got k={r.k}, n={n}")
-    return _ddt_maxima([r], n, n, restrict_necklaces=restrict_necklaces)[0][0]
+        raise LengthRangeError(f"circular length {n} below the diameter {r.k}")
+    return _ddt_maxima(r.table_array()[None], r.k, n, n, restrict_necklaces=restrict_necklaces)[0][0]
 
 
 def scale(n: int, raw: int) -> Fraction:
@@ -358,7 +342,7 @@ def du_profile(r: Rule, n_from: int, n_to: int) -> DuReport:
     if lo > n_to:
         raise LengthRangeError(f"no length in {n_from}..{n_to} at or above the diameter {r.k}")
     _check_du_cap(n_to)
-    (found,) = _ddt_maxima([r], lo, n_to)
+    (found,) = _ddt_maxima(r.table_array()[None], r.k, lo, n_to)
     return DuReport(r.text(), tuple(DuEntry(n, raw, scale(n, raw), wit) for n, (raw, wit) in enumerate(found, lo)))
 
 
@@ -373,7 +357,7 @@ class ScaledTable:
         header = ["function", "k", "deg"] + [f"n={n}" for n in range(self.n_from, self.n_to + 1)]
         lines = ["\t".join(header)]
         for label, k, deg, vals in self.rows:
-            cells = ["-" if v is None else (str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}") for v in vals]
+            cells = ["-" if v is None else str(v) for v in vals]
             lines.append("\t".join([label, str(k), str(deg)] + cells))
         return "\n".join(lines)
 
@@ -389,7 +373,7 @@ class ScaledTable:
                     "k": k,
                     "deg": deg,
                     "scaled": {
-                        str(n): (None if v is None else (v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"))
+                        str(n): (None if v is None else (v.numerator if v.denominator == 1 else str(v)))
                         for n, v in zip(range(self.n_from, self.n_to + 1), vals)
                     },
                 }
@@ -414,11 +398,11 @@ def du_scaled_table(rows: Sequence, n_from: int, n_to: int) -> ScaledTable:
             labelled.append((item.text(), item))
         else:
             labelled.append((exprlang.print_expr(item), exprlang.eval_expr(item)))
-    rules = [rule for _, rule in labelled]
-    found = _ddt_maxima(rules, n_from, n_to)
-    degrees: dict[int, int] = {}
-    for k, idx, tables in _diameter_stacks(rules):
-        degrees.update(zip(idx, _lane_degrees(tables, k)[:, 0].tolist()))
+    found: list[list] = [[]] * len(labelled)
+    degrees = [0] * len(labelled)
+    for k, idx, tables in _diameter_stacks([rule for _, rule in labelled]):
+        for i, row, d in zip(idx, _ddt_maxima(tables, k, n_from, n_to), _lane_degrees(tables, k)[:, 0].tolist()):
+            found[i], degrees[i] = row, d
     table_rows = [
         (label, rule.k, degrees[i], tuple(None if m is None else scale(n, m[0]) for n, m in enumerate(row, n_from)))
         for i, ((label, rule), row) in enumerate(zip(labelled, found))

@@ -22,12 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .corefn import (
     ArityCapError,
+    CapExceededError,
     MAX_DIAMETER,
     InvalidRuleError,
     LiftforgeError,
@@ -50,10 +51,6 @@ N_CAP = 24
 # widths 25 and 26
 ARITY_CAP = 26
 DEFAULT_SCAN_LIMIT = 16
-
-
-class CapExceededError(LiftforgeError):
-    pass
 
 
 def sigma(x: int | np.ndarray, n: int, c: int | np.ndarray = 1) -> int | np.ndarray:
@@ -257,10 +254,10 @@ def divisor_check(r: Rule, n: int, m: int) -> bool:
 # removed nodes leave behind in their neighbours only, and removes the
 # neighbours whose set became empty.  The peel's flat node index is
 # t·W² + u·W + v; a node's neighbours lie in its own row, so each neighbour
-# index keeps the row base dead & ~(W²-1).  Rules go to the kernel by
-# diameter, in stacks of at most _STACK_NODES nodes or of one row (from
-# k = 10 up), so a stack's arrays are never larger than one graph's from
-# k = 10 up, and at most a few MiB below.
+# index keeps the row base dead & ~(W²-1).  A table stack goes to the kernel
+# in slices of at most _STACK_NODES nodes or of one row (from k = 10 up), so
+# a slice's arrays are never larger than one graph's from k = 10 up, and at
+# most a few MiB below.
 
 _PEEL_SHARE = 8
 _PEEL_CHUNK = 1 << 16
@@ -455,12 +452,11 @@ def _walk(start: tuple[int, int], edges, alive: np.ndarray) -> tuple[list, int, 
         seen[node] = len(bits)
 
 
-def _walk_witness(r: Rule, alive: np.ndarray) -> Witness:
-    """Build a circular collision from a closed pair-graph walk through a
-    non-diagonal node (always possible when one is alive)."""
-    k = r.k
+def _walk_witness(tab: np.ndarray, k: int, alive: np.ndarray) -> Witness:
+    """Build a circular collision of the raw k-variable table ``tab`` from a
+    closed walk through a non-diagonal node of its alive pair graph (always
+    possible when one is alive)."""
     W = 1 << (k - 1)
-    tab = r.table_array()
 
     def succ_edges(u, v):
         for a in range(2):
@@ -529,46 +525,32 @@ def decide_proper(
         return PropernessVerdict("proper", "finite-scan", None)
     if method != "pair-graph":
         raise LiftforgeError(f"unknown method {method!r}")
-    return _pair_graph_verdicts([r])[0]
+    return _pair_graph_verdicts(r.table_array()[None], r.k)[0]
 
 
-def _pair_graph_verdicts(rules: Sequence[Rule]) -> list[PropernessVerdict]:
-    """The pair-graph verdict of each rule, in order (``decide_proper`` for
-    a whole list).  Every rule's graph is checked against the cap before any
-    is built; then the rules go by diameter, in stacks of at most
-    ``_STACK_NODES`` nodes, and a rule that is not proper gets its witness
-    from its own row of the stack's alive array."""
-    by_k: dict[int, list[int]] = {}
-    for i, r in enumerate(rules):
-        by_k.setdefault(r.k, []).append(i)
-    if by_k:
-        k = max(by_k)
-        need = _pair_graph_bytes(k)
-        if need > _PAIR_GRAPH_MAX_BYTES:
-            raise CapExceededError(
-                f"pair graph of diameter {k} needs about {need >> 20} MiB, cap is {_PAIR_GRAPH_MAX_BYTES >> 20} MiB"
-            )
-    # proper unless its graph shows otherwise; single-variable rules (x1 and
-    # x1+1, both bijective) have none
-    verdicts = [PropernessVerdict("proper", "pair-graph", None)] * len(rules)
-    for k, idx in by_k.items():
-        if k == 1:
-            continue
-        W = 1 << (k - 1)
-        step = max(1, _STACK_NODES // (W * W))
-        for s in range(0, len(idx), step):
-            part = idx[s : s + step]
-            alive = _pair_graph_alive(np.array([rules[i].table_array() for i in part]), k)
-            # not proper: a node off the diagonal (the de Bruijn graph, always
-            # alive) is alive; the diagonal is cleared for the search only
-            diagonal = alive.reshape(len(part), -1)[:, :: W + 1]
-            diagonal[...] = False
-            off = alive.reshape(len(part), -1).any(axis=1)
-            diagonal[...] = True
-            for j in np.flatnonzero(off):
-                i = part[j]
-                verdicts[i] = PropernessVerdict("not-proper", "pair-graph", _walk_witness(rules[i], alive[j]))
-            del alive, diagonal  # freed before the next stack is built
+def _pair_graph_verdicts(tables: np.ndarray, k: int) -> list[PropernessVerdict]:
+    """The pair-graph verdict of each raw k-variable table of a stack, in
+    order (``decide_proper`` for a whole stack).  The cap is checked before
+    any graph is built; then the stack goes in slices of at most
+    ``_STACK_NODES`` nodes, and a row that is not proper gets its witness
+    from its own row of the slice's alive array."""
+    need = _pair_graph_bytes(k)
+    if need > _PAIR_GRAPH_MAX_BYTES:
+        raise CapExceededError(
+            f"pair graph of diameter {k} needs about {need >> 20} MiB, cap is {_PAIR_GRAPH_MAX_BYTES >> 20} MiB"
+        )
+    if k == 1:  # a graph needs two variables: read each row as a table of x1, x2 that ignores x2
+        return _pair_graph_verdicts(np.tile(tables, 2), 2)
+    verdicts = [PropernessVerdict("proper", "pair-graph", None)] * len(tables)  # unless its graph shows otherwise
+    W = 1 << (k - 1)
+    step = max(1, _STACK_NODES // (W * W))
+    for s in range(0, len(tables), step):
+        alive = _pair_graph_alive(tables[s : s + step], k)
+        # not proper: a node is alive beside the W diagonal nodes (the de
+        # Bruijn graph), which always are
+        for j in np.flatnonzero(np.count_nonzero(alive.reshape(len(alive), -1), axis=1) > W):
+            verdicts[s + j] = PropernessVerdict("not-proper", "pair-graph", _walk_witness(tables[s + j], k, alive[j]))
+        del alive  # freed before the next slice is built
     return verdicts
 
 

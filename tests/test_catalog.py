@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from liftforge.catalog import (
 )
 from liftforge.corefn import (
     EquivClassId,
+    _diameter_stacks,
     _end_vars,
     _rev_index,
     _windows,
@@ -68,6 +70,18 @@ def test_orbit_expansion_has_472_functions(catalog_entries):
     pool = catalog_function_pool(catalog_entries)
     assert len(pool) == 472
     assert all(r.bit(0) == 0 for r in pool)
+
+
+def test_function_pool_keeps_equal_tables_of_two_diameters():
+    # g has diameter 5 and f = g * (x6 ^ 1) diameter 6, under one packed
+    # table: each orbit is expanded in full, 4 + 4 members
+    g = lf.rule_from_anf_text("x1 ^ x2*x5")
+    f = lf.Rule(6, g.table)
+    assert g.k == 5 and lf.rule_from_table(6, f.table).same_function(f)
+    for rules in ((g, f), (f, g)):
+        pool = catalog_function_pool([types.SimpleNamespace(rule=lambda r=r: r) for r in rules])
+        assert [(r.k, r.table) for r in pool] == sorted({(m.k, m.table) for r in rules for m in lf.orbit(r)})
+        assert [r.k for r in pool] == [5] * 4 + [6] * 4
 
 
 def test_catalog_classes_distinct(catalog_entries):
@@ -213,6 +227,37 @@ def test_stacked_checks_report_what_the_per_entry_checks_do(catalog_entries):
     assert [(p.index, p.kind) for p in verify_catalog(broken).problems][2:] == [
         (90, "degree"), (90, "balance"), (90, "not-proper")
     ]
+
+
+def test_every_check_reads_one_table_stack(monkeypatch, catalog_entries):
+    # the class ids, the pair graph and the DDT maxima all read rows of the
+    # one (120, 64) stack: each rule's table is unpacked once, and no
+    # kernel gets a list of rules to stack again
+    rules = {e.index: e.rule() for e in catalog_entries}
+    monkeypatch.setattr(catalog.CatalogEntry, "rule", lambda e: rules[e.index])
+    unpacked = []
+    table_array = corefn.Rule.table_array
+    monkeypatch.setattr(corefn.Rule, "table_array", lambda r: unpacked.append(r) or table_array(r))
+    calls = {}
+
+    def spy(name):
+        kernel = getattr(catalog, name)
+
+        def recording(tables, k, *args, **kwargs):
+            calls[name] = (tables, k)
+            return kernel(tables, k, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, name, recording)
+
+    for name in ("_class_ids", "_pair_graph_verdicts", "_ddt_maxima"):
+        spy(name)
+    assert verify_catalog(catalog_entries, check_du=True).ok
+    stack, k = calls["_class_ids"]
+    assert k == 6 and stack.shape == (120, 64) and stack.dtype == np.uint8
+    assert calls["_pair_graph_verdicts"][0] is stack and calls["_pair_graph_verdicts"][1] == 6
+    tables, k = calls["_ddt_maxima"]
+    assert k == 6 and np.array_equal(tables, stack)  # every entry states DU values
+    assert len(unpacked) == 120
 
 
 def test_default_generators():
@@ -670,9 +715,10 @@ def test_closure_d7_reproduces_the_catalog(catalog_entries):
         "5:FD02FF00",
     }
     # composites of proper rules are proper: a check of the pair graph, one
-    # stacked call for all 126 found classes
+    # stacked call per diameter for all 126 found classes
     assert len(res.found_classes) == 126
-    assert all(v.proper for v in lifting._pair_graph_verdicts([c.rule() for c in res.found_classes]))
+    stacks = _diameter_stacks([c.rule() for c in res.found_classes])
+    assert all(v.proper for k, _, tables in stacks for v in lifting._pair_graph_verdicts(tables, k))
     assert lf.decide_proper(lf.rule_from_text("5:D30EFF00"), method="finite-scan").proper
 
 

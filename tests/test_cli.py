@@ -9,6 +9,7 @@ import pytest
 import liftforge as lf
 from liftforge import cli, diffunif, landscape
 from liftforge.catalog import ClosureResult
+from liftforge.corefn import array_to_table
 from liftforge.exprlang import eval_expr, parse_expr
 
 L14 = "0★----------10"  # landscapes of diameter 14 and 17
@@ -297,7 +298,7 @@ def test_du_prints_stated_catalog_rows(monkeypatch, capsys, catalog_entries, exp
     (entry,) = [e for e in catalog_entries if e.text == expr]
     assert list(entry.stated_du[-4:]) == raw and entry.highlight == highlight
     builds, window_row_max = [], diffunif._window_row_max
-    monkeypatch.setattr(diffunif, "_window_row_max", lambda k, t: builds.append(t) or window_row_max(k, t))
+    monkeypatch.setattr(diffunif, "_window_row_max", lambda k, t: builds.append(array_to_table(t)) or window_row_max(k, t))
     assert cli.main(["du", expr, "--n", "9..12"]) == 0
     assert capsys.readouterr().out.splitlines() == [" ".join(map(str, raw))]
     assert builds == [entry.rule().table]

@@ -11,6 +11,7 @@ import pytest
 
 import liftforge as lf
 from liftforge import catalog, diffunif
+from liftforge.corefn import _diameter_stacks, array_to_table, bitmask
 from liftforge.diffunif import (
     LengthRangeError,
     ddt_max,
@@ -110,7 +111,8 @@ def test_du_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    with pytest.raises(CapExceededError):
+    # a length below the diameter is a malformed length, not a size cap
+    with pytest.raises(LengthRangeError, match="circular length 3 below the diameter 4"):
         ddt_max(_rule("(0★10)"), 3)
 
 
@@ -270,6 +272,16 @@ def _mixed_stack():
 _MIXED = _mixed_stack()
 
 
+def _maxima(rules, n_from, n_to, **kwargs):
+    """``_ddt_maxima`` of rules of any diameters, one stack per diameter
+    (``corefn._diameter_stacks``), one list per rule in their order."""
+    out = [None] * len(rules)
+    for k, idx, tables in _diameter_stacks(rules):
+        for i, row in zip(idx, diffunif._ddt_maxima(tables, k, n_from, n_to, **kwargs)):
+            out[i] = row
+    return out
+
+
 @lru_cache(maxsize=None)
 def _mixed_reference(n, restrict):
     """One row of the reference per rule, None below its diameter."""
@@ -284,7 +296,7 @@ def test_batched_kernel_matches_reference_on_a_mixed_stack(monkeypatch, block, n
     if block is not None:
         monkeypatch.setattr(diffunif, "_ROW_BLOCK", block)
     for restrict in (True, False):
-        got = diffunif._ddt_maxima(_MIXED, 1, n_to, restrict_necklaces=restrict)
+        got = _maxima(_MIXED, 1, n_to, restrict_necklaces=restrict)
         for n in range(1, n_to + 1):
             assert [row[n - 1] for row in got] == _mixed_reference(n, restrict), (n, restrict)
 
@@ -301,7 +313,7 @@ def _mixed_ddt_max(n, restrict):
 @pytest.mark.parametrize("lo, hi", [(1, 12), (4, 9), (6, 6), (10, 11)])
 def test_length_range_matches_ddt_max_row_by_row(lo, hi):
     for restrict in (True, False):
-        got = diffunif._ddt_maxima(_MIXED, lo, hi, restrict_necklaces=restrict)
+        got = _maxima(_MIXED, lo, hi, restrict_necklaces=restrict)
         assert len(got) == len(_MIXED)
         for i, (r, row) in enumerate(zip(_MIXED, got)):
             assert len(row) == hi - lo + 1
@@ -312,8 +324,39 @@ def test_length_range_matches_ddt_max_row_by_row(lo, hi):
 
 def test_length_range_past_the_cap_or_empty():
     with pytest.raises(CapExceededError, match="n <= 14, got n=15"):
-        diffunif._ddt_maxima(_MIXED, 6, 15)
-    assert diffunif._ddt_maxima(_MIXED, 9, 8) == [[] for _ in _MIXED]
+        _maxima(_MIXED, 6, 15)
+    assert _maxima(_MIXED, 9, 8) == [[] for _ in _MIXED]
+
+
+def _untrimmed(r, drop_first):
+    """The table of r as a raw table one variable wider, which ignores its
+    last variable x_K, or two wider, which ignores x_1 and x_K as well."""
+    v = np.arange(1 << (r.k + 1 + drop_first)) >> drop_first
+    return r.table_array()[v & bitmask(r.k)]
+
+
+@pytest.mark.parametrize("drop_first", [False, True])
+def test_raw_stacks_have_the_maxima_of_their_tight_rules(catalog_entries, drop_first):
+    # a census feeds untrimmed candidate tables.  Ignoring x_K leaves the
+    # induced map as it is; ignoring x_1 too rotates its outputs, which
+    # keeps each row's maximum and its smallest a, and the witness b must
+    # still reach the maximum in row a of the raw map
+    rng = random.Random(28)
+    rules = [_rule_of_diameter(rng, k) for k in (2, 3, 5, 7)] + [catalog_entries[i].rule() for i in (0, 57, 119)]
+    for k, idx, tight in _diameter_stacks(rules):
+        K = k + 1 + drop_first
+        tables = np.stack([_untrimmed(rules[i], drop_first) for i in idx])
+        for restrict, n_to in ((True, 12), (False, 9)):
+            got = diffunif._ddt_maxima(tables, K, K, n_to, restrict_necklaces=restrict)
+            want = diffunif._ddt_maxima(tight, k, K, n_to, restrict_necklaces=restrict)
+            for i, tab, row, ref in zip(idx, tables, got, want):
+                if not drop_first:
+                    assert row == ref, (rules[i].text(), restrict)
+                    continue
+                for n, (raw, (a, b)), (raw_ref, (a_ref, _)) in zip(range(K, n_to + 1), row, ref):
+                    assert (raw, a) == (raw_ref, a_ref), (rules[i].text(), n, restrict)
+                    F = lf.induce(lf.Rule(K, array_to_table(tab)), n).as_array()
+                    assert np.count_nonzero(F[np.arange(1 << n) ^ a] ^ F == b) == raw, (rules[i].text(), n)
 
 
 def test_batched_kernel_memory_at_n12(catalog_entries):
@@ -322,11 +365,11 @@ def test_batched_kernel_memory_at_n12(catalog_entries):
     # counts at a time; the first call fills the per-length caches
     import tracemalloc
 
-    rules = [e.rule() for e in catalog_entries]
-    expect = diffunif._ddt_maxima(rules, 12, 12)
+    tables = np.stack([e.rule().table_array() for e in catalog_entries])
+    expect = diffunif._ddt_maxima(tables, 6, 12, 12)
     tracemalloc.start()
     try:
-        got = diffunif._ddt_maxima(rules, 12, 12)
+        got = diffunif._ddt_maxima(tables, 6, 12, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,7 +424,7 @@ def _reference_window_row_max(r, S):
 
 def _row_bounds(r, n, S):
     """The kernel's row bound of one rule at width S, in full counts."""
-    return 2 * diffunif._row_bounds(diffunif._window_row_max(r.k, r.table)[S][None], n)[0]
+    return 2 * diffunif._row_bounds(diffunif._window_row_max(r.k, r.table_array())[S][None], n)[0]
 
 
 def _reference_row_bounds(r, n, S):
@@ -441,7 +484,7 @@ def test_window_width_per_length():
 
 def _window_tables(r):
     """The rule's window tables by width."""
-    return diffunif._window_row_max(r.k, r.table)
+    return diffunif._window_row_max(r.k, r.table_array())
 
 
 def _widths(r):
@@ -588,11 +631,11 @@ def test_window_table_memory_is_bounded(k):
 
 
 def _count_window_builds(monkeypatch):
-    """The (k, table) of every window-table build, in call order."""
+    """The (k, packed table) of every window-table build, in call order."""
     builds, window_row_max = [], diffunif._window_row_max
 
     def counting(k, table):
-        builds.append((k, table))
+        builds.append((k, array_to_table(table)))
         return window_row_max(k, table)
 
     monkeypatch.setattr(diffunif, "_window_row_max", counting)
@@ -604,7 +647,7 @@ def test_catalog_builds_one_window_table_per_rule(monkeypatch, catalog_entries):
     # build per rule in the pass over n = 9..12
     builds = _count_window_builds(monkeypatch)
     rules = [e.rule() for e in catalog_entries]
-    diffunif._ddt_maxima(rules, 9, 12)
+    _maxima(rules, 9, 12)
     assert len(builds) == len(set(builds)) == len({(r.k, r.table) for r in rules}) == 120
 
 
@@ -645,7 +688,7 @@ def test_row_bound_prunes_catalog_rows_at_n12(monkeypatch, catalog_entries):
     counted = _hook_row_count(monkeypatch, 12)
     rules = [e.rule() for e in catalog_entries]
     ruled_out = 0
-    for e, r, ((raw, _),) in zip(catalog_entries, rules, diffunif._ddt_maxima(rules, 12, 12)):
+    for e, r, ((raw, _),) in zip(catalog_entries, rules, _maxima(rules, 12, 12)):
         assert raw == e.stated_du[-1]
         ruled_out += int((_row_bounds(r, 12, 10) < raw).sum())
     rows = len(catalog_entries) * (len(necklace_representatives(12)) - 1)
@@ -660,7 +703,7 @@ def test_first_row_alone_prunes_catalog_rows_at_n9(monkeypatch, catalog_entries)
     # rest: a = 1 is the witness for most rules
     counted = _hook_row_count(monkeypatch, 9)
     rules = [e.rule() for e in catalog_entries]
-    for e, r, got in zip(catalog_entries, rules, diffunif._ddt_maxima(rules, 9, 10)):
+    for e, r, got in zip(catalog_entries, rules, _maxima(rules, 9, 10)):
         assert got == [_reference_ddt_max(r, n) for n in (9, 10)], e.index
     # 2,177 rows; pruned by the bound alone, or by a first block of 32
     # rows, all 7,080 nonzero necklace rows of the 120 rules are counted
@@ -680,7 +723,7 @@ def test_catalog_maxima_and_counted_rows_are_pinned(monkeypatch, catalog_entries
 
     monkeypatch.setattr(diffunif, "_count_rows", counting)
     rules = [e.rule() for e in catalog_entries]
-    found = diffunif._ddt_maxima(rules, 6, 12)
+    found = _maxima(rules, 6, 12)
     rows = [[n, [row[n - 6] for row in found]] for n in range(6, 13)]
     digest = "b6c93be00993d94c3db70661350b5f42ce69b563b5873751a3461e6a0bb4d61d"
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest

@@ -8,7 +8,17 @@ import pytest
 
 import liftforge as lf
 from liftforge import cli, lifting
-from liftforge.corefn import ArityCapError, InvalidRuleError, _normalize, _take, bitmask, table_to_array
+from liftforge.corefn import (
+    IDENTITY,
+    ArityCapError,
+    InvalidRuleError,
+    _diameter_stacks,
+    _normalize,
+    _take,
+    array_to_table,
+    bitmask,
+    table_to_array,
+)
 from liftforge.landscape import compile_landscape, parse_landscape
 from liftforge.lifting import (
     CapExceededError,
@@ -285,6 +295,8 @@ def test_compose_arity_cap():
     r = lf.rule_from_anf_text("x1 ^ x13")
     with pytest.raises(ArityCapError, match="tight diameter 25, cap is 24"):
         lf.compose(r, r)
+    # one family of size caps
+    assert issubclass(ArityCapError, CapExceededError)
 
 
 def test_compose_chain_matches_pairwise():
@@ -665,29 +677,29 @@ def _table_stack(rules):
 
 
 def _assert_matches_reference(rules):
-    """Row by row, the stacked kernel on all rules of one diameter gives the
-    alive array of the per-rule kernel and of the dense sweep, and the
+    """Row by row, the stacked kernel on the stack of each diameter gives
+    the alive array of the per-rule kernel and of the dense sweep, and the
     stacked verdicts are the one-row verdicts: proper iff only the diagonal
     is alive, else a replaying witness walked from the first alive
     non-diagonal node in row-major order.  Returns the count not proper."""
     refs = [_dense_alive(r) for r in rules]
-    for k in {r.k for r in rules}:
-        rows = [i for i, r in enumerate(rules) if r.k == k]
-        got = lifting._pair_graph_alive(_table_stack([rules[i] for i in rows]), k)
+    not_proper = 0
+    for k, rows, tables in _diameter_stacks(rules):
+        got = lifting._pair_graph_alive(tables, k)
         assert got.dtype == bool and got.shape == (len(rows),) + refs[rows[0]].shape
         for i, alive in zip(rows, got):
             assert np.array_equal(alive, refs[i]), rules[i].text()
             assert np.array_equal(_reference_pair_graph_alive(rules[i]), refs[i]), rules[i].text()
-    not_proper = 0
-    for r, ref, v in zip(rules, refs, lifting._pair_graph_verdicts(rules)):
-        assert v == lf.decide_proper(r), r.text()
-        off = ref & ~np.eye(ref.shape[0], dtype=bool)
-        assert v.proper == (not off.any()), r.text()
-        if not v.proper:
-            not_proper += 1
-            assert lifting._first_off_diagonal(ref.copy()) == tuple(int(i) for i in np.argwhere(off)[0])
-            assert v.witness == lifting._walk_witness(r, ref)
-            assert replay_witness(r, v.witness)
+        for i, tab, v in zip(rows, tables, lifting._pair_graph_verdicts(tables, k)):
+            r, ref = rules[i], refs[i]
+            assert v == lf.decide_proper(r), r.text()
+            off = ref & ~np.eye(ref.shape[0], dtype=bool)
+            assert v.proper == (not off.any()), r.text()
+            if not v.proper:
+                not_proper += 1
+                assert lifting._first_off_diagonal(ref.copy()) == tuple(int(i) for i in np.argwhere(off)[0])
+                assert v.witness == lifting._walk_witness(tab, k, ref)
+                assert replay_witness(r, v.witness)
     return not_proper
 
 
@@ -729,13 +741,50 @@ def test_pair_graph_matches_dense_sweep_at_k12():
     assert _assert_matches_reference(rules) == 1
 
 
+def _untrimmed(r, drop_first):
+    """The table of r as a raw table one variable wider, which ignores its
+    last variable x_K, or two wider, which ignores x_1 and x_K as well."""
+    v = np.arange(1 << (r.k + 1 + drop_first)) >> drop_first
+    return r.table_array()[v & bitmask(r.k)]
+
+
+@pytest.mark.parametrize("drop_first", [False, True])
+def test_raw_stacks_decide_as_their_tight_rules(drop_first):
+    # a census feeds untrimmed candidate tables: each gets the decision of
+    # the rule it trims to, and a witness that replays on the raw table
+    for k in (2, 4, 6):
+        rules = _mixed_rules(2400 + k, k, 6)
+        K = k + 1 + drop_first
+        tables = np.stack([_untrimmed(r, drop_first) for r in rules])
+        not_proper = 0
+        for r, tab, v in zip(rules, tables, lifting._pair_graph_verdicts(tables, K)):
+            assert lf.rule_from_table(K, tab).same_function(r)
+            tight = lf.decide_proper(r)
+            assert (v.decision, v.method) == (tight.decision, tight.method), r.text()
+            if not v.proper:
+                not_proper += 1
+                assert replay_witness(lf.Rule(K, array_to_table(tab)), v.witness)
+        assert 0 < not_proper and (k < 4 or not_proper < len(rules))
+
+
+def test_single_variable_stack_is_decided_on_two_variables():
+    # x1 and x1 + 1 are bijective; a constant row is not, with a witness
+    tables = np.array([[0, 1], [1, 0], [0, 0], [1, 1]], dtype=np.uint8)
+    verdicts = lifting._pair_graph_verdicts(tables, 1)
+    assert verdicts[:2] == [lf.decide_proper(IDENTITY)] * 2 == [lf.decide_proper(lf.rule_from_table(1, [1, 0]))] * 2
+    for tab, v in zip(tables[2:], verdicts[2:]):
+        assert not v.proper and replay_witness(lf.Rule(1, array_to_table(tab)), v.witness)
+
+
 def test_stacked_verdicts_follow_the_order_of_the_rules():
     rules = [r for k in range(2, 9) for r in _mixed_rules(2200 + k, k, 6)] + [lf.rule_from_table(1, [1, 0])]
-    verdicts = lifting._pair_graph_verdicts(rules)
-    assert verdicts == [lf.decide_proper(r) for r in rules]
-    perm = np.random.default_rng(2201).permutation(len(rules))
-    assert lifting._pair_graph_verdicts([rules[i] for i in perm]) == [verdicts[i] for i in perm]
-    assert lifting._pair_graph_verdicts([]) == []
+    rng = np.random.default_rng(2201)
+    for k, idx, tables in _diameter_stacks(rules):
+        verdicts = lifting._pair_graph_verdicts(tables, k)
+        assert verdicts == [lf.decide_proper(rules[i]) for i in idx]
+        perm = rng.permutation(len(idx))
+        assert lifting._pair_graph_verdicts(tables[perm], k) == [verdicts[i] for i in perm]
+        assert lifting._pair_graph_verdicts(tables[:0], k) == []
 
 
 @pytest.mark.parametrize("share, chunk", [(1, 5), (1 << 40, 1 << 16)])
@@ -816,18 +865,24 @@ def test_stacks_go_by_diameter_in_chunks(monkeypatch, catalog_entries):
         return kernel(tables, k)
 
     monkeypatch.setattr(lifting, "_pair_graph_alive", spy)
-    verdicts = lifting._pair_graph_verdicts(rules)
+    verdicts = [None] * len(rules)
+    for k, idx, tables in _diameter_stacks(rules):
+        for i, v in zip(idx, lifting._pair_graph_verdicts(tables, k)):
+            verdicts[i] = v
     # the whole catalog is one stack; k = 11 holds one row per stack
     assert sorted(shapes) == [(1, 8), (1, 16), (1, 2048), (1, 2048), (120, 64)]
     assert verdicts == [lf.decide_proper(r) for r in rules]
     shapes.clear()
     monkeypatch.setattr(lifting, "_STACK_NODES", 7 * 32 * 32)
-    assert lifting._pair_graph_verdicts(six) == verdicts[:60] + verdicts[63:-1]
+    assert lifting._pair_graph_verdicts(_table_stack(six), 6) == verdicts[:60] + verdicts[63:-1]
     assert [s[0] for s in shapes] == [7] * 17 + [1]
 
 
-def test_stacked_cap_raises_before_any_sweep(monkeypatch, catalog_entries):
-    rules = [e.rule() for e in catalog_entries[:8]] + [_rule(K16)] + [e.rule() for e in catalog_entries[8:16]]
+def test_stacked_cap_raises_before_any_sweep(monkeypatch):
+    # the cap is checked for the stack's diameter before the graph of any
+    # row is built
+    raw = np.random.default_rng(16).integers(0, 2, (3, 1 << 16), dtype=np.uint8)
+    tables = np.concatenate([_rule(K16).table_array()[None], raw])
 
     def refuse(*args):
         raise AssertionError("the cap must be checked before the first sweep")
@@ -836,7 +891,7 @@ def test_stacked_cap_raises_before_any_sweep(monkeypatch, catalog_entries):
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="diameter 16"):
-            lifting._pair_graph_verdicts(rules)
+            lifting._pair_graph_verdicts(tables, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -844,9 +899,11 @@ def test_stacked_cap_raises_before_any_sweep(monkeypatch, catalog_entries):
 
 
 def _verdicts_peak(rules):
+    """The verdicts of rules of one diameter and the peak of their one call."""
+    tables = _table_stack(rules)
     tracemalloc.start()
     try:
-        verdicts = lifting._pair_graph_verdicts(rules)
+        verdicts = lifting._pair_graph_verdicts(tables, rules[0].k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
