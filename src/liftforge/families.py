@@ -72,7 +72,8 @@ def build_symmetric(params: SymmetricFamilyParams) -> Rule:
     k, j, S = params.k, params.j, params.members
     cube = (sum(1 << (l - 1) for l in S), 1 << (k - j))
     r = _normalize(k, array_to_table(cube_table(k, j, [cube])))
-    assert r.k == k, "symmetric-family rule must be tight at the stated diameter"
+    if r.k != k:
+        raise LiftforgeError("internal: symmetric-family rule is not tight at the stated diameter")
     return r
 
 
@@ -103,7 +104,8 @@ def build_chain(params: ChainFamilyParams) -> Rule:
         tail = bitmask(r - j) << j  # x_{j+1..r}
         cubes += [(ones, zeros | tail), (ones | tail, zeros)]
     rule = _normalize(k, array_to_table(cube_table(k, r, cubes)))
-    assert rule.k == k, "chain-family rule must be tight at diameter 2r"
+    if rule.k != k:
+        raise LiftforgeError("internal: chain-family rule is not tight at diameter 2r")
     return rule
 
 

@@ -351,7 +351,8 @@ def enumerate_conserved(k: int, include_list: bool = True) -> EnumerationResult:
         count += c
         fixed += f_rev + f_rc
         blocks.extend((q, block) for block in survivors)
-    assert (count + fixed) % 4 == 0
+    if (count + fixed) % 4:
+        raise LiftforgeError("internal: conserved landscapes and fixed points do not fill whole orbits")
     landscapes = None
     if include_list:
         landscapes = tuple(
@@ -366,5 +367,6 @@ def conserved_class_representatives(k: int) -> list[Landscape]:
     reps = {}
     for l in res.landscapes:
         reps.setdefault(canonical_symbols(l), l)
-    assert len(reps) == res.class_count
+    if len(reps) != res.class_count:
+        raise LiftforgeError("internal: class representatives disagree with the orbit count")
     return [parse_landscape(s) for s in sorted(reps)]

@@ -21,12 +21,24 @@ table held as 64-bit words `defined` and `ones`, with `fresh` marking the
 windows set since its last round.  A round takes every word whose six
 windows are defined, one of them fresh, computes v = f(z_1..z_6) ..
 f(z_6..z_11) and forces f(v) = z_{2s-1}; a row dies when a forced value
-contradicts a defined one or two words force opposite values.  A round
-runs in blocks whose rows times the words in play stay within a fixed
-budget, so a round over few words takes many rows at once.  Rows with
-nothing fresh left are finished tables or split on their lowest unset
-window.  The first round sees the 278 words whose windows are all pinned
-and already refutes most rows (4,296 -> 34 at s=2, 4,564 -> 130 at s=3).
+contradicts a defined one or two words force opposite values.  A round on
+the row kernel runs in blocks whose rows times the words in play stay
+within a fixed budget, so a round over few words takes many rows at once.
+Rows with nothing fresh left are finished tables or split on their lowest
+unset window.
+
+The first round sees the 278 words whose windows are all pinned and already
+refutes most rows (4,296 -> 34 at s=2, 4,564 -> 130 at s=3).  Every scan
+survivor has the same 44 windows defined, all of them fresh, so that round
+is one test shared by every row, and it runs with the rows as bit lanes (as
+in bitsliced DES, Biham, FSE 1997): bit r of the lane vector L[x] is window
+x of row r.  Each word's v is decoded into its 64 minterm lanes, the AND of
+two 3-window halves, and the minterms are ORed into S0[t] over the words
+with z_{2s-1} = 0 and into S1[t] over those with z_{2s-1} = 1.  A row
+clashes where S0[t] and S1[t] share its lane, contradicts a defined window t
+where S0[t] meets L[t] or S1[t] meets ~L[t], gains the undefined windows of
+S0 | S1, and takes its ones from S1.  The later rounds see at most 130 rows,
+too few to fill the lane words, and stay on the row kernel.
 """
 
 from __future__ import annotations
@@ -330,16 +342,79 @@ def _propagate(defined, ones, fresh, s: int):
     return defined | new, ones | f1, new, pinned != 0, (f0 & f1) != 0
 
 
+def _transpose_bits(x):
+    """Each 64 x 64 bit block of x, a C-contiguous uint64 array of shape
+    (..., 64), transposed in place: bit c of x[..., r] trades places with
+    bit r of x[..., c].  Level j swaps the off-diagonal j x j blocks."""
+    for j in (32, 16, 8, 4, 2, 1):
+        v = x.reshape(-1, 32 // j, 2, j)
+        a, b = v[:, :, 0], v[:, :, 1]
+        m = np.uint64(((1 << 64) - 1) // ((1 << j) + 1))  # the bit positions with bit j clear
+        t = ((a >> np.uint64(j)) ^ b) & m
+        b ^= t
+        a ^= t << np.uint64(j)
+    return x
+
+
+def _first_round_lanes(defined, ones, s: int):
+    """What `_propagate` returns, for rows that share one `defined` mask,
+    all of it fresh, with the rows as bit lanes.  Every row then has the
+    same words in play, and bit r % 64 of lane word r // 64 of L[x] is
+    window x of row r.  A word's v is one of 64 minterms of its six
+    windows' lanes, each the AND of two 3-window halves; S0[t] and S1[t]
+    OR the minterm t lanes over the words with z_{2s-1} = 0 and 1."""
+    windows, _, zeros = _word_planes(s)
+    words = _words_in_play(defined, defined, s)
+    R = len(ones)
+    rows = np.zeros(-(-R // 64) * 64, dtype=np.uint64)  # the lanes past R stay 0
+    rows[:R] = ones
+    L = _transpose_bits(rows.reshape(-1, 64)).T.copy()  # (windows, lane words)
+    # literal j of the 3-bit minterm a is L if bit j of a is set, else ~L
+    flip = np.where((np.arange(8)[:, None] >> np.arange(3)) & 1, np.uint64(0), ~np.uint64(0))
+
+    def minterms(w3):  # (words, 8, lane words): the minterms of three windows
+        m = np.take(L, w3[:, 0], axis=0)[:, None] ^ flip[:, 0, None]
+        for j in (1, 2):
+            m &= np.take(L, w3[:, j], axis=0)[:, None] ^ flip[:, j, None]
+        return m
+
+    S = np.zeros((2, WORDS, L.shape[1]), dtype=np.uint64)
+    # a chunk holds three (words, 8, lane words) arrays at once: the two
+    # halves' minterms and one temporary, together within _WORD_BUDGET
+    chunk = max(1, _WORD_BUDGET // (24 * L.shape[1]))
+    split = np.searchsorted(words, zeros)
+    for target, half in enumerate((words[:split], words[split:])):
+        for lo in range(0, len(half), chunk):
+            w = np.take(windows, half[lo : lo + chunk], axis=0)
+            low, high = minterms(w[:, :3]), minterms(w[:, 3:])
+            for b in range(8):  # minterm a + 8b is low[a] & high[b]
+                S[target, 8 * b : 8 * b + 8] |= np.bitwise_or.reduce(low & high[:, b, None], axis=0)
+    s0, s1 = S
+    dm = np.unpackbits(defined[:1].view(np.uint8), bitorder="little").astype(bool)
+    clash = np.bitwise_or.reduce(s0 & s1, axis=0)
+    pinned = np.bitwise_or.reduce(((s0 & L) | (s1 & ~L))[dm], axis=0)
+    S[0] |= s1
+    S[0, dm] = 0  # the new windows
+    S[1] |= L  # the new ones
+    # back to rows, dropping the lanes past R
+    new, ones = _transpose_bits(S.transpose(0, 2, 1).copy()).reshape(2, -1)[:, :R]
+    flags = np.unpackbits(np.stack((pinned, clash)).view(np.uint8), axis=1, count=R, bitorder="little")
+    return defined | new, ones, new, flags[0] != 0, flags[1] != 0
+
+
 def _extend_all(def_masks, ones_masks, s: int) -> tuple[list[int], int]:
     """The full 64-bit tables that extend one of the partial tables
     (def_masks[i], ones_masks[i]), with ones only on defined windows, and
     satisfy f(f(z_1..z_6), ..., f(z_6..z_11)) = z_{2s-1}; and the number
     of rows the first round finds no pinned-value conflict in.
 
-    All rows take each round together, in blocks sized by the words in
-    play: rows per block times the words any row can use that round stay
-    within _WORD_BUDGET, which bounds the (words, rows) temporaries.  A row
-    with nothing fresh is finished or splits on its lowest unset window."""
+    All rows take each round together.  A round whose rows share one
+    `defined` mask, all of it fresh (the first round on scan survivors),
+    runs as bit lanes in `_first_round_lanes`.  Any other round runs in
+    blocks sized by the words in play: rows per block times the words any
+    row can use that round stay within _WORD_BUDGET, which bounds the
+    (words, rows) temporaries.  A row with nothing fresh is finished or
+    splits on its lowest unset window."""
     defined = np.array(def_masks, dtype="<u8")
     ones = np.array(ones_masks, dtype="<u8")
     fresh = defined.copy()
@@ -347,12 +422,15 @@ def _extend_all(def_masks, ones_masks, s: int) -> tuple[list[int], int]:
     searched = 0
     # each pass defines at least one more window of every row it keeps
     for rnd in range(WORDS + 1):
-        pinned = np.zeros(len(defined), dtype=bool)
-        clash = np.zeros(len(defined), dtype=bool)
-        rows = max(1, _WORD_BUDGET // max(1, len(_words_in_play(defined, fresh, s))))
-        for lo in range(0, len(defined), rows):
-            b = slice(lo, lo + rows)
-            defined[b], ones[b], fresh[b], pinned[b], clash[b] = _propagate(defined[b], ones[b], fresh[b], s)
+        if len(defined) and (defined == defined[0]).all() and (fresh == defined).all():
+            defined, ones, fresh, pinned, clash = _first_round_lanes(defined, ones, s)
+        else:
+            pinned = np.zeros(len(defined), dtype=bool)
+            clash = np.zeros(len(defined), dtype=bool)
+            rows = max(1, _WORD_BUDGET // max(1, len(_words_in_play(defined, fresh, s))))
+            for lo in range(0, len(defined), rows):
+                b = slice(lo, lo + rows)
+                defined[b], ones[b], fresh[b], pinned[b], clash[b] = _propagate(defined[b], ones[b], fresh[b], s)
         if rnd == 0:
             searched = len(defined) - int(np.count_nonzero(pinned))
         live = ~(pinned | clash)
@@ -426,7 +504,8 @@ def complete_search(s: int, include_complemented: bool = False) -> SearchResult:
     scan = enumerate_periodic_assignments(s, include_complemented)
     tables, searched = _extend_all(scan.def_masks, scan.ones_masks, s)
     tables.sort()
-    assert len(set(tables)) == len(tables)
+    if len(set(tables)) != len(tables):
+        raise LiftforgeError("internal: a completion was found twice")
     tabs = np.unpackbits(np.array(tables, dtype="<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
     if tables and not _is_involution(tabs, s).all():
         raise LiftforgeError("internal: completion fails the exact involution check")

@@ -471,7 +471,9 @@ def test_pinned_word_filter_drops_only_unextendable_survivors(reference_extensio
 @pytest.mark.parametrize("block", [None, 1, 3])
 def test_extend_all_matches_reference(reference_extension, monkeypatch, block):
     if block is not None:
-        # the first round uses the 278 words whose windows are all pinned
+        # the first round uses the 278 words whose windows are all pinned.  A
+        # 35th row, the first kept one with its lowest window unset, keeps
+        # that round on the row kernel: the rows no longer share `defined`
         monkeypatch.setattr(search6, "_WORD_BUDGET", block * 278)
         sizes = []
         propagate = search6._propagate
@@ -481,8 +483,14 @@ def test_extend_all_matches_reference(reference_extension, monkeypatch, block):
             return propagate(defined, *args)
 
         monkeypatch.setattr(search6, "_propagate", counted)
-        _extend_all(*_masks(reference_extension[2][0]), 2)
+        lanes = search6._first_round_lanes
+        monkeypatch.setattr(search6, "_first_round_lanes", _never_called)
+        kept = reference_extension[2][0]
+        d, o = kept[0]
+        low = d & -d
+        _extend_all(*_masks(kept + [(d ^ low, o & ~low)]), 2)
         assert sizes[: 34 // block] == [block] * (34 // block)  # the 34 rows kept at s=2
+        monkeypatch.setattr(search6, "_first_round_lanes", lanes)
     for s, (kept, tables, dropped) in reference_extension.items():
         got, searched = _extend_all(*_masks(kept), s)
         assert (sorted(got), searched) == (tables, len(kept))
@@ -496,7 +504,79 @@ def test_extend_all_matches_reference(reference_extension, monkeypatch, block):
 FULL = (1 << 64) - 1
 
 
-def test_extend_all_matches_reference_near_involutions(search6_pooled):
+def _never_called(*args):
+    raise AssertionError("the lane round ran on rows that do not share one fresh `defined` mask")
+
+
+# ---------------------------------------------------------------------------
+# the first round with the rows as bit lanes, against the row kernel
+
+
+def _row_round(defined, ones, s):
+    """_propagate over rows whose windows are all fresh, 256 rows a call."""
+    defined, ones = np.array(defined, dtype="<u8"), np.array(ones, dtype="<u8")
+    blocks = [slice(i, i + 256) for i in range(0, len(defined), 256)]
+    outs = [search6._propagate(defined[b], ones[b], defined[b], s) for b in blocks]
+    return [np.concatenate(x) for x in zip(*outs)]
+
+
+def _assert_lanes_match_rows(defined, ones, s):
+    got = search6._first_round_lanes(np.array(defined, dtype="<u8"), np.array(ones, dtype="<u8"), s)
+    want = _row_round(defined, ones, s)
+    assert [x.dtype for x in got] == [x.dtype for x in want]
+    for g, w in zip(got, want):
+        assert g.shape == (len(defined),)
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+def test_first_round_lanes_match_propagate_on_the_scan_survivors():
+    for s in (2, 3):
+        scan = enumerate_periodic_assignments(s)
+        *_, pinned, clash = _assert_lanes_match_rows(scan.def_masks, scan.ones_masks, s)
+        assert np.count_nonzero(~pinned) == {2: 34, 3: 130}[s]
+        assert np.count_nonzero(clash & ~pinned) == {2: 2, 3: 0}[s]
+
+
+@pytest.mark.parametrize("budget", [None, 16])
+@pytest.mark.parametrize("R", [1, 63, 64, 65])
+def test_first_round_lanes_match_propagate_on_seeded_rows(monkeypatch, budget, R):
+    # random values on the 44 short-period windows, R rows: every output
+    # has R entries and equals the row kernel's, so no padding lane past R
+    # reaches a row.  With a budget of 16 a chunk holds one word
+    if budget is not None:
+        monkeypatch.setattr(search6, "_WORD_BUDGET", budget)
+    rng = random.Random(2900 + R)
+    d = short_period_words()
+    for s in (2, 3):
+        _assert_lanes_match_rows([d] * R, [rng.getrandbits(64) & d for _ in range(R)], s)
+
+
+def test_first_round_lanes_refute_the_rows_the_pinned_words_refute():
+    for s in (2, 3):
+        scan = enumerate_periodic_assignments(s)
+        pinned = search6._first_round_lanes(scan.def_masks, scan.ones_masks, s)[3]
+        refuted = _ref_refuted_by_pinned_words(list(zip(scan.def_masks.tolist(), scan.ones_masks.tolist())), s)
+        np.testing.assert_array_equal(pinned, refuted)
+
+
+def test_extend_all_takes_the_lane_round_once_on_the_scan_survivors(monkeypatch):
+    calls = []
+    lanes = search6._first_round_lanes
+
+    def counted(defined, ones, s):
+        calls.append(len(defined))
+        return lanes(defined, ones, s)
+
+    monkeypatch.setattr(search6, "_first_round_lanes", counted)
+    scan = enumerate_periodic_assignments(2)
+    tables, searched = _extend_all(scan.def_masks, scan.ones_masks, 2)
+    assert (len(tables), searched, calls) == (27, 34, [4296])
+
+
+def test_extend_all_matches_reference_near_involutions(search6_pooled, monkeypatch):
+    # the rows do not share `defined`, so no round takes the lane kernel
+    monkeypatch.setattr(search6, "_first_round_lanes", _never_called)
     # involutions with 2..19 windows chosen: one re-pinned to a random value,
     # the others unset
     rng = random.Random(11)
